@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -89,6 +89,8 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import multiprocessing  # deferred: serial runs and --help never pay for it
+
     with multiprocessing.Pool(min(jobs, len(items))) as pool:
         return pool.map(fn, items)
 
@@ -391,6 +393,17 @@ def _parse_profile(text: str) -> tuple[int, ...]:
     return out
 
 
+def _parse_jobs(text: str) -> int:
+    """Worker count: at least 1, clamped to the CPUs of this machine."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse job count: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bruhatops",
@@ -411,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--from", dest="from_rank", type=int)
     p_verify.add_argument("--to", dest="to_rank", type=int)
     p_verify.add_argument("--M", type=_parse_profile)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_parse_jobs, default=1)
     p_verify.add_argument("--force", action="store_true", help="override the default size caps")
     p_verify.add_argument("--format", choices=["json", "table"], default="json")
     p_verify.set_defaults(fn=cmd_verify)

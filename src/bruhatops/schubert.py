@@ -17,11 +17,16 @@ stays keyed by alpha alone; the y-exponent is implicit.  On this span the
 lowering operator nabla = sum_i y_i d/dx_i sends alpha to alpha - e_i with
 coefficient alpha_i, and the raising operator delta = sum_i x_i d/dy_i
 sends alpha to alpha + e_i with coefficient rho_i - alpha_i.
+
+Change of basis.  The lex-least term of ``schubert(w)`` is x^code(w^-1) with
+coefficient 1 (Macdonald, *Notes on Schubert polynomials*, 1991;
+Billey-Jockusch-Stanley 1993), so the padded Schubert basis is unitriangular
+against the staircase monomials.  Expansion into it is exact integer
+back-substitution from the lex-least term, with no division.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
@@ -286,7 +291,7 @@ def divided_difference(i: int, p: IntPolynomial) -> IntPolynomial:
     For i = n-1, the missing variable x_n participates with exponent 0 via a
     temporary extra slot.  The quotient is produced by synthetic division;
     the numerator is antisymmetric in x_i, x_{i+1}, so a nonzero remainder
-    can only mean an arithmetic bug and raises immediately.
+    can only mean an arithmetic bug and raises ArithmeticError.
     """
     n = p.n
     if not 1 <= i <= n - 1:
@@ -304,25 +309,28 @@ def divided_difference(i: int, p: IntPolynomial) -> IntPolynomial:
         num[b] = num.get(b, 0) - c
     num = {a: c for a, c in num.items() if c}
 
+    # Cancelling a term with x_i exponent e adds one with exponent e - 1, so
+    # the terms are bucketed by that exponent and cancelled from the top down.
+    levels: dict[int, dict[Exponent, int]] = {}
+    for a, c in num.items():
+        levels.setdefault(a[pos], {})[a] = c
     quo: dict[Exponent, int] = {}
-    while num:
-        # cancel the term with the largest x_i exponent first
-        a = max(num, key=lambda t: (t[pos], t))
-        if a[pos] == 0:
-            raise ArithmeticError("nonzero remainder in divided difference")
-        c = num.pop(a)
-        q = list(a)
-        q[pos] -= 1
-        qt = tuple(q)
-        quo[qt] = quo.get(qt, 0) + c
-        # subtracting c * x^q * (x_i - x_{i+1}) reintroduces the x_{i+1} half
-        q[pos + 1] += 1
-        rt = tuple(q)
-        rc = num.get(rt, 0) + c
-        if rc:
-            num[rt] = rc
-        elif rt in num:
-            del num[rt]
+    for e in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(e - 1, {})
+        for a, c in levels.pop(e, {}).items():
+            q = list(a)
+            q[pos] -= 1
+            quo[tuple(q)] = c
+            # subtracting c * x^q * (x_i - x_{i+1}) reintroduces the x_{i+1} half
+            q[pos + 1] += 1
+            rt = tuple(q)
+            rc = below.get(rt, 0) + c
+            if rc:
+                below[rt] = rc
+            else:
+                below.pop(rt, None)
+    if levels.get(0):
+        raise ArithmeticError("nonzero remainder in divided difference")
 
     if width > n - 1:
         for alpha in quo:
@@ -467,57 +475,64 @@ def basis_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _leading_index(n: int) -> dict[Exponent, Permutation]:
+    """alpha -> the w whose Schubert polynomial has lex-least term x^alpha.
+
+    By the theorem cited in the module docstring that term is x^code(w^-1)
+    with coefficient 1; the ArithmeticError guards the theorem.
+    """
+    index: dict[Exponent, Permutation] = {}
+    for w, poly in _schubert_table(n).items():
+        alpha = min(poly.terms)
+        if poly.terms[alpha] != 1:
+            raise ArithmeticError(f"leading coefficient of the Schubert polynomial of {w} is not 1")
+        if alpha in index:
+            raise ArithmeticError(f"leading term {alpha} repeats in the Schubert basis of S_{n}")
+        index[alpha] = w
+    return index
+
+
+def _peel(n: int, terms: Mapping[Exponent, int]) -> dict[Permutation, int]:
+    """Schubert coordinates of a polynomial by unitriangular back-substitution:
+    the lex-least remaining term x^alpha with coefficient c records c for the
+    w led by x^alpha, and c * schubert(w) is subtracted."""
+    table = _schubert_table(n)
+    lead = _leading_index(n)
+    rest = dict(terms)
+    out: dict[Permutation, int] = {}
+    while rest:
+        alpha = min(rest)
+        c = rest.pop(alpha)
+        w = lead[alpha]
+        out[w] = c
+        for beta, b in table[w].terms.items():
+            if beta != alpha:
+                v = rest.get(beta, 0) - c * b
+                if v:
+                    rest[beta] = v
+                else:
+                    del rest[beta]
+    return dict(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
 def basis_matrix_inverse(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of :func:`basis_matrix`; integral by unimodularity."""
-    base = basis_matrix(n, k)
-    size = len(base)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(base)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("change-of-basis matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        tail = row[size:]
-        if any(v.denominator != 1 for v in tail):
-            raise ArithmeticError("change-of-basis inverse is not integral")
-        out.append(tuple(int(v) for v in tail))
-    return tuple(out)
+    """Exact inverse of :func:`basis_matrix`: row alpha holds the Schubert
+    coordinates of the monomial x^alpha, columns as the rows of the basis."""
+    perms = permutations_of_rank(n, k)
+    return tuple(
+        tuple(coords.get(w, 0) for w in perms)
+        for coords in (_peel(n, {alpha: 1}) for alpha in monomials_of_rank(n, k))
+    )
 
 
 def expand_in_padded_schubert_basis(p: PaddedPolynomial) -> dict[Permutation, int]:
     """Integer coordinates of a rank-homogeneous polynomial in the padded
-    Schubert basis; {} for zero, ValueError when ranks are mixed."""
-    if not p.terms:
-        return {}
-    k = p.x_degree()
-    if k is None:
+    Schubert basis, in lex order of the permutations; {} for zero,
+    ValueError when ranks are mixed."""
+    if p.x_degree() is None:
         raise ValueError("polynomial mixes ranks; expansion needs a single x-degree")
-    n = p.n
-    monos = monomials_of_rank(n, k)
-    col = {alpha: idx for idx, alpha in enumerate(monos)}
-    vec = [0] * len(monos)
-    for alpha, c in p.terms.items():
-        vec[col[alpha]] = c
-    inv = basis_matrix_inverse(n, k)
-    perms = permutations_of_rank(n, k)
-    # coords = (S^{-1})^T v, since rows of S hold the basis polynomials
-    out: dict[Permutation, int] = {}
-    for widx, w in enumerate(perms):
-        c = sum(inv[a][widx] * vec[a] for a in range(len(monos)) if vec[a])
-        if c:
-            out[w] = c
-    return out
+    return _peel(p.n, p.terms)
 
 
 if __name__ == "__main__":

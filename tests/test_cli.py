@@ -54,6 +54,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "schubert", "--perm", "1224")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_by_parser(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "sl2", "--n", "3", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_chains_suite_needs_profile(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "chains-basis")
         assert code == 2
@@ -98,6 +105,16 @@ class TestVerifyCommand:
         _, serial, _ = run(capsys, "verify", "--suite", "path-identities", "--n", "4")
         _, parallel, _ = run(capsys, "verify", "--suite", "path-identities", "--n", "4", "--jobs", "2")
         assert serial == parallel
+
+    def test_jobs_beyond_cpu_count_are_clamped(self, capsys, monkeypatch):
+        import bruhatops.cli as cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        args = cli._build_parser().parse_args(["verify", "--suite", "sl2", "--jobs", "64"])
+        assert args.jobs == 2
+        _, serial, _ = run(capsys, "verify", "--suite", "delta-action", "--n", "4")
+        _, many, _ = run(capsys, "verify", "--suite", "delta-action", "--n", "4", "--jobs", "64")
+        assert serial == many
 
     def test_table_format_has_verdict_line(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "w0-symmetry", "--n", "3", "--format", "table")

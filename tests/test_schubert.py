@@ -1,5 +1,6 @@
 """Schubert polynomials, padding, operator actions, and the basis change."""
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -7,6 +8,7 @@ from itertools import permutations as iter_permutations
 import pytest
 
 from bruhatops.permutations import (
+    inverse,
     lehmer_code,
     length,
     num_inversions_max,
@@ -78,6 +80,32 @@ def reference_divided_difference(i, p):
     return IntPolynomial(n, out)
 
 
+def reference_basis_inverse(n, k):
+    """Oracle: the inverse of the change-of-basis matrix by Fraction
+    Gauss-Jordan elimination, independent of the production peeling."""
+    base = basis_matrix(n, k)
+    size = len(base)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+        for i, row in enumerate(base)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    out = []
+    for row in aug:
+        tail = row[size:]
+        assert all(v.denominator == 1 for v in tail), "inverse must be integral"
+        out.append(tuple(int(v) for v in tail))
+    return tuple(out)
+
+
 # frozen table for S_3, checked by hand from the top monomial x1^2 x2
 GOLDEN_3 = {
     (1, 2, 3): "1",
@@ -124,6 +152,22 @@ class TestDividedDifference:
         for n in (2, 3, 4):
             for w in iter_permutations(range(1, n + 1)):
                 p = schubert(w)
+                for i in range(1, n):
+                    assert divided_difference(i, p) == reference_divided_difference(i, p)
+
+    def test_matches_reference_oracle_on_random_inputs(self):
+        rng = random.Random(20261018)
+        for n in (3, 4, 5):
+            # x_{n-1} at most linear keeps N_{n-1}(p) free of x_n
+            caps = staircase(n)[:-1] + (1,)
+            for _ in range(20):
+                p = IntPolynomial(
+                    n,
+                    {
+                        tuple(rng.randint(0, cap) for cap in caps): rng.randint(-5, 5)
+                        for _ in range(rng.randint(0, 12))
+                    },
+                )
                 for i in range(1, n):
                     assert divided_difference(i, p) == reference_divided_difference(i, p)
 
@@ -190,6 +234,15 @@ class TestSchubert:
             for w in iter_permutations(range(1, n + 1)):
                 assert min(schubert_standard(w).terms) == lehmer_code(w)
                 assert schubert_standard(w).terms[lehmer_code(w)] == 1
+
+    def test_leading_term_is_code_of_inverse(self):
+        # unitriangularity of the basis change in the left convention
+        for n in range(1, 7):
+            for w in iter_permutations(range(1, n + 1)):
+                terms = schubert(w).terms
+                lead = min(terms)
+                assert lead == lehmer_code(inverse(w))
+                assert terms[lead] == 1
 
     def test_principal_specialization_frozen(self):
         assert principal_specialization(schubert((1, 3, 2))) == 2
@@ -261,7 +314,7 @@ class TestBasis:
         assert monomials_of_rank(4, 2) == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1))
 
     def test_inverse_is_exact_integer_inverse(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             for k in range(num_inversions_max(n) + 1):
                 s = basis_matrix(n, k)
                 inv = basis_matrix_inverse(n, k)
@@ -272,9 +325,30 @@ class TestBasis:
                 ]
                 assert prod == [[int(i == j) for j in range(size)] for i in range(size)]
 
+    def test_inverse_matches_gauss_jordan_oracle(self):
+        for n in (1, 2, 3, 4, 5):
+            for k in range(num_inversions_max(n) + 1):
+                assert basis_matrix_inverse(n, k) == reference_basis_inverse(n, k)
+
+    def test_leading_index_guards_unitriangularity(self, monkeypatch):
+        # the package re-exports the function schubert over its submodule's name
+        mod = importlib.import_module("bruhatops.schubert")
+        build = mod._leading_index.__wrapped__
+        table = dict(mod._schubert_table(3))
+        doubled = dict(table)
+        doubled[(1, 3, 2)] = table[(1, 3, 2)].scaled(2)
+        monkeypatch.setattr(mod, "_schubert_table", lambda n: doubled)
+        with pytest.raises(ArithmeticError, match="not 1"):
+            build(3)
+        repeated = dict(table)
+        repeated[(1, 3, 2)] = table[(2, 1, 3)]
+        monkeypatch.setattr(mod, "_schubert_table", lambda n: repeated)
+        with pytest.raises(ArithmeticError, match="repeats"):
+            build(3)
+
     def test_expansion_round_trip_random_combos(self):
         rng = random.Random(20240811)
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             for k in range(num_inversions_max(n) + 1):
                 perms = [w for w in iter_permutations(range(1, n + 1)) if length(w) == k]
                 coeffs = {w: rng.randint(-9, 9) for w in perms}
