@@ -64,6 +64,8 @@ from .permutations import (
     w0_times,
     weak_covers_up,
 )
+# the functions schubert.schubert and snf.snf are left out, so that
+# bruhatops.schubert and bruhatops.snf stay the submodules
 from .schubert import (
     IntPolynomial,
     PaddedPolynomial,
@@ -77,7 +79,6 @@ from .schubert import (
     pad,
     padded_schubert,
     principal_specialization,
-    schubert,
     schubert_standard,
     staircase,
     unpad,
@@ -88,7 +89,6 @@ from .snf import (
     matmul,
     predicted_snf,
     rank_size,
-    snf,
     snf_via_minor_gcd,
     transpose,
     verify_snf_theorem,

@@ -22,7 +22,7 @@ from functools import cache, lru_cache
 from itertools import product
 from typing import Iterable
 
-from .snf import IntMatrix, determinant, divisibility_normalize, identity_matrix, matmul, snf
+from .snf import IntMatrix, SparseStep, compose_steps, determinant, diagonal_model_snf, snf
 
 ChainProfile = tuple[int, ...]
 Exponent = tuple[int, ...]
@@ -188,44 +188,38 @@ def base_change_unimodular_check(M: Iterable[int], n: int) -> bool:
     return abs(determinant(vectors)) == 1
 
 
-def _um_step(M: ChainProfile, k: int) -> IntMatrix:
-    """Raising step rank k -> k+1: entry (alpha, alpha + e_i) = alpha_i + 1."""
-    low = monomials_of_profile_rank(M, k)
+def _cover_step(M: ChainProfile, k: int, weight) -> SparseStep:
+    """Sparse step rank k -> k+1 over the covers alpha -> alpha + e_i, as
+    (index of alpha, index of alpha + e_i, weight(M_i, alpha_i)) triples."""
     high = monomials_of_profile_rank(M, k + 1)
-    col = {alpha: idx for idx, alpha in enumerate(high)}
-    out = [[0] * len(high) for _ in low]
-    for r, alpha in enumerate(low):
+    col = {beta: idx for idx, beta in enumerate(high)}
+    out = []
+    for r, alpha in enumerate(monomials_of_profile_rank(M, k)):
         for idx, e in enumerate(alpha):
             if e < M[idx]:
-                shifted = alpha[:idx] + (e + 1,) + alpha[idx + 1 :]
-                out[r][col[shifted]] = e + 1
-    return out
+                out.append((r, col[alpha[:idx] + (e + 1,) + alpha[idx + 1 :]], weight(M[idx], e)))
+    return tuple(out)
 
 
-def _dm_step(M: ChainProfile, k: int) -> IntMatrix:
+@lru_cache(maxsize=None)
+def _um_step(M: ChainProfile, k: int) -> SparseStep:
+    """Raising step rank k -> k+1: entry (alpha, alpha + e_i) = alpha_i + 1."""
+    return _cover_step(M, k, lambda m, e: e + 1)
+
+
+@lru_cache(maxsize=None)
+def _dm_step(M: ChainProfile, k: int) -> SparseStep:
     """Lowering step read against rows=lower: entry (beta - e_i, beta) =
     M_i - beta_i + 1."""
-    low = monomials_of_profile_rank(M, k)
-    high = monomials_of_profile_rank(M, k + 1)
-    row = {alpha: idx for idx, alpha in enumerate(low)}
-    out = [[0] * len(high) for _ in low]
-    for c, beta in enumerate(high):
-        for idx, e in enumerate(beta):
-            if e:
-                shifted = beta[:idx] + (e - 1,) + beta[idx + 1 :]
-                out[row[shifted]][c] = M[idx] - e + 1
-    return out
+    return _cover_step(M, k, lambda m, e: m - e)
 
 
 def _layer(M: Iterable[int], low: int, high: int, step) -> IntMatrix:
     prof = _as_profile(M)
-    total = sum(prof)
-    if not 0 <= low <= high <= total:
-        raise ValueError(f"need 0 <= l <= l' <= {total}, got ({low}, {high})")
-    out = identity_matrix(len(monomials_of_profile_rank(prof, low)))
-    for k in range(low, high):
-        out = matmul(out, step(prof, k))
-    return out
+    sizes = profile_rank_sizes(prof)
+    if not 0 <= low <= high < len(sizes):
+        raise ValueError(f"need 0 <= l <= l' <= {len(sizes) - 1}, got ({low}, {high})")
+    return compose_steps([step(prof, k) for k in range(low, high)], sizes[low], sizes[high])
 
 
 def um_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
@@ -241,19 +235,14 @@ def dm_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
 
 
 def predicted_um_snf(M: Iterable[int], low: int, high: int) -> tuple[int, ...]:
-    """Smith chain of the diagonal model: |P_i| - |P_{i-1}| entries equal to
-    C(high-i, low-i) for i = 0..low, scaled by (high-low)!."""
+    """Smith chain of the diagonal model of the box's rank sizes:
+    |P_i| - |P_{i-1}| entries equal to C(high-i, low-i) for i = 0..low,
+    scaled by (high-low)!."""
     prof = _as_profile(M)
     total = sum(prof)
     if not (0 <= low < high <= total and low + high <= total):
         raise ValueError(f"need 0 <= l < l' and l + l' <= {total}, got ({low}, {high})")
-    sizes = profile_rank_sizes(prof)
-    entries: list[int] = []
-    for i in range(low + 1):
-        count = sizes[i] - (sizes[i - 1] if i > 0 else 0)
-        entries.extend([math.comb(high - i, low - i)] * count)
-    scale = math.factorial(high - low)
-    return tuple(scale * b for b in divisibility_normalize(entries))
+    return diagonal_model_snf(profile_rank_sizes(prof), low, high)
 
 
 def um_snf_check(M: Iterable[int], low: int, high: int) -> dict:

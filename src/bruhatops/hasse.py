@@ -34,7 +34,7 @@ from .permutations import (
     w0_times,
     weak_covers_up,
 )
-from .snf import IntMatrix, identity_matrix, matmul
+from .snf import IntMatrix, compose_steps
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -129,15 +129,6 @@ class WeightedHasseDiagram:
             raise ValueError(f"not a vertex of this diagram: {to_string(word)}")
         return self._pos[word][0]
 
-    def step_matrix(self, k: int) -> IntMatrix:
-        """Dense weight matrix from rank k to rank k+1."""
-        if not 0 <= k < self.top_rank:
-            raise ValueError(f"rank out of range: {k}")
-        out = [[0] * len(self.ranks[k + 1]) for _ in self.ranks[k]]
-        for si, di, wt in self._steps[k]:
-            out[si][di] = wt
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WeightedHasseDiagram(n={self.n}, order={self.order!r}, "
@@ -161,6 +152,7 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
     if weights not in _COMPATIBLE[order]:
         raise ValueError(f"weight system {weights!r} is incompatible with the {order} order")
     ranks = permutations_by_rank(n)
+    # ranks, their lex-ordered members and sorted covers: (rank, lower, upper) order
     edges: list[tuple[Permutation, Permutation, int]] = []
     for stratum in ranks[:-1]:
         for w in stratum:
@@ -177,7 +169,6 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
                     else:
                         wt = 1
                     edges.append((w, upper, wt))
-    edges.sort(key=lambda e: (length(e[0]), e[0], e[1]))
     return WeightedHasseDiagram(n, order, weights, ranks, tuple(edges))
 
 
@@ -208,10 +199,7 @@ def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
     """
     if not 0 <= low <= high <= g.top_rank:
         raise ValueError(f"need 0 <= l <= l' <= {g.top_rank}, got ({low}, {high})")
-    out = identity_matrix(len(g.ranks[low]))
-    for k in range(low, high):
-        out = matmul(out, g.step_matrix(k))
-    return out
+    return compose_steps(g._steps[low:high], len(g.ranks[low]), len(g.ranks[high]))
 
 
 def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .hasse import build_hasse, layer_matrix, weighted_path_count
+from .chains import _dm_step, _um_step
+from .hasse import build_hasse, weighted_path_count
 from .permutations import (
     Permutation,
     identity as identity_perm,
@@ -25,22 +25,22 @@ from .permutations import (
     longest_element,
     num_inversions_max,
     permutations_by_rank,
+    permutations_of_rank,
     to_string,
     w0_times,
 )
 from .schubert import (
+    _peel,
     apply_delta,
     apply_nabla,
     expand_in_padded_schubert_basis,
-    basis_matrix,
-    basis_matrix_inverse,
     monomials_of_rank,
     padded_schubert,
     principal_specialization,
     schubert,
     staircase,
 )
-from .snf import IntMatrix, identity_matrix, matmul, transpose
+from .snf import IntMatrix, compose_steps, matmul, push_rows, transpose
 
 __all__ = [
     "OperatorSpec",
@@ -80,54 +80,44 @@ class OperatorSpec:
             raise ValueError(f"n must be positive: {self.n}")
 
 
-@lru_cache(maxsize=None)
-def _monomial_step(operator: str, n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Single step rank k -> k+1 in the monomial basis, rows = rank k.
-
-    Raising sends alpha to alpha + e_i with factor rho_i - alpha_i; lowering
-    sends beta to beta - e_i with factor beta_i.  Read against the fixed
-    row/column convention both give the entry at (alpha, alpha + e_i).
-    """
-    rho = staircase(n)
-    low = monomials_of_rank(n, k)
-    high = monomials_of_rank(n, k + 1)
-    col = {alpha: idx for idx, alpha in enumerate(high)}
-    rows = []
-    for alpha in low:
-        vec = [0] * len(high)
-        for idx, e in enumerate(alpha):
-            if e < rho[idx]:
-                shifted = alpha[:idx] + (e + 1,) + alpha[idx + 1 :]
-                if operator == "delta":
-                    vec[col[shifted]] = rho[idx] - e
-                else:
-                    vec[col[shifted]] = e + 1
-        rows.append(tuple(vec))
-    return tuple(rows)
-
-
 def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMatrix:
     """Matrix of the (high - low)-fold operator composite between two ranks.
 
     Rows = rank ``low`` basis elements, columns = rank ``high``; equal ranks
-    give the identity.  In the padded Schubert basis the monomial matrix is
-    conjugated by the rank-wise change of basis.
+    give the identity.  The monomial steps are those of the chain product
+    at M = staircase(n): raising is the box's lowering step, lowering its
+    raising step.  In the padded Schubert basis each basis polynomial is
+    pushed through them and its image peeled back into the basis: upward
+    from ``low`` for raising (one row each), downward from ``high`` for
+    lowering (one column each).
     """
-    top = num_inversions_max(spec.n)
+    n = spec.n
+    top = num_inversions_max(n)
     if not 0 <= low <= high <= top:
         raise ValueError(f"need 0 <= l <= l' <= {top}, got ({low}, {high})")
-    mono = identity_matrix(len(monomials_of_rank(spec.n, low)))
-    for k in range(low, high):
-        mono = matmul(mono, [list(r) for r in _monomial_step(spec.operator, spec.n, k)])
+    box = staircase(n)
+    steps = [(_dm_step if spec.operator == "delta" else _um_step)(box, k) for k in range(low, high)]
     if spec.basis == "monomial":
-        return mono
-    s_low = [list(r) for r in basis_matrix(spec.n, low)]
-    s_high = [list(r) for r in basis_matrix(spec.n, high)]
-    if spec.operator == "delta":
-        inv_high = [list(r) for r in basis_matrix_inverse(spec.n, high)]
-        return matmul(matmul(s_low, mono), inv_high)
-    inv_low = [list(r) for r in basis_matrix_inverse(spec.n, low)]
-    return matmul(matmul(transpose(inv_low), mono), transpose(s_high))
+        return compose_steps(steps, len(monomials_of_rank(n, low)), len(monomials_of_rank(n, high)))
+    up = spec.operator == "delta"
+    if not up:
+        steps = [[(c, r, w) for r, c, w in st] for st in reversed(steps)]
+    src, dst = (low, high) if up else (high, low)
+    src_index = {alpha: i for i, alpha in enumerate(monomials_of_rank(n, src))}
+    dst_monos = monomials_of_rank(n, dst)
+    dst_index = {w: j for j, w in enumerate(permutations_of_rank(n, dst))}
+    rows = [
+        {src_index[alpha]: c for alpha, c in schubert(w).terms.items()}
+        for w in permutations_of_rank(n, src)
+    ]
+    out = [[0] * len(permutations_of_rank(n, high)) for _ in permutations_of_rank(n, low)]
+    for i, row in enumerate(push_rows(rows, steps)):
+        for w, c in _peel(n, {dst_monos[t]: v for t, v in row.items() if v}).items():
+            if up:
+                out[i][dst_index[w]] = c
+            else:
+                out[dst_index[w]][i] = c
+    return out
 
 
 def _padded_step(operator: str, n: int, k: int) -> IntMatrix:
@@ -216,36 +206,34 @@ def verify_delta_theorem(n: int) -> dict:
     }
 
 
-def commutator_check(n: int) -> bool:
+def commutator_check(n: int) -> tuple[bool, dict | None]:
     """[delta, nabla] must act on rank k as the scalar 2k - N.
 
     Assembled from single-step layer matrices in the padded Schubert basis:
     with D_k the raising step out of rank k and V_k the lowering step back
     from rank k+1 (both stored rows=lower), the commutator on rank k is
     D_{k-1}^T V_{k-1} - V_k D_k^T acting on coordinate columns.
+
+    Returns (True, None) or (False, witness) naming the first failing rank,
+    the entry (row, column) in lex order of its permutations, and the
+    expected and actual values.
     """
     top = num_inversions_max(n)
-    sizes = [len(s) for s in permutations_by_rank(n)]
+    prev = None  # (D_{k-1}, V_{k-1}); one pair of steps at a time bounds memory
     for k in range(top + 1):
-        acc = [[0] * sizes[k] for _ in range(sizes[k])]
-        if k > 0:
-            up = _padded_step("delta", n, k - 1)
-            down = _padded_step("nabla", n, k - 1)
-            for i, row in enumerate(matmul(transpose(up), down)):
-                for j, v in enumerate(row):
-                    acc[i][j] += v
-        if k < top:
-            up = _padded_step("delta", n, k)
-            down = _padded_step("nabla", n, k)
-            for i, row in enumerate(matmul(down, transpose(up))):
-                for j, v in enumerate(row):
-                    acc[i][j] -= v
-        want = 2 * k - top
-        for i in range(sizes[k]):
-            for j in range(sizes[k]):
-                if acc[i][j] != (want if i == j else 0):
-                    return False
-    return True
+        size = len(permutations_of_rank(n, k))
+        cur = (_padded_step("delta", n, k), _padded_step("nabla", n, k)) if k < top else None
+        zero = [[0] * size for _ in range(size)]
+        below = matmul(transpose(prev[0]), prev[1]) if prev else zero
+        above = matmul(cur[1], transpose(cur[0])) if cur else zero
+        prev = cur
+        for i in range(size):
+            for j in range(size):
+                want = 2 * k - top if i == j else 0
+                got = below[i][j] - above[i][j]
+                if got != want:
+                    return False, {"rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)}
+    return True, None
 
 
 def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
@@ -368,8 +356,6 @@ def transpose_duality_check(n: int, low: int, high: int) -> bool:
     pad_hi = differential_layer_matrix(
         OperatorSpec("delta", "padded-schubert", n), top - high, top - low
     )
-    from .permutations import permutations_of_rank
-
     lo_perms = permutations_of_rank(n, low)
     hi_perms = permutations_of_rank(n, high)
     co_lo_p = {w: i for i, w in enumerate(permutations_of_rank(n, top - high))}

@@ -28,9 +28,9 @@ back-substitution from the lex-least term, with no division.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Mapping
 
+from .chains import monomials_of_profile_rank
 from .permutations import (
     Permutation,
     inverse,
@@ -441,20 +441,12 @@ def apply_delta(p: PaddedPolynomial) -> PaddedPolynomial:
     return PaddedPolynomial(n, out)
 
 
-@lru_cache(maxsize=None)
 def monomials_of_rank(n: int, k: int) -> tuple[Exponent, ...]:
-    """Exponent vectors under the staircase with |alpha| = k, lex-descending."""
+    """Exponent vectors under the staircase with |alpha| = k, lex-descending:
+    the rank-k monomials of the chain product at M = staircase(n)."""
     if not 0 <= k <= num_inversions_max(n):
         raise ValueError(f"rank out of range for S_{n}: {k}")
-    rho = staircase(n)
-    out = [
-        alpha
-        for alpha in product(*[range(cap, -1, -1) for cap in rho])
-        if sum(alpha) == k
-    ]
-    if n == 1:
-        out = [()] if k == 0 else []
-    return tuple(out)
+    return monomials_of_profile_rank(staircase(n), k)
 
 
 @lru_cache(maxsize=None)

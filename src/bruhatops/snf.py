@@ -4,7 +4,9 @@ Smith normal form, and the Smith-form prediction for layer matrices of the
 weighted Bruhat orders.
 
 Everything here is exact; no floating point anywhere.  A matrix is a plain
-list of rows of ints.  Smith invariants are returned as a tuple of
+list of rows of ints.  A rank step is a sparse list of (row, col, weight)
+triples, and every layer matrix of the package is composed from consecutive
+steps by :func:`compose_steps`.  Smith invariants are returned as a tuple of
 nonnegative integers b_1 | b_2 | ... of length min(rows, cols) -- the
 diagonal of the Smith form with the surrounding zero padding trimmed away,
 so rank-deficient matrices show trailing zeros.
@@ -15,12 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
+SparseStep = Sequence[tuple[int, int, int]]
 
 __all__ = [
     "IntMatrix",
+    "SparseStep",
     "identity_matrix",
+    "push_rows",
+    "compose_steps",
     "matmul",
     "transpose",
     "determinant",
@@ -29,6 +36,7 @@ __all__ = [
     "divisibility_normalize",
     "mahonian_numbers",
     "rank_size",
+    "diagonal_model_snf",
     "predicted_snf",
     "verify_snf_theorem",
     "matrix_to_json",
@@ -63,6 +71,38 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def transpose(a: IntMatrix) -> IntMatrix:
     return [list(col) for col in zip(*a)] if a else []
+
+
+def push_rows(rows: list[dict[int, int]], steps: Iterable[SparseStep]) -> list[dict[int, int]]:
+    """Push sparse row vectors (index -> value) through consecutive steps.
+
+    A triple (r, c, w) of a step sends w times coordinate r to coordinate c
+    of the next rank, so each row comes out as itself times the product of
+    the steps.  Entries that cancel may stay behind as explicit zeros.
+    """
+    for step in steps:
+        out_of: dict[int, list[tuple[int, int]]] = {}
+        for r, c, w in step:
+            out_of.setdefault(r, []).append((c, w))
+        pushed = []
+        for row in rows:
+            nxt: dict[int, int] = {}
+            for r, v in row.items():
+                for c, w in out_of.get(r, ()):
+                    nxt[c] = nxt.get(c, 0) + v * w
+            pushed.append(nxt)
+        rows = pushed
+    return rows
+
+
+def compose_steps(steps: Sequence[SparseStep], rows: int, cols: int) -> IntMatrix:
+    """Dense rows x cols product of consecutive sparse steps; the identity
+    when there are no steps."""
+    out = [[0] * cols for _ in range(rows)]
+    for out_i, row in zip(out, push_rows([{i: 1} for i in range(rows)], steps)):
+        for c, v in row.items():
+            out_i[c] = v
+    return out
 
 
 def determinant(mat: IntMatrix) -> int:
@@ -251,19 +291,23 @@ def _check_layer_pair(n: int, low: int, high: int) -> int:
     return top
 
 
-def predicted_snf(n: int, low: int, high: int) -> tuple[int, ...]:
-    """Predicted Smith invariants for the four rank-(low, high) layer maps.
-
-    Diagonal model: for i = 0..low there are rank_size(n,i) - rank_size(n,i-1)
-    entries equal to C(high-i, low-i); its Smith chain scaled by (high-low)!.
-    """
-    _check_layer_pair(n, low, high)
+def diagonal_model_snf(sizes: Sequence[int], low: int, high: int) -> tuple[int, ...]:
+    """Smith chain of the diagonal model of a graded poset's rank sizes:
+    sizes[i] - sizes[i-1] entries equal to C(high-i, low-i) for i = 0..low,
+    scaled by (high-low)!.  Callers check the window."""
     entries: list[int] = []
     for i in range(low + 1):
-        count = rank_size(n, i) - (rank_size(n, i - 1) if i > 0 else 0)
+        count = sizes[i] - (sizes[i - 1] if i > 0 else 0)
         entries.extend([math.comb(high - i, low - i)] * count)
     scale = math.factorial(high - low)
     return tuple(scale * b for b in divisibility_normalize(entries))
+
+
+def predicted_snf(n: int, low: int, high: int) -> tuple[int, ...]:
+    """Predicted Smith invariants for the four rank-(low, high) layer maps:
+    the diagonal model of the Mahonian rank sizes of S_n."""
+    _check_layer_pair(n, low, high)
+    return diagonal_model_snf(mahonian_numbers(n), low, high)
 
 
 def verify_snf_theorem(n: int, low: int, high: int) -> dict:

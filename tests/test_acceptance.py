@@ -136,7 +136,8 @@ def test_criterion_06_action_theorems():
 @criterion(7, "commutator of raising and lowering is the scalar 2k - N on rank k")
 def test_criterion_07_sl2_commutator():
     for n in (2, 3, 4, 5):
-        assert commutator_check(n), n
+        ok, witness = commutator_check(n)
+        assert ok, (n, witness)
 
 
 @criterion(8, "Smith forms of all four layer windows match the binomial model")

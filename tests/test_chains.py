@@ -6,6 +6,8 @@ from itertools import product as iter_product
 import pytest
 
 from bruhatops.chains import (
+    _dm_step,
+    _um_step,
     base_change_unimodular_check,
     construct_A,
     construct_B,
@@ -181,6 +183,24 @@ class TestLayerMatrices:
         for low in range(total + 1):
             for high in range(low, total + 1):
                 assert um_layer_matrix(M, low, high) == brute_um_layer(M, low, high)
+
+    @pytest.mark.parametrize("M", [(2, 1), (2, 2), (3, 2, 1), (0, 2, 1)])
+    def test_composer_matches_dense_step_product(self, M):
+        total = sum(M)
+        for layer, step in ((um_layer_matrix, _um_step), (dm_layer_matrix, _dm_step)):
+            dense = []
+            for k in range(total):
+                mat = [[0] * profile_rank_size(M, k + 1) for _ in range(profile_rank_size(M, k))]
+                for r, c, w in step(M, k):
+                    mat[r][c] = w
+                dense.append(mat)
+            for low in range(total + 1):
+                size = profile_rank_size(M, low)
+                want = [[int(i == j) for j in range(size)] for i in range(size)]
+                for high in range(low, total + 1):
+                    assert layer(M, low, high) == want, (layer.__name__, low, high)
+                    if high < total:
+                        want = matmul(want, dense[high])
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_sl2_failure_names_its_witness(self, capsys, monkeypatch):
+        import bruhatops.operators as operators
+
+        real = operators._padded_step
+
+        def corrupted(operator, n, k):
+            mat = real(operator, n, k)
+            if operator == "delta" and k == 1:
+                mat[0][0] += 1
+            return mat
+
+        monkeypatch.setattr(operators, "_padded_step", corrupted)
+        code, out, _ = run(capsys, "verify", "--suite", "sl2", "--n", "3")
+        assert code == 1
+        assert json.loads(out)["reports"][0]["failures"] == [
+            {"witness": "commutator", "rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"}
+        ]
+
     def test_chains_suite_needs_profile(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "chains-basis")
         assert code == 2

@@ -1,25 +1,15 @@
 """Keep the docstring examples honest."""
 
 import doctest
-import importlib
 
 import pytest
 
-# resolved through importlib because the package re-exports functions named
-# like some submodules (snf, schubert), shadowing plain attribute access
-MODULE_NAMES = [
-    "bruhatops.chains",
-    "bruhatops.cli",
-    "bruhatops.hasse",
-    "bruhatops.operators",
-    "bruhatops.permutations",
-    "bruhatops.schubert",
-    "bruhatops.snf",
-]
+from bruhatops import chains, cli, hasse, operators, permutations, schubert, snf
+
+MODULES = [chains, cli, hasse, operators, permutations, schubert, snf]
 
 
-@pytest.mark.parametrize("name", MODULE_NAMES)
-def test_module_doctests(name):
-    module = importlib.import_module(name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0

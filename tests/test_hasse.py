@@ -133,6 +133,13 @@ class TestBuildHasse:
             )
             assert len(strong.edges) >= len(weak.edges)
 
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_edges_sorted_by_rank_lower_upper(self, order, weights):
+        for n in range(1, 6):
+            g = build_hasse(n, order, weights)
+            keys = [(g.rank_of(src), src, dst) for src, dst, _ in g.edges]
+            assert keys == sorted(keys)
+
     def test_rank_stratification(self):
         g = build_hasse(4, "strong", "code")
         assert g.top_rank == 6
@@ -195,6 +202,22 @@ class TestLayerMatrices:
                     assert layer_matrix(g, low, high) == matmul(
                         layer_matrix(g, low, mid), layer_matrix(g, mid, high)
                     )
+
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_composer_matches_dense_step_product(self, order, weights):
+        # dense steps straight from the edge list, multiplied with matmul
+        for n in (3, 4):
+            g = build_hasse(n, order, weights)
+            pos = {w: i for stratum in g.ranks for i, w in enumerate(stratum)}
+            steps = [[[0] * len(g.ranks[k + 1]) for _ in g.ranks[k]] for k in range(g.top_rank)]
+            for src, dst, wt in g.edges:
+                steps[g.rank_of(src)][pos[src]][pos[dst]] = wt
+            for low in range(g.top_rank + 1):
+                want = [[int(i == j) for j in range(len(g.ranks[low]))] for i in range(len(g.ranks[low]))]
+                for high in range(low, g.top_rank + 1):
+                    assert layer_matrix(g, low, high) == want
+                    if high < g.top_rank:
+                        want = matmul(want, steps[high])
 
     def test_bad_window_raises(self):
         g = build_hasse(3, "weak", "nabla")

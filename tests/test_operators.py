@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import bruhatops.operators as operators
 from bruhatops.hasse import build_hasse, layer_matrix, weighted_path_count
 from bruhatops.operators import (
     OperatorSpec,
@@ -21,7 +22,50 @@ from bruhatops.permutations import (
     num_inversions_max,
     w0_times,
 )
-from bruhatops.schubert import principal_specialization, schubert
+from bruhatops.schubert import (
+    PaddedPolynomial,
+    apply_delta,
+    apply_nabla,
+    basis_matrix,
+    basis_matrix_inverse,
+    monomials_of_rank,
+    principal_specialization,
+    schubert,
+)
+from bruhatops.snf import identity_matrix, matmul, transpose
+
+
+def dense_monomial_step(operator, n, k):
+    """Oracle step rank k -> k+1, rows = rank k, from the operator actions
+    on single padded monomials."""
+    low, high = monomials_of_rank(n, k), monomials_of_rank(n, k + 1)
+    if operator == "delta":
+        images = [apply_delta(PaddedPolynomial(n, {a: 1})).terms for a in low]
+        return [[img.get(b, 0) for b in high] for img in images]
+    # lowering moves down: entry (a, b) is the coefficient of x^a in nabla x^b
+    images = [apply_nabla(PaddedPolynomial(n, {b: 1})).terms for b in high]
+    return [[img.get(a, 0) for img in images] for a in low]
+
+
+def dense_monomial_layer(operator, n, low, high):
+    out = identity_matrix(len(monomials_of_rank(n, low)))
+    for k in range(low, high):
+        out = matmul(out, dense_monomial_step(operator, n, k))
+    return out
+
+
+def conjugated_layer(operator, n, low, high):
+    """Oracle: the dense monomial layer conjugated by the dense change of
+    basis, S_low . mono . S_high^-1 for delta and the transposed form
+    (S_low^-1)^T . mono . S_high^T for nabla."""
+    mono = dense_monomial_layer(operator, n, low, high)
+    dense = lambda rows: [list(r) for r in rows]
+    if operator == "delta":
+        return matmul(matmul(dense(basis_matrix(n, low)), mono), dense(basis_matrix_inverse(n, high)))
+    return matmul(
+        matmul(transpose(dense(basis_matrix_inverse(n, low))), mono),
+        transpose(dense(basis_matrix(n, high))),
+    )
 
 
 class TestOperatorSpec:
@@ -66,6 +110,34 @@ class TestGraphAgreement:
         assert reorder(delta) == [[1, 1], [1, 3]]
         assert reorder(nabla) == [[2, 0], [0, 1]]
 
+    @pytest.mark.parametrize("operator", ["delta", "nabla"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_monomial_layers_match_dense_step_product(self, operator, n):
+        spec = OperatorSpec(operator, "monomial", n)
+        top = num_inversions_max(n)
+        for low in range(top + 1):
+            for high in range(low, top + 1):
+                assert differential_layer_matrix(spec, low, high) == dense_monomial_layer(
+                    operator, n, low, high
+                ), (low, high)
+
+    @pytest.mark.parametrize("operator", ["delta", "nabla"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_padded_windows_match_dense_conjugation(self, operator, n):
+        spec = OperatorSpec(operator, "padded-schubert", n)
+        top = num_inversions_max(n)
+        for low in range(top + 1):
+            for high in range(low, top + 1):
+                assert differential_layer_matrix(spec, low, high) == conjugated_layer(
+                    operator, n, low, high
+                ), (low, high)
+
+    @pytest.mark.parametrize("operator", ["delta", "nabla"])
+    def test_padded_single_steps_match_dense_conjugation_n6(self, operator):
+        spec = OperatorSpec(operator, "padded-schubert", 6)
+        for k in range(num_inversions_max(6)):
+            assert differential_layer_matrix(spec, k, k + 1) == conjugated_layer(operator, 6, k, k + 1), k
+
     def test_monomial_window_validation(self):
         spec = OperatorSpec("delta", "monomial", 3)
         with pytest.raises(ValueError):
@@ -95,7 +167,24 @@ class TestActionTheorems:
 class TestCommutator:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sl2_relation(self, n):
-        assert commutator_check(n)
+        assert commutator_check(n) == (True, None)
+
+    def test_witness_names_first_failing_entry(self, monkeypatch):
+        real = operators._padded_step
+
+        def corrupted(operator, n, k):
+            mat = real(operator, n, k)
+            if operator == "delta" and k == 1:
+                mat[0][0] += 1
+            return mat
+
+        monkeypatch.setattr(operators, "_padded_step", corrupted)
+        # rank 1 picks up -V_1 D_1^T; with V_1 = [[0, 1], [2, 0]] the bumped
+        # D_1[0][0] shifts entry (1, 0) from 0 to -2 and leaves (0, 0) alone
+        assert commutator_check(3) == (
+            False,
+            {"rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"},
+        )
 
 
 class TestPathIdentities:

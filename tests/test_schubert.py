@@ -1,12 +1,12 @@
 """Schubert polynomials, padding, operator actions, and the basis change."""
 
-import importlib
 import random
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 
 import pytest
 
+import bruhatops.schubert as schubert_module
 from bruhatops.permutations import (
     inverse,
     lehmer_code,
@@ -331,8 +331,7 @@ class TestBasis:
                 assert basis_matrix_inverse(n, k) == reference_basis_inverse(n, k)
 
     def test_leading_index_guards_unitriangularity(self, monkeypatch):
-        # the package re-exports the function schubert over its submodule's name
-        mod = importlib.import_module("bruhatops.schubert")
+        mod = schubert_module
         build = mod._leading_index.__wrapped__
         table = dict(mod._schubert_table(3))
         doubled = dict(table)

@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from bruhatops.permutations import length
 from bruhatops.snf import (
+    compose_steps,
     determinant,
+    diagonal_model_snf,
     divisibility_normalize,
     identity_matrix,
     mahonian_numbers,
     matmul,
     matrix_to_json,
     predicted_snf,
+    push_rows,
     rank_size,
     snf,
     snf_to_json,
@@ -93,6 +96,23 @@ class TestMatmulHelpers:
     def test_identity_and_transpose(self):
         assert identity_matrix(2) == [[1, 0], [0, 1]]
         assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+
+
+class TestComposer:
+    def test_no_steps_is_identity(self):
+        assert compose_steps([], 3, 3) == identity_matrix(3)
+        assert compose_steps([], 0, 0) == []
+
+    def test_matches_matmul_with_cancellation(self):
+        a = [(0, 0, 2), (0, 1, -1), (1, 1, 3)]  # 2x2
+        b = [(0, 0, 1), (1, 0, 2), (1, 2, 5)]  # 2x3
+        dense_a = [[2, -1], [0, 3]]
+        dense_b = [[1, 0, 0], [2, 0, 5]]
+        assert compose_steps([a, b], 2, 3) == matmul(dense_a, dense_b) == [[0, 0, -5], [6, 0, 15]]
+
+    def test_push_rows_keeps_row_order(self):
+        step = [(0, 1, 4), (1, 0, 1)]
+        assert push_rows([{1: 3}, {0: 1, 1: 1}, {}], [step, step]) == [{1: 12}, {0: 4, 1: 4}, {}]
 
 
 class TestSmithForm:
@@ -185,6 +205,10 @@ class TestLayerTheorem:
         assert predicted_snf(3, 1, 2) == (1, 2)
         assert predicted_snf(4, 2, 3) == (1, 1, 1, 2, 6)
         assert predicted_snf(3, 0, 3) == (6,)
+
+    def test_diagonal_model_of_rank_sizes(self):
+        assert diagonal_model_snf(mahonian_numbers(4), 2, 3) == predicted_snf(4, 2, 3)
+        assert diagonal_model_snf((1, 2, 2, 1), 1, 2) == (1, 2)
 
     def test_predicted_rejects_bad_windows(self):
         with pytest.raises(ValueError):
