@@ -8,6 +8,7 @@ Everything is exact integer / rational arithmetic; no floating point.
 """
 
 from .chains import (
+    base_change_report,
     base_change_unimodular_check,
     construct_A,
     construct_B,
@@ -19,6 +20,7 @@ from .chains import (
     profile_rank_sizes,
     um_determinant_check,
     um_determinant_formula,
+    um_determinant_report,
     um_layer_matrix,
     um_snf_check,
 )
@@ -33,6 +35,7 @@ from .hasse import (
     diagram_to_json,
     layer_matrix,
     nabla_weight,
+    verify_w0_symmetry,
     w0_symmetry_check,
     weighted_path_count,
 )
@@ -47,6 +50,7 @@ from .operators import (
     verify_macdonald,
     verify_nabla_theorem,
     verify_path_identities,
+    verify_sl2,
 )
 from .permutations import (
     Permutation,

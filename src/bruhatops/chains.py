@@ -35,12 +35,14 @@ __all__ = [
     "construct_A",
     "construct_B",
     "base_change_unimodular_check",
+    "base_change_report",
     "um_layer_matrix",
     "dm_layer_matrix",
     "predicted_um_snf",
     "um_snf_check",
     "um_determinant_formula",
     "um_determinant_check",
+    "um_determinant_report",
 ]
 
 
@@ -178,14 +180,30 @@ def construct_B(M: Iterable[int], n: int) -> list[list[int]]:
     return out
 
 
-def base_change_unimodular_check(M: Iterable[int], n: int) -> bool:
-    """The rank-n basis vectors must form a square unimodular matrix."""
+def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict | None]:
+    """The rank-n basis vectors must form a square unimodular matrix.
+
+    Returns (True, None) or (False, witness): the vector count against the
+    rank size when they differ, else the determinant.
+    """
     prof = _as_profile(M)
     vectors = construct_B(prof, n)
     size = len(monomials_of_profile_rank(prof, n))
     if len(vectors) != size:
-        return False
-    return abs(determinant(vectors)) == 1
+        return False, {"vectors": str(len(vectors)), "rank_size": str(size)}
+    det = determinant(vectors)
+    if abs(det) != 1:
+        return False, {"determinant": str(det)}
+    return True, None
+
+
+def base_change_report(M: Iterable[int], n: int) -> dict:
+    """The chains-basis report on rank n; reports of several ranks merge by
+    summing ``checked`` and concatenating ``failures``."""
+    prof = _as_profile(M)
+    ok, witness = base_change_unimodular_check(prof, n)
+    failures = [] if ok else [{"witness": f"rank {n}", "expected": "unimodular", **witness}]
+    return {"suite": "chains-basis", "M": list(prof), "checked": 1, "failures": failures}
 
 
 def _cover_step(M: ChainProfile, k: int, weight) -> SparseStep:
@@ -291,10 +309,22 @@ def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
     return out
 
 
-def um_determinant_check(M: Iterable[int], low: int, high: int) -> bool:
+def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, dict | None]:
     """Exact determinant of the complementary-rank raising composite against
-    the closed formula."""
+    the closed formula.  Returns (True, None) or (False, witness) with the
+    expected and the actual |det|."""
     prof = _as_profile(M)
     expected = um_determinant_formula(prof, low, high)
-    got = determinant(um_layer_matrix(prof, low, high))
-    return abs(got) == expected
+    got = abs(determinant(um_layer_matrix(prof, low, high)))
+    if got != expected:
+        return False, {"expected": str(expected), "actual": str(got)}
+    return True, None
+
+
+def um_determinant_report(M: Iterable[int], low: int, high: int) -> dict:
+    """The chains-det report on the window [low, high]; reports of several
+    windows merge by summing ``checked`` and concatenating ``failures``."""
+    prof = _as_profile(M)
+    ok, witness = um_determinant_check(prof, low, high)
+    failures = [] if ok else [{"witness": f"raising[{low},{high}]", **witness}]
+    return {"suite": "chains-det", "M": list(prof), "checked": 1, "failures": failures}

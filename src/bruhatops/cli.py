@@ -23,19 +23,14 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .chains import (
-    base_change_unimodular_check,
-    um_determinant_check,
-    um_determinant_formula,
-    um_snf_check,
-)
-from .hasse import build_hasse, diagram_to_dot, diagram_to_json, w0_symmetry_check
+from .chains import base_change_report, um_determinant_report, um_snf_check
+from .hasse import build_hasse, diagram_to_dot, diagram_to_json, verify_w0_symmetry
 from .operators import (
-    commutator_check,
     delta_action_chunk,
     macdonald_chunk,
     nabla_action_chunk,
     path_identities_chunk,
+    verify_sl2,
 )
 from .permutations import (
     num_inversions_max,
@@ -83,6 +78,10 @@ _SUITE_CAPS = {
     "snf": SNF_SUITE_CAP,
 }
 
+# suites reporting each window on its own; the jobs of every other suite
+# cover disjoint parts of one check and merge into one report
+_WINDOW_SUITES = ("snf", "chains-snf")
+
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """Map preserving input order, optionally across processes."""
@@ -107,46 +106,25 @@ def _chunks(seq: Sequence, pieces: int) -> list[list]:
     return out
 
 
-# module-level workers so multiprocessing can pickle them
-
-def _job_nabla(payload):
-    n, perms = payload
-    return nabla_action_chunk(n, perms)
-
-
-def _job_delta(payload):
-    n, perms = payload
-    return delta_action_chunk(n, perms)
+def _call(job: tuple):
+    """Run one ``(function, *args)`` job; module level so that worker
+    processes can unpickle it."""
+    fn, *args = job
+    return fn(*args)
 
 
-def _job_paths(payload):
-    n, perms = payload
-    return path_identities_chunk(n, perms)
-
-
-def _job_macdonald(payload):
-    n, perms = payload
-    return macdonald_chunk(n, perms)
-
-
-def _job_snf(payload):
-    n, low, high = payload
-    return verify_snf_theorem(n, low, high)
-
-
-def _job_chains_snf(payload):
-    M, low, high = payload
-    return um_snf_check(M, low, high)
-
-
-def _job_chains_basis(payload):
-    M, rank = payload
-    return rank, base_change_unimodular_check(M, rank)
-
-
-def _job_chains_det(payload):
-    M, low, high = payload
-    return low, high, um_determinant_check(M, low, high)
+def _merge(reports: list[dict]) -> dict:
+    """One report from the reports of one suite on disjoint parts: ``checked``
+    and ``permutations`` add up, ``failures`` concatenate in job order and
+    boolean flags AND together."""
+    out = dict(reports[0])
+    for report in reports[1:]:
+        for key, value in report.items():
+            if key in ("checked", "permutations", "failures"):
+                out[key] = out[key] + value
+            elif isinstance(value, bool):
+                out[key] = out[key] and value
+    return out
 
 
 def _emit(payload, fmt: str) -> None:
@@ -176,71 +154,53 @@ def _print_table(payload) -> None:
         print(json.dumps(payload, indent=2))
 
 
-def _perm_suite_report(args, suite: str) -> dict:
-    n, jobs = args.n, args.jobs
-    perms = [w for stratum in permutations_by_rank(n) for w in stratum]
-    payloads = [(n, chunk) for chunk in _chunks(perms, jobs if jobs > 1 else 1)]
-    if suite == "nabla-action":
-        parts = _pmap(_job_nabla, payloads, jobs)
-        checked = sum(p[0] for p in parts)
-        unit_ok = all(p[1] for p in parts)
-        failures = [f for p in parts for f in p[2]]
-        return {
-            "suite": suite,
-            "n": n,
-            "weight_convention": "cover by s_i carries coefficient i",
-            "unit_weight_reading_consistent": unit_ok,
-            "checked": checked,
-            "failures": failures,
-        }
-    if suite == "delta-action":
-        parts = _pmap(_job_delta, payloads, jobs)
-        return {
-            "suite": suite,
-            "n": n,
-            "checked": sum(p[0] for p in parts),
-            "failures": [f for p in parts for f in p[1]],
-        }
-    if suite == "path-identities":
-        parts = _pmap(_job_paths, payloads, jobs)
-        return {
-            "suite": suite,
-            "n": n,
-            "permutations": len(perms),
-            "checked": 4 * len(perms),
-            "failures": [f for p in parts for f in p],
-        }
-    parts = _pmap(_job_macdonald, payloads, jobs)
-    return {
-        "suite": "macdonald",
-        "n": n,
-        "checked": sum(p[0] for p in parts),
-        "failures": [f for p in parts for f in p[1]],
-    }
-
-
-def _snf_pairs(n: int, low, high) -> list[tuple[int, int]]:
-    top = num_inversions_max(n)
+def _windows(top: int, low, high) -> list[tuple[int, int]]:
+    """The window [--from, --to] if given, else every [a, b] with a < b and
+    a + b <= top."""
     if low is not None and high is not None:
         return [(low, high)]
     if low is not None or high is not None:
         raise ValueError("--from and --to must be given together")
-    if n == 5:
-        return list(SNF_SAMPLE_PAIRS_N5)
     return [(a, b) for a in range(top + 1) for b in range(a + 1, top + 1) if a + b <= top]
 
 
-def _chain_pairs(total: int, low, high) -> list[tuple[int, int]]:
-    if low is not None and high is not None:
-        return [(low, high)]
-    if low is not None or high is not None:
-        raise ValueError("--from and --to must be given together")
-    return [(a, b) for a in range(total + 1) for b in range(a + 1, total + 1) if a + b <= total]
+def _suite_jobs(args) -> list[tuple]:
+    """The suite's jobs as ``(function, *args)`` tuples.  The functions are
+    read from this module's bindings at call time, so that rebinding one of
+    them (a tracer, a test spy) reaches every job."""
+    suite, n, M, low, high = args.suite, args.n, args.M, args.from_rank, args.to_rank
+    if suite in ("nabla-action", "delta-action", "path-identities", "macdonald"):
+        chunk = {
+            "nabla-action": nabla_action_chunk,
+            "delta-action": delta_action_chunk,
+            "path-identities": path_identities_chunk,
+            "macdonald": macdonald_chunk,
+        }[suite]
+        perms = [w for stratum in permutations_by_rank(n) for w in stratum]
+        return [(chunk, n, part) for part in _chunks(perms, args.jobs)]
+    if suite == "sl2":
+        return [(verify_sl2, n)]
+    if suite == "w0-symmetry":
+        return [(verify_w0_symmetry, n)]
+    if suite == "snf":
+        windows = _windows(num_inversions_max(n), low, high)
+        if n == 5 and low is None:
+            windows = SNF_SAMPLE_PAIRS_N5
+        return [(verify_snf_theorem, n, a, b) for a, b in windows]
+    if M is None:
+        raise ValueError(f"suite {suite!r} needs --M")
+    total = sum(M)
+    if suite == "chains-basis":
+        return [(base_change_report, M, rank) for rank in range(total + 1)]
+    if suite == "chains-det":
+        return [(um_determinant_report, M, k, total - k) for k in range(total // 2 + 1)]
+    if suite == "chains-snf":
+        return [(um_snf_check, M, a, b) for a, b in _windows(total, low, high)]
+    raise ValueError(f"unknown suite: {suite!r}")  # pragma: no cover - argparse choices guard this
 
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    reports: list[dict] = []
     if suite in _SUITE_CAPS:
         if args.n is None:
             raise ValueError(f"suite {suite!r} needs --n")
@@ -255,74 +215,9 @@ def cmd_verify(args) -> int:
                 "expect a long run",
                 file=sys.stderr,
             )
-    if suite in ("nabla-action", "delta-action", "path-identities", "macdonald"):
-        reports.append(_perm_suite_report(args, suite))
-    elif suite == "sl2":
-        ok, witness = commutator_check(args.n)
-        reports.append(
-            {
-                "suite": "sl2",
-                "n": args.n,
-                "checked": num_inversions_max(args.n) + 1,
-                "failures": [] if ok else [{"witness": "commutator", **witness}],
-            }
-        )
-    elif suite == "w0-symmetry":
-        failures = []
-        checked = 0
-        for order, weights in (("weak", "nabla"), ("strong", "code"), ("strong", "chevalley")):
-            diagram = build_hasse(args.n, order, weights)
-            checked += len(diagram.edges)
-            ok, witness = w0_symmetry_check(diagram)
-            if not ok:
-                failures.append({"witness": f"{order}/{weights}", **witness})
-        reports.append(
-            {"suite": "w0-symmetry", "n": args.n, "checked": checked, "failures": failures}
-        )
-    elif suite == "snf":
-        pairs = _snf_pairs(args.n, args.from_rank, args.to_rank)
-        reports.extend(_pmap(_job_snf, [(args.n, a, b) for a, b in pairs], args.jobs))
-    elif suite in ("chains-basis", "chains-snf", "chains-det"):
-        if args.M is None:
-            raise ValueError(f"suite {suite!r} needs --M")
-        M = args.M
-        total = sum(M)
-        if suite == "chains-basis":
-            payloads = [(M, rank) for rank in range(total + 1)]
-            results = _pmap(_job_chains_basis, payloads, args.jobs)
-            failures = [
-                {"witness": f"rank {rank}", "expected": "unimodular", "actual": "not unimodular"}
-                for rank, ok in results
-                if not ok
-            ]
-            reports.append(
-                {
-                    "suite": suite,
-                    "M": list(M),
-                    "checked": len(results),
-                    "failures": failures,
-                }
-            )
-        elif suite == "chains-snf":
-            pairs = _chain_pairs(total, args.from_rank, args.to_rank)
-            reports.extend(_pmap(_job_chains_snf, [(M, a, b) for a, b in pairs], args.jobs))
-        else:
-            payloads = [(M, k, total - k) for k in range(total // 2 + 1)]
-            results = _pmap(_job_chains_det, payloads, args.jobs)
-            failures = [
-                {
-                    "witness": f"raising[{a},{b}]",
-                    "expected": str(um_determinant_formula(M, a, b)),
-                    "actual": "determinant mismatch",
-                }
-                for a, b, ok in results
-                if not ok
-            ]
-            reports.append(
-                {"suite": suite, "M": list(M), "checked": len(results), "failures": failures}
-            )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown suite: {suite!r}")
+    reports = _pmap(_call, _suite_jobs(args), args.jobs)
+    if suite not in _WINDOW_SUITES:
+        reports = [_merge(reports)]
     ok = all(not r["failures"] for r in reports)
     _emit({"ok": ok, "reports": reports}, args.format)
     return 0 if ok else 1

@@ -45,6 +45,7 @@ __all__ = [
     "weighted_path_count",
     "layer_matrix",
     "w0_symmetry_check",
+    "verify_w0_symmetry",
     "diagram_to_json",
     "diagram_to_dot",
     "ORDERS",
@@ -220,6 +221,20 @@ def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
                 "mirror_weight": "missing" if got is None else str(got),
             }
     return True, None
+
+
+def verify_w0_symmetry(n: int) -> dict:
+    """The flip symmetry on the weak/nabla, strong/code and strong/chevalley
+    diagrams of S_n; ``checked`` counts their edges."""
+    failures = []
+    checked = 0
+    for order, weights in (("weak", "nabla"), ("strong", "code"), ("strong", "chevalley")):
+        diagram = build_hasse(n, order, weights)
+        checked += len(diagram.edges)
+        ok, witness = w0_symmetry_check(diagram)
+        if not ok:
+            failures.append({"witness": f"{order}/{weights}", **witness})
+    return {"suite": "w0-symmetry", "n": n, "checked": checked, "failures": failures}
 
 
 def diagram_to_json(g: WeightedHasseDiagram) -> dict:

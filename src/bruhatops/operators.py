@@ -40,7 +40,7 @@ from .schubert import (
     schubert,
     staircase,
 )
-from .snf import IntMatrix, compose_steps, matmul, push_rows, transpose
+from .snf import IntMatrix, SparseStep, compose_steps, push_rows
 
 __all__ = [
     "OperatorSpec",
@@ -48,6 +48,7 @@ __all__ = [
     "verify_nabla_theorem",
     "verify_delta_theorem",
     "commutator_check",
+    "verify_sl2",
     "verify_path_identities",
     "verify_macdonald",
     "transpose_duality_check",
@@ -80,6 +81,11 @@ class OperatorSpec:
             raise ValueError(f"n must be positive: {self.n}")
 
 
+def _flipped(step: SparseStep) -> SparseStep:
+    """The transposed step: (r, c, w) becomes (c, r, w)."""
+    return tuple((c, r, w) for r, c, w in step)
+
+
 def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMatrix:
     """Matrix of the (high - low)-fold operator composite between two ranks.
 
@@ -101,7 +107,7 @@ def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMat
         return compose_steps(steps, len(monomials_of_rank(n, low)), len(monomials_of_rank(n, high)))
     up = spec.operator == "delta"
     if not up:
-        steps = [[(c, r, w) for r, c, w in st] for st in reversed(steps)]
+        steps = [_flipped(st) for st in reversed(steps)]
     src, dst = (low, high) if up else (high, low)
     src_index = {alpha: i for i, alpha in enumerate(monomials_of_rank(n, src))}
     dst_monos = monomials_of_rank(n, dst)
@@ -120,13 +126,31 @@ def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMat
     return out
 
 
-def _padded_step(operator: str, n: int, k: int) -> IntMatrix:
-    return differential_layer_matrix(OperatorSpec(operator, "padded-schubert", n), k, k + 1)
+def _padded_step(operator: str, n: int, k: int) -> SparseStep:
+    """Single step rank k -> k+1 in the padded Schubert basis, as sparse triples."""
+    mat = differential_layer_matrix(OperatorSpec(operator, "padded-schubert", n), k, k + 1)
+    return tuple((r, c, w) for r, row in enumerate(mat) for c, w in enumerate(row) if w)
 
 
-def nabla_action_chunk(n: int, perms: list[Permutation]) -> tuple[int, bool, list[dict]]:
-    """Per-permutation comparisons for :func:`verify_nabla_theorem`; exposed
-    separately so callers can fan chunks out over processes."""
+def _all_permutations(n: int) -> list[Permutation]:
+    return [w for stratum in permutations_by_rank(n) for w in stratum]
+
+
+def _action_failure(w: Permutation, expected: dict, actual: dict) -> dict:
+    return {
+        "witness": to_string(w),
+        "expected": {to_string(u): str(c) for u, c in sorted(expected.items())},
+        "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
+    }
+
+
+# The four *_chunk functions return the finished report of their suite on
+# the given permutations.  Reports of a split of S_n merge into the report
+# on all of S_n by summing "checked" and "permutations", concatenating
+# "failures" in order and AND-ing boolean flags.
+
+def nabla_action_chunk(n: int, perms: list[Permutation]) -> dict:
+    """The :func:`verify_nabla_theorem` report restricted to ``perms``."""
     weak = build_hasse(n, "weak", "nabla")
     into: dict[Permutation, dict[Permutation, int]] = {}
     for src, dst, wt in weak.edges:
@@ -141,25 +165,7 @@ def nabla_action_chunk(n: int, perms: list[Permutation]) -> tuple[int, bool, lis
         if any(c != 1 for c in actual.values()):
             unit_reading_ok = False
         if actual != expected:
-            failures.append(
-                {
-                    "witness": to_string(w),
-                    "expected": {to_string(u): str(c) for u, c in sorted(expected.items())},
-                    "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
-                }
-            )
-    return checked, unit_reading_ok, failures
-
-
-def verify_nabla_theorem(n: int) -> dict:
-    """Expand nabla of every padded Schubert polynomial and compare with the
-    index-weighted weak-order covers going down.
-
-    Also records whether the weight-free reading (all coefficients 1) would
-    survive; it fails as soon as a cover by s_i with i >= 2 appears.
-    """
-    perms = [w for stratum in permutations_by_rank(n) for w in stratum]
-    checked, unit_reading_ok, failures = nabla_action_chunk(n, perms)
+            failures.append(_action_failure(w, expected, actual))
     return {
         "suite": "nabla-action",
         "n": n,
@@ -170,8 +176,18 @@ def verify_nabla_theorem(n: int) -> dict:
     }
 
 
-def delta_action_chunk(n: int, perms: list[Permutation]) -> tuple[int, list[dict]]:
-    """Per-permutation comparisons for :func:`verify_delta_theorem`."""
+def verify_nabla_theorem(n: int) -> dict:
+    """Expand nabla of every padded Schubert polynomial and compare with the
+    index-weighted weak-order covers going down.
+
+    Also records whether the weight-free reading (all coefficients 1) would
+    survive; it fails as soon as a cover by s_i with i >= 2 appears.
+    """
+    return nabla_action_chunk(n, _all_permutations(n))
+
+
+def delta_action_chunk(n: int, perms: list[Permutation]) -> dict:
+    """The :func:`verify_delta_theorem` report restricted to ``perms``."""
     strong = build_hasse(n, "strong", "code")
     outof: dict[Permutation, dict[Permutation, int]] = {}
     for src, dst, wt in strong.edges:
@@ -183,36 +199,24 @@ def delta_action_chunk(n: int, perms: list[Permutation]) -> tuple[int, list[dict
         actual = expand_in_padded_schubert_basis(apply_delta(padded_schubert(w)))
         checked += len(expected)
         if actual != expected:
-            failures.append(
-                {
-                    "witness": to_string(w),
-                    "expected": {to_string(u): str(c) for u, c in sorted(expected.items())},
-                    "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
-                }
-            )
-    return checked, failures
+            failures.append(_action_failure(w, expected, actual))
+    return {"suite": "delta-action", "n": n, "checked": checked, "failures": failures}
 
 
 def verify_delta_theorem(n: int) -> dict:
     """Expand delta of every padded Schubert polynomial and compare with the
     code-weighted strong-order covers going up."""
-    perms = [w for stratum in permutations_by_rank(n) for w in stratum]
-    checked, failures = delta_action_chunk(n, perms)
-    return {
-        "suite": "delta-action",
-        "n": n,
-        "checked": checked,
-        "failures": failures,
-    }
+    return delta_action_chunk(n, _all_permutations(n))
 
 
 def commutator_check(n: int) -> tuple[bool, dict | None]:
     """[delta, nabla] must act on rank k as the scalar 2k - N.
 
-    Assembled from single-step layer matrices in the padded Schubert basis:
+    Assembled from the single sparse steps in the padded Schubert basis:
     with D_k the raising step out of rank k and V_k the lowering step back
     from rank k+1 (both stored rows=lower), the commutator on rank k is
-    D_{k-1}^T V_{k-1} - V_k D_k^T acting on coordinate columns.
+    D_{k-1}^T V_{k-1} - V_k D_k^T, whose row i is the unit row e_i pushed
+    through D_{k-1}^T then V_{k-1}, minus e_i pushed through V_k then D_k^T.
 
     Returns (True, None) or (False, witness) naming the first failing rank,
     the entry (row, column) in lex order of its permutations, and the
@@ -221,19 +225,31 @@ def commutator_check(n: int) -> tuple[bool, dict | None]:
     top = num_inversions_max(n)
     prev = None  # (D_{k-1}, V_{k-1}); one pair of steps at a time bounds memory
     for k in range(top + 1):
-        size = len(permutations_of_rank(n, k))
+        units = [{i: 1} for i in range(len(permutations_of_rank(n, k)))]
         cur = (_padded_step("delta", n, k), _padded_step("nabla", n, k)) if k < top else None
-        zero = [[0] * size for _ in range(size)]
-        below = matmul(transpose(prev[0]), prev[1]) if prev else zero
-        above = matmul(cur[1], transpose(cur[0])) if cur else zero
+        below = push_rows(units, [_flipped(prev[0]), prev[1]]) if prev else [{} for _ in units]
+        above = push_rows(units, [cur[1], _flipped(cur[0])]) if cur else [{} for _ in units]
         prev = cur
-        for i in range(size):
-            for j in range(size):
+        for i, (down_up, up_down) in enumerate(zip(below, above)):
+            for j in sorted({i, *down_up, *up_down}):
                 want = 2 * k - top if i == j else 0
-                got = below[i][j] - above[i][j]
+                got = down_up.get(j, 0) - up_down.get(j, 0)
                 if got != want:
-                    return False, {"rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)}
+                    return False, {
+                        "rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)
+                    }
     return True, None
+
+
+def verify_sl2(n: int) -> dict:
+    """The sl2 relation [delta, nabla] = 2k - N on every rank k of S_n."""
+    ok, witness = commutator_check(n)
+    return {
+        "suite": "sl2",
+        "n": n,
+        "checked": num_inversions_max(n) + 1,
+        "failures": [] if ok else [{"witness": "commutator", **witness}],
+    }
 
 
 def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
@@ -270,21 +286,13 @@ def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
     return failures
 
 
-def path_identities_chunk(n: int, perms: list[Permutation]) -> list[dict]:
-    """Per-permutation comparisons for :func:`verify_path_identities`."""
+def path_identities_chunk(n: int, perms: list[Permutation]) -> dict:
+    """The :func:`verify_path_identities` report restricted to ``perms``."""
     strong = build_hasse(n, "strong", "code")
     weak = build_hasse(n, "weak", "nabla")
     failures = []
     for u in perms:
         failures.extend(_five_way_failures(n, u, strong, weak))
-    return failures
-
-
-def verify_path_identities(n: int) -> dict:
-    """All four weighted path counts against the principal specialization,
-    for every permutation of S_n."""
-    perms = [w for stratum in permutations_by_rank(n) for w in stratum]
-    failures = path_identities_chunk(n, perms)
     return {
         "suite": "path-identities",
         "n": n,
@@ -294,33 +302,31 @@ def verify_path_identities(n: int) -> dict:
     }
 
 
-def macdonald_chunk(n: int, perms: list[Permutation]) -> tuple[int, list[dict]]:
-    """Per-permutation comparisons for :func:`verify_macdonald`."""
+def verify_path_identities(n: int) -> dict:
+    """All four weighted path counts against the principal specialization,
+    for every permutation of S_n."""
+    return path_identities_chunk(n, _all_permutations(n))
+
+
+def macdonald_chunk(n: int, perms: list[Permutation]) -> dict:
+    """The :func:`verify_macdonald` report restricted to ``perms``."""
     weak = build_hasse(n, "weak", "nabla")
     eps = identity_perm(n)
     failures = []
-    checked = 0
     for u in perms:
-        checked += 1
         expected = math.factorial(length(u)) * principal_specialization(schubert(u))
         got = weighted_path_count(weak, eps, u)
         if got != expected:
             failures.append(
-                {
-                    "witness": to_string(u),
-                    "expected": str(expected),
-                    "actual": str(got),
-                }
+                {"witness": to_string(u), "expected": str(expected), "actual": str(got)}
             )
-    return checked, failures
+    return {"suite": "macdonald", "n": n, "checked": len(perms), "failures": failures}
 
 
 def verify_macdonald(n: int) -> dict:
     """Weighted chain count from the identity equals l(u)! times the
     principal specialization of the Schubert polynomial, for every u."""
-    perms = [w for stratum in permutations_by_rank(n) for w in stratum]
-    checked, failures = macdonald_chunk(n, perms)
-    return {"suite": "macdonald", "n": n, "checked": checked, "failures": failures}
+    return macdonald_chunk(n, _all_permutations(n))
 
 
 def transpose_duality_check(n: int, low: int, high: int) -> bool:

@@ -161,7 +161,8 @@ def test_criterion_08_snf_theorem():
 def test_criterion_09_box_bases():
     for M in BOX_PROFILES:
         for k in range(sum(M) + 1):
-            assert base_change_unimodular_check(M, k), (M, k)
+            ok, witness = base_change_unimodular_check(M, k)
+            assert ok, (M, k, witness)
 
 
 @criterion(10, "raising-power Smith forms and determinants on the box profiles")
@@ -174,7 +175,8 @@ def test_criterion_10_box_snf_and_determinants():
                     report = um_snf_check(M, low, high)
                     assert report["failures"] == [], (M, low, high)
         for low in range(total // 2 + 1):
-            assert um_determinant_check(M, low, total - low), (M, low)
+            ok, witness = um_determinant_check(M, low, total - low)
+            assert ok, (M, low, witness)
 
 
 @criterion(11, "elimination and minor-gcd Smith forms agree on 1000 random matrices")

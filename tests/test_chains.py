@@ -8,6 +8,7 @@ import pytest
 from bruhatops.chains import (
     _dm_step,
     _um_step,
+    base_change_report,
     base_change_unimodular_check,
     construct_A,
     construct_B,
@@ -19,10 +20,10 @@ from bruhatops.chains import (
     profile_rank_sizes,
     um_determinant_check,
     um_determinant_formula,
+    um_determinant_report,
     um_layer_matrix,
     um_snf_check,
 )
-from bruhatops.operators import OperatorSpec, differential_layer_matrix
 from bruhatops.permutations import num_inversions_max
 from bruhatops.schubert import staircase
 from bruhatops.snf import determinant, matmul, predicted_snf, snf, transpose
@@ -159,12 +160,13 @@ class TestBasisConstruction:
     @pytest.mark.parametrize("M", [(2, 1), (2, 2), (3, 2, 1), (3, 3, 1), (2, 2, 2), (5, 1)])
     def test_unimodular_all_ranks(self, M):
         for k in range(sum(M) + 1):
-            assert base_change_unimodular_check(M, k), (M, k)
+            ok, witness = base_change_unimodular_check(M, k)
+            assert ok, (M, k, witness)
 
     def test_unimodular_invariant_under_profile_relabeling(self):
         for k in range(7):
-            assert base_change_unimodular_check((1, 2, 3), k)
-            assert base_change_unimodular_check((2, 3, 1), k)
+            assert base_change_unimodular_check((1, 2, 3), k) == (True, None)
+            assert base_change_unimodular_check((2, 3, 1), k) == (True, None)
 
 
 class TestLayerMatrices:
@@ -225,22 +227,6 @@ class TestLayerMatrices:
                 for r, alpha in enumerate(lows):
                     for c, beta in enumerate(highs):
                         assert um[r][c] == dm[co_lo[comp(beta)]][co_hi[comp(alpha)]]
-
-    def test_staircase_profile_reproduces_differential_monomial_layers(self):
-        # with rows indexed by the lower rank in both constructions, the
-        # raising matrices on the staircase box are the lowering-operator
-        # monomial matrices of the flag side, and vice versa
-        for n in (2, 3, 4):
-            M = staircase(n)
-            total = num_inversions_max(n)
-            for low in range(total + 1):
-                for high in range(low, total + 1):
-                    assert um_layer_matrix(M, low, high) == differential_layer_matrix(
-                        OperatorSpec("nabla", "monomial", n), low, high
-                    )
-                    assert dm_layer_matrix(M, low, high) == differential_layer_matrix(
-                        OperatorSpec("delta", "monomial", n), low, high
-                    )
 
     def test_sl2_commutator_on_the_box(self):
         for M in ((2, 1), (2, 2), (3, 2, 1), (2, 2, 2)):
@@ -313,10 +299,36 @@ class TestDeterminants:
     def test_determinant_check_square_windows(self, M):
         total = sum(M)
         for low in range(total // 2 + 1):
-            assert um_determinant_check(M, low, total - low), (M, low)
+            ok, witness = um_determinant_check(M, low, total - low)
+            assert ok, (M, low, witness)
 
     def test_rejects_non_complementary_windows(self):
         with pytest.raises(ValueError):
             um_determinant_formula((2, 1), 0, 2)
         with pytest.raises(ValueError):
             um_determinant_formula((2, 1), 2, 1)
+
+
+class TestWitnesses:
+    def test_failures_name_their_witness(self, monkeypatch):
+        import bruhatops.chains as chains
+
+        monkeypatch.setattr(chains, "determinant", lambda mat: -3)
+        assert base_change_unimodular_check((2, 1), 1) == (False, {"determinant": "-3"})
+        assert um_determinant_check((2, 1), 1, 2) == (False, {"expected": "2", "actual": "3"})
+        assert base_change_report((2, 1), 1)["failures"] == [
+            {"witness": "rank 1", "expected": "unimodular", "determinant": "-3"}
+        ]
+        assert um_determinant_report((2, 1), 0, 3)["failures"] == [
+            {"witness": "raising[0,3]", "expected": "6", "actual": "3"}
+        ]
+
+    def test_short_basis_names_its_vector_count(self, monkeypatch):
+        import bruhatops.chains as chains
+
+        real = chains.construct_B
+        monkeypatch.setattr(chains, "construct_B", lambda M, n: real(M, n)[:-1])
+        assert base_change_unimodular_check((2, 1), 1) == (
+            False,
+            {"vectors": "1", "rank_size": "2"},
+        )

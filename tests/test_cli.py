@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from bruhatops.cli import main
+import bruhatops.cli as cli
+from bruhatops.cli import SUITES, main
 
 
 def run(capsys, *argv):
@@ -67,16 +68,33 @@ class TestExitCodes:
         real = operators._padded_step
 
         def corrupted(operator, n, k):
-            mat = real(operator, n, k)
+            step = real(operator, n, k)
             if operator == "delta" and k == 1:
-                mat[0][0] += 1
-            return mat
+                step += ((0, 0, 1),)
+            return step
 
         monkeypatch.setattr(operators, "_padded_step", corrupted)
         code, out, _ = run(capsys, "verify", "--suite", "sl2", "--n", "3")
         assert code == 1
         assert json.loads(out)["reports"][0]["failures"] == [
             {"witness": "commutator", "rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"}
+        ]
+
+    def test_chains_failures_name_their_witness(self, capsys, monkeypatch):
+        import bruhatops.chains as chains
+
+        monkeypatch.setattr(chains, "determinant", lambda mat: -3)
+        code, out, _ = run(capsys, "verify", "--suite", "chains-det", "--M", "2,1")
+        assert code == 1
+        assert json.loads(out)["reports"][0]["failures"] == [
+            {"witness": "raising[0,3]", "expected": "6", "actual": "3"},
+            {"witness": "raising[1,2]", "expected": "2", "actual": "3"},
+        ]
+        code, out, _ = run(capsys, "verify", "--suite", "chains-basis", "--M", "1")
+        assert code == 1
+        assert json.loads(out)["reports"][0]["failures"] == [
+            {"witness": "rank 0", "expected": "unimodular", "determinant": "-3"},
+            {"witness": "rank 1", "expected": "unimodular", "determinant": "-3"},
         ]
 
     def test_chains_suite_needs_profile(self, capsys):
@@ -159,6 +177,68 @@ class TestVerifyCommand:
             code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
             assert code == 0, suite
             assert json.loads(out)["ok"] is True
+
+
+# a small instance of every suite
+SUITE_ARGS = {
+    "nabla-action": ["--n", "4"],
+    "delta-action": ["--n", "4"],
+    "sl2": ["--n", "4"],
+    "path-identities": ["--n", "4"],
+    "macdonald": ["--n", "4"],
+    "w0-symmetry": ["--n", "4"],
+    "snf": ["--n", "4"],
+    "chains-basis": ["--M", "2,2,1"],
+    "chains-snf": ["--M", "2,2,1"],
+    "chains-det": ["--M", "2,2,1"],
+}
+
+PERM_SUITE_CHUNKS = {
+    "nabla-action": "nabla_action_chunk",
+    "delta-action": "delta_action_chunk",
+    "path-identities": "path_identities_chunk",
+    "macdonald": "macdonald_chunk",
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_two_jobs_agree_with_serial(self, capsys, monkeypatch, suite):
+        # two CPUs as far as --jobs can tell, so the merge runs on any machine
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["verify", "--suite", suite, *SUITE_ARGS[suite]]
+        serial = run(capsys, *argv)
+        assert serial[0] == 0
+        assert run(capsys, *argv, "--jobs", "2") == serial
+
+    @pytest.mark.parametrize("suite", sorted(PERM_SUITE_CHUNKS))
+    def test_chunks_are_read_through_the_cli_binding(self, capsys, monkeypatch, suite):
+        # rebinding the name in bruhatops.cli must reach the jobs, as a
+        # wrapper installed by a tracer would
+        name = PERM_SUITE_CHUNKS[suite]
+        real = getattr(cli, name)
+        calls = []
+
+        def spy(n, perms):
+            calls.append(len(perms))
+            return real(n, perms)
+
+        monkeypatch.setattr(cli, name, spy)
+        code, _, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
+        assert code == 0
+        assert calls == [6]
+
+    def test_merge_adds_concatenates_and_ands(self):
+        first = {"suite": "s", "flag": True, "permutations": 2, "checked": 1, "failures": ["a"]}
+        second = {"suite": "s", "flag": False, "permutations": 4, "checked": 5, "failures": ["b"]}
+        assert cli._merge([first, second]) == {
+            "suite": "s",
+            "flag": False,
+            "permutations": 6,
+            "checked": 6,
+            "failures": ["a", "b"],
+        }
+        assert first["failures"] == ["a"]
 
 
 class TestSchubertCommand:

@@ -173,17 +173,36 @@ class TestCommutator:
         real = operators._padded_step
 
         def corrupted(operator, n, k):
-            mat = real(operator, n, k)
+            step = real(operator, n, k)
             if operator == "delta" and k == 1:
-                mat[0][0] += 1
-            return mat
+                step += ((0, 0, 1),)
+            return step
 
         monkeypatch.setattr(operators, "_padded_step", corrupted)
-        # rank 1 picks up -V_1 D_1^T; with V_1 = [[0, 1], [2, 0]] the bumped
-        # D_1[0][0] shifts entry (1, 0) from 0 to -2 and leaves (0, 0) alone
+        # rank 1 picks up -V_1 D_1^T; with V_1 = [[0, 1], [2, 0]] the extra
+        # triple bumps D_1[0][0], which shifts entry (1, 0) from 0 to -2 and
+        # leaves (0, 0) alone
         assert commutator_check(3) == (
             False,
             {"rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"},
+        )
+
+    def test_witness_seen_only_through_raise_then_lower(self, monkeypatch):
+        # the entry (2, 0) on rank 2 is nonzero in V_2 D_2^T alone, so the
+        # scan over row 2 must reach columns that only that product fills;
+        # the witness matches the dense product D^T V - V D^T
+        real = operators._padded_step
+
+        def corrupted(operator, n, k):
+            step = real(operator, n, k)
+            if operator == "delta" and k == 2:
+                step += ((0, 2, 1),)
+            return step
+
+        monkeypatch.setattr(operators, "_padded_step", corrupted)
+        assert commutator_check(4) == (
+            False,
+            {"rank": 2, "entry": [2, 0], "expected": "0", "actual": "-2"},
         )
 
 
