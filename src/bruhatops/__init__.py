@@ -4,7 +4,7 @@ on (padded) Schubert polynomials, and exact Smith normal form checks for the
 resulting layer matrices, together with the analogous raising/lowering
 calculus on products of finite chains.
 
-Everything is exact integer / rational arithmetic; no floating point.
+Everything is exact integer arithmetic; no floating point.
 """
 
 from .chains import (

@@ -204,6 +204,8 @@ def cmd_verify(args) -> int:
     if suite in _SUITE_CAPS:
         if args.n is None:
             raise ValueError(f"suite {suite!r} needs --n")
+        if args.n < 1:
+            raise ValueError(f"n must be positive: {args.n}")
         cap = _SUITE_CAPS[suite]
         if args.n > cap:
             if not args.force:

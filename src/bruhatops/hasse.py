@@ -12,7 +12,8 @@ Three nontrivial weight systems on cover edges:
 plus ``unit`` weights on either order.  The weighted count m(u, v) sums the
 product of edge weights over all saturated chains from u to v; with every
 system above, the count from the identity to the longest element is N! for
-N = n(n-1)/2.
+N = n(n-1)/2.  Every count is a sweep of sparse rows through the per-rank
+steps of the diagram with :func:`snf.push_rows`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from .permutations import (
     Permutation,
     lehmer_code,
     length,
-    longest_element,
-    num_inversions_max,
     permutations_by_rank,
-    right_multiply_simple,
     right_multiply_transposition,
     strong_covers_up,
     to_string,
@@ -34,7 +32,7 @@ from .permutations import (
     w0_times,
     weak_covers_up,
 )
-from .snf import IntMatrix, compose_steps
+from .snf import IntMatrix, _flipped, compose_steps, push_rows
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -113,7 +111,7 @@ class WeightedHasseDiagram:
         self._pos: dict[Permutation, tuple[int, int]] = {
             w: (k, idx) for k, stratum in enumerate(ranks) for idx, w in enumerate(stratum)
         }
-        # per-rank index-level edge lists drive all path DP and layer matrices
+        # per-rank index-level edge lists drive all path counts and layer matrices
         self._steps: list[list[tuple[int, int, int]]] = [[] for _ in range(len(ranks) - 1)]
         for src, dst, wt in edges:
             k, si = self._pos[src]
@@ -180,15 +178,23 @@ def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation)
     kv = g.rank_of(v)
     if ku > kv:
         return 0
-    cur = [0] * len(g.ranks[ku])
-    cur[g._pos[validated(u)][1]] = 1
-    for k in range(ku, kv):
-        nxt = [0] * len(g.ranks[k + 1])
-        for si, di, wt in g._steps[k]:
-            if cur[si]:
-                nxt[di] += cur[si] * wt
-        cur = nxt
-    return cur[g._pos[validated(v)][1]]
+    (row,) = push_rows([{g._pos[validated(u)][1]: 1}], g._steps[ku:kv])
+    return row.get(g._pos[validated(v)][1], 0)
+
+
+def _sweep(g: WeightedHasseDiagram, up: bool) -> dict[Permutation, int]:
+    """Weighted path counts from the identity to every vertex (``up``), or
+    from every vertex to the longest element: the unit row of the bottom
+    pushed up through the steps one rank at a time, or the unit row of the
+    top pushed down through the flipped steps."""
+    ranks = g.ranks if up else g.ranks[::-1]
+    steps = g._steps if up else [_flipped(step) for step in reversed(g._steps)]
+    row: dict[int, int] = {0: 1}
+    counts = {ranks[0][0]: 1}
+    for step, stratum in zip(steps, ranks[1:]):
+        (row,) = push_rows([row], [step])
+        counts.update((w, row.get(i, 0)) for i, w in enumerate(stratum))
+    return counts
 
 
 def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:

@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .chains import _dm_step, _um_step
-from .hasse import build_hasse, weighted_path_count
+from .hasse import _sweep, build_hasse
 from .permutations import (
     Permutation,
-    identity as identity_perm,
     length,
-    longest_element,
     num_inversions_max,
     permutations_by_rank,
     permutations_of_rank,
@@ -40,7 +38,7 @@ from .schubert import (
     schubert,
     staircase,
 )
-from .snf import IntMatrix, SparseStep, compose_steps, push_rows
+from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows, rank_size
 
 __all__ = [
     "OperatorSpec",
@@ -81,34 +79,36 @@ class OperatorSpec:
             raise ValueError(f"n must be positive: {self.n}")
 
 
-def _flipped(step: SparseStep) -> SparseStep:
-    """The transposed step: (r, c, w) becomes (c, r, w)."""
-    return tuple((c, r, w) for r, c, w in step)
-
-
 def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMatrix:
     """Matrix of the (high - low)-fold operator composite between two ranks.
 
     Rows = rank ``low`` basis elements, columns = rank ``high``; equal ranks
-    give the identity.  The monomial steps are those of the chain product
-    at M = staircase(n): raising is the box's lowering step, lowering its
-    raising step.  In the padded Schubert basis each basis polynomial is
-    pushed through them and its image peeled back into the basis: upward
-    from ``low`` for raising (one row each), downward from ``high`` for
-    lowering (one column each).
+    give the identity.  The composite is the product of the single steps:
+    in the monomial basis those of the chain product at M = staircase(n)
+    (raising is the box's lowering step, lowering its raising step), in the
+    padded Schubert basis those of :func:`_padded_step`.
     """
     n = spec.n
     top = num_inversions_max(n)
     if not 0 <= low <= high <= top:
         raise ValueError(f"need 0 <= l <= l' <= {top}, got ({low}, {high})")
-    box = staircase(n)
-    steps = [(_dm_step if spec.operator == "delta" else _um_step)(box, k) for k in range(low, high)]
     if spec.basis == "monomial":
-        return compose_steps(steps, len(monomials_of_rank(n, low)), len(monomials_of_rank(n, high)))
-    up = spec.operator == "delta"
-    if not up:
-        steps = [_flipped(st) for st in reversed(steps)]
-    src, dst = (low, high) if up else (high, low)
+        step = _dm_step if spec.operator == "delta" else _um_step
+        steps = [step(staircase(n), k) for k in range(low, high)]
+    else:
+        steps = [_padded_step(spec.operator, n, k) for k in range(low, high)]
+    return compose_steps(steps, rank_size(n, low), rank_size(n, high))
+
+
+def _padded_step(operator: str, n: int, k: int) -> SparseStep:
+    """Single step rank k -> k+1 in the padded Schubert basis, as sparse
+    triples (rows = rank k).  Each basis polynomial of the rank the operator
+    leaves is pushed through the one monomial step and its image peeled back
+    into the basis: raising goes up from rank k, lowering down from k + 1."""
+    up = operator == "delta"
+    box = staircase(n)
+    src, dst = (k, k + 1) if up else (k + 1, k)
+    step = _dm_step(box, k) if up else _flipped(_um_step(box, k))
     src_index = {alpha: i for i, alpha in enumerate(monomials_of_rank(n, src))}
     dst_monos = monomials_of_rank(n, dst)
     dst_index = {w: j for j, w in enumerate(permutations_of_rank(n, dst))}
@@ -116,20 +116,11 @@ def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMat
         {src_index[alpha]: c for alpha, c in schubert(w).terms.items()}
         for w in permutations_of_rank(n, src)
     ]
-    out = [[0] * len(permutations_of_rank(n, high)) for _ in permutations_of_rank(n, low)]
-    for i, row in enumerate(push_rows(rows, steps)):
+    out = []
+    for i, row in enumerate(push_rows(rows, [step])):
         for w, c in _peel(n, {dst_monos[t]: v for t, v in row.items() if v}).items():
-            if up:
-                out[i][dst_index[w]] = c
-            else:
-                out[dst_index[w]][i] = c
-    return out
-
-
-def _padded_step(operator: str, n: int, k: int) -> SparseStep:
-    """Single step rank k -> k+1 in the padded Schubert basis, as sparse triples."""
-    mat = differential_layer_matrix(OperatorSpec(operator, "padded-schubert", n), k, k + 1)
-    return tuple((r, c, w) for r, row in enumerate(mat) for c, w in enumerate(row) if w)
+            out.append((i, dst_index[w], c) if up else (dst_index[w], i, c))
+    return tuple(out)
 
 
 def _all_permutations(n: int) -> list[Permutation]:
@@ -253,25 +244,20 @@ def verify_sl2(n: int) -> dict:
 
 
 def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
-    """Exact comparisons for one permutation; divisions are cross-multiplied."""
+    """Exact comparisons for one permutation; divisions are cross-multiplied.
+    ``strong`` and ``weak`` hold each diagram's counts from the identity and
+    to the longest element, as :func:`hasse._sweep` returns them."""
     top = num_inversions_max(n)
-    w0 = longest_element(n)
-    eps = identity_perm(n)
     lu = length(u)
     spec = principal_specialization(schubert(u))
     co_fact = math.factorial(top - lu)
     fact = math.factorial(lu)
+    (strong_from, strong_to), (weak_from, weak_to) = strong, weak
     values = {
-        "raising count u to top over (N-l)!": (weighted_path_count(strong, u, w0), co_fact),
-        "lowering count bottom to u over l!": (weighted_path_count(weak, eps, u), fact),
-        "raising count bottom to w0*u over (N-l)!": (
-            weighted_path_count(strong, eps, w0_times(u)),
-            co_fact,
-        ),
-        "lowering count w0*u to top over l!": (
-            weighted_path_count(weak, w0_times(u), w0),
-            fact,
-        ),
+        "raising count u to top over (N-l)!": (strong_to[u], co_fact),
+        "lowering count bottom to u over l!": (weak_from[u], fact),
+        "raising count bottom to w0*u over (N-l)!": (strong_from[w0_times(u)], co_fact),
+        "lowering count w0*u to top over l!": (weak_to[w0_times(u)], fact),
     }
     failures = []
     for label, (count, denom) in values.items():
@@ -290,9 +276,10 @@ def path_identities_chunk(n: int, perms: list[Permutation]) -> dict:
     """The :func:`verify_path_identities` report restricted to ``perms``."""
     strong = build_hasse(n, "strong", "code")
     weak = build_hasse(n, "weak", "nabla")
+    sweeps = [(_sweep(g, up=True), _sweep(g, up=False)) for g in (strong, weak)]
     failures = []
     for u in perms:
-        failures.extend(_five_way_failures(n, u, strong, weak))
+        failures.extend(_five_way_failures(n, u, *sweeps))
     return {
         "suite": "path-identities",
         "n": n,
@@ -310,12 +297,11 @@ def verify_path_identities(n: int) -> dict:
 
 def macdonald_chunk(n: int, perms: list[Permutation]) -> dict:
     """The :func:`verify_macdonald` report restricted to ``perms``."""
-    weak = build_hasse(n, "weak", "nabla")
-    eps = identity_perm(n)
+    counts = _sweep(build_hasse(n, "weak", "nabla"), up=True)
     failures = []
     for u in perms:
         expected = math.factorial(length(u)) * principal_specialization(schubert(u))
-        got = weighted_path_count(weak, eps, u)
+        got = counts[u]
         if got != expected:
             failures.append(
                 {"witness": to_string(u), "expected": str(expected), "actual": str(got)}

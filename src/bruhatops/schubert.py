@@ -88,7 +88,11 @@ def _clean(n: int, items: Iterable[tuple[Exponent, int]]) -> dict[Exponent, int]
 
 
 class IntPolynomial:
-    """Sparse integer polynomial in x_1..x_{n-1}, keyed by exponent vector."""
+    """Sparse integer polynomial in x_1..x_{n-1}, keyed by exponent vector.
+
+    Sums, differences and scalings keep the class of their operands; values
+    of different classes never compare equal and do not add.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -112,7 +116,7 @@ class IntPolynomial:
         return cls.monomial(n, (0,) * (n - 1))
 
     def _binop(self, other: "IntPolynomial", sign: int) -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
+        if type(other) is not type(self):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"mixed variable counts: {self.n} vs {other.n}")
@@ -123,7 +127,8 @@ class IntPolynomial:
                 merged[alpha] = v
             elif alpha in merged:
                 del merged[alpha]
-        out = IntPolynomial.__new__(IntPolynomial)
+        cls = type(self)
+        out = cls.__new__(cls)
         out.n = self.n
         out.terms = merged
         return out
@@ -135,17 +140,13 @@ class IntPolynomial:
         return self._binop(other, -1)
 
     def scaled(self, c: int) -> "IntPolynomial":
-        return IntPolynomial(self.n, {a: c * v for a, v in self.terms.items()})
+        return type(self)(self.n, {a: c * v for a, v in self.terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
@@ -166,90 +167,31 @@ class IntPolynomial:
         return _poly_string(self.sorted_terms(), None)
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({self.n}, {dict(self.sorted_terms())!r})"
+        return f"{type(self).__name__}({self.n}, {dict(self.sorted_terms())!r})"
 
 
-class PaddedPolynomial:
+class PaddedPolynomial(IntPolynomial):
     """Bihomogeneous form: the stored key alpha stands for x^alpha y^(rho-alpha).
 
     Every exponent vector must fit under the staircase, otherwise the
     implicit y-exponent would go negative.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Exponent, int] | Iterable[tuple[Exponent, int]] = ()):
-        if n < 1:
-            raise ValueError(f"n must be positive: {n}")
-        self.n = n
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned = _clean(n, items)
+        super().__init__(n, terms)
         rho = staircase(n)
-        for alpha in cleaned:
+        for alpha in self.terms:
             if any(a > r for a, r in zip(alpha, rho)):
                 raise ValueError(f"exponent {alpha} exceeds the staircase {rho}")
-        self.terms = cleaned
-
-    @classmethod
-    def zero(cls, n: int) -> "PaddedPolynomial":
-        return cls(n)
-
-    def _binop(self, other: "PaddedPolynomial", sign: int) -> "PaddedPolynomial":
-        if not isinstance(other, PaddedPolynomial):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mixed variable counts: {self.n} vs {other.n}")
-        merged = dict(self.terms)
-        for alpha, c in other.terms.items():
-            v = merged.get(alpha, 0) + sign * c
-            if v:
-                merged[alpha] = v
-            elif alpha in merged:
-                del merged[alpha]
-        out = PaddedPolynomial.__new__(PaddedPolynomial)
-        out.n = self.n
-        out.terms = merged
-        return out
-
-    def __add__(self, other: "PaddedPolynomial") -> "PaddedPolynomial":
-        return self._binop(other, 1)
-
-    def __sub__(self, other: "PaddedPolynomial") -> "PaddedPolynomial":
-        return self._binop(other, -1)
-
-    def scaled(self, c: int) -> "PaddedPolynomial":
-        return PaddedPolynomial(self.n, {a: c * v for a, v in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PaddedPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
 
     def x_degree(self) -> int | None:
         """Common |alpha| over all terms (the rank), None if mixed, 0 if zero."""
-        degrees = {sum(a) for a in self.terms}
-        if not degrees:
-            return 0
-        if len(degrees) > 1:
-            return None
-        return degrees.pop()
-
-    def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        return self.homogeneous_degree()
 
     def __str__(self) -> str:
         return _poly_string(self.sorted_terms(), staircase(self.n))
-
-    def __repr__(self) -> str:
-        return f"PaddedPolynomial({self.n}, {dict(self.sorted_terms())!r})"
 
 
 def _poly_string(terms: list[tuple[Exponent, int]], rho: Exponent | None) -> str:

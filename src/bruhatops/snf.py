@@ -73,6 +73,11 @@ def transpose(a: IntMatrix) -> IntMatrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _flipped(step: SparseStep) -> SparseStep:
+    """The transposed step: (r, c, w) becomes (c, r, w)."""
+    return tuple((c, r, w) for r, c, w in step)
+
+
 def push_rows(rows: list[dict[int, int]], steps: Iterable[SparseStep]) -> list[dict[int, int]]:
     """Push sparse row vectors (index -> value) through consecutive steps.
 

@@ -97,6 +97,20 @@ class TestExitCodes:
             {"witness": "rank 1", "expected": "unimodular", "determinant": "-3"},
         ]
 
+    @pytest.mark.parametrize("suite", sorted(cli._SUITE_CAPS))
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_is_usage_error(self, capsys, suite, n):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n must be positive: {n}\n"
+
+    def test_snf_at_n1_checks_no_window(self, capsys):
+        # S_1 has a single rank, so there is no window l < l'
+        code, out, _ = run(capsys, "verify", "--suite", "snf", "--n", "1")
+        assert code == 0
+        assert json.loads(out) == {"ok": True, "reports": []}
+
     def test_chains_suite_needs_profile(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "chains-basis")
         assert code == 2

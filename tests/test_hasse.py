@@ -4,6 +4,7 @@ import pytest
 
 from bruhatops.hasse import (
     WeightedHasseDiagram,
+    _sweep,
     build_hasse,
     chevalley_weight,
     code_weight,
@@ -173,6 +174,17 @@ class TestPathCounting:
             for u in perms:
                 for v in perms:
                     assert weighted_path_count(g, u, v) == dfs_path_weight_sum(g, u, v)
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_sweeps_match_path_counts(self, order, weights):
+        for n in range(1, 6):
+            g = build_hasse(n, order, weights)
+            eps, w0 = g.ranks[0][0], g.ranks[-1][0]
+            perms = [w for stratum in g.ranks for w in stratum]
+            assert _sweep(g, up=True) == {u: weighted_path_count(g, eps, u) for u in perms}
+            assert _sweep(g, up=False) == {u: weighted_path_count(g, u, w0) for u in perms}
 
 
 class TestLayerMatrices:

@@ -123,13 +123,35 @@ class TestPolynomialArithmetic:
         assert p.terms == {(1, 0): 2}
 
     def test_add_sub_scale(self):
-        p = IntPolynomial(3, {(1, 0): 1})
-        q = IntPolynomial(3, {(1, 0): 2, (0, 1): 5})
-        assert (p + q).terms == {(1, 0): 3, (0, 1): 5}
-        assert (q - p).terms == {(1, 0): 1, (0, 1): 5}
-        assert (p - p).terms == {}
-        assert not (p - p)
-        assert p.scaled(0) == IntPolynomial.zero(3)
+        for cls in (IntPolynomial, PaddedPolynomial):
+            p = cls(3, {(1, 0): 1})
+            q = cls(3, {(1, 0): 2, (0, 1): 5})
+            assert (p + q).terms == {(1, 0): 3, (0, 1): 5}
+            assert (q - p).terms == {(1, 0): 1, (0, 1): 5}
+            assert (p - p).terms == {}
+            assert not (p - p)
+            assert p.scaled(0) == cls.zero(3)
+            assert type(p + q) is type(q - p) is type(p.scaled(2)) is cls
+
+    def test_classes_never_mix(self):
+        plain = IntPolynomial(3, {(1, 0): 1})
+        padded = PaddedPolynomial(3, {(1, 0): 1})
+        assert plain != padded and padded != plain
+        assert not (plain == padded or padded == plain)
+        assert IntPolynomial.zero(3) != PaddedPolynomial.zero(3)
+        for a, b in ((plain, padded), (padded, plain)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+
+    def test_str_and_repr_frozen(self):
+        terms = {(1, 0): -3, (2, 1): 1, (0, 0): 2}
+        plain, padded = IntPolynomial(3, terms), PaddedPolynomial(3, terms)
+        assert str(plain) == "x1^2*x2 - 3*x1 + 2"
+        assert str(padded) == "x1^2*x2 - 3*x1*y1*y2 + 2*y1^2*y2"
+        assert repr(plain) == "IntPolynomial(3, {(2, 1): 1, (1, 0): -3, (0, 0): 2})"
+        assert repr(padded) == "PaddedPolynomial(3, {(2, 1): 1, (1, 0): -3, (0, 0): 2})"
 
     def test_zero_renders_as_zero(self):
         assert str(IntPolynomial.zero(4)) == "0"
