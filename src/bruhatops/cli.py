@@ -65,7 +65,6 @@ SUITES = (
 PATH_SUITE_CAP = 6
 DIFFERENTIAL_SUITE_CAP = 5
 SNF_SUITE_CAP = 5
-SNF_EXHAUSTIVE_CAP = 4
 SNF_SAMPLE_PAIRS_N5 = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10), (2, 8))
 
 _SUITE_CAPS = {

@@ -22,8 +22,6 @@ from functools import lru_cache
 
 from .permutations import (
     Permutation,
-    lehmer_code,
-    length,
     permutations_by_rank,
     right_multiply_transposition,
     strong_covers_up,
@@ -32,7 +30,7 @@ from .permutations import (
     w0_times,
     weak_covers_up,
 )
-from .snf import IntMatrix, _flipped, compose_steps, push_rows
+from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -68,15 +66,18 @@ def nabla_weight(w: Permutation, i: int) -> int:
 def code_weight(w: Permutation, i: int, j: int) -> int:
     """Weight of the strong cover w -> w*t_ij: Manhattan distance of codes.
 
-    The two Lehmer codes differ only in the swap positions (position j
-    drops out when j = n), so the distance is a positive odd number.
+    The two Lehmer codes differ only at the swap positions: code_i rises by
+    1 + m and code_j falls by m, where m counts the positions q > j with
+    w_i < w_q < w_j.  So the distance is 1 + 2m, a positive odd number.
     """
     word = validated(w)
-    upper = right_multiply_transposition(word, i, j)
-    if length(upper) != length(word) + 1:
+    if not 1 <= i < j <= len(word):
+        raise ValueError(f"transposition indices out of range: ({i}, {j})")
+    a, b = word[i - 1], word[j - 1]
+    if a > b or any(a < v < b for v in word[i : j - 1]):
+        upper = right_multiply_transposition(word, i, j)
         raise ValueError(f"{to_string(word)} -> {to_string(upper)} is not a strong cover")
-    a, b = lehmer_code(word), lehmer_code(upper)
-    return sum(abs(x - y) for x, y in zip(a, b))
+    return 1 + 2 * sum(1 for v in word[j:] if a < v < b)
 
 
 def chevalley_weight(i: int, j: int) -> int:
@@ -89,11 +90,12 @@ def chevalley_weight(i: int, j: int) -> int:
 class WeightedHasseDiagram:
     """A rank-stratified weighted cover graph; immutable after construction.
 
-    ``ranks[k]`` lists the permutations of length k in lex order; ``edges``
-    holds (lower, upper, weight) triples sorted by (rank, lower, upper).
+    ``ranks[k]`` lists the permutations of length k in lex order; ``_steps[k]``
+    holds the covers out of rank k as (lower index, upper index, weight)
+    triples, sorted; ``_pos`` maps each permutation to (rank, index).
     """
 
-    __slots__ = ("n", "order", "weights", "ranks", "edges", "_pos", "_steps")
+    __slots__ = ("n", "order", "weights", "ranks", "_pos", "_steps")
 
     def __init__(
         self,
@@ -101,26 +103,30 @@ class WeightedHasseDiagram:
         order: str,
         weights: str,
         ranks: tuple[tuple[Permutation, ...], ...],
-        edges: tuple[tuple[Permutation, Permutation, int], ...],
+        steps: tuple[SparseStep, ...],
     ):
         self.n = n
         self.order = order
         self.weights = weights
         self.ranks = ranks
-        self.edges = edges
+        self._steps = steps
         self._pos: dict[Permutation, tuple[int, int]] = {
             w: (k, idx) for k, stratum in enumerate(ranks) for idx, w in enumerate(stratum)
         }
-        # per-rank index-level edge lists drive all path counts and layer matrices
-        self._steps: list[list[tuple[int, int, int]]] = [[] for _ in range(len(ranks) - 1)]
-        for src, dst, wt in edges:
-            k, si = self._pos[src]
-            _, di = self._pos[dst]
-            self._steps[k].append((si, di, wt))
 
     @property
     def top_rank(self) -> int:
         return len(self.ranks) - 1
+
+    @property
+    def edges(self) -> tuple[tuple[Permutation, Permutation, int], ...]:
+        """(lower, upper, weight) triples in (rank, lower, upper) order, derived
+        from the steps on each call, for output."""
+        return tuple(
+            (low[r], high[c], wt)
+            for low, high, step in zip(self.ranks, self.ranks[1:], self._steps)
+            for r, c, wt in step
+        )
 
     def rank_of(self, w: Permutation) -> int:
         word = validated(w)
@@ -131,7 +137,7 @@ class WeightedHasseDiagram:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WeightedHasseDiagram(n={self.n}, order={self.order!r}, "
-            f"weights={self.weights!r}, {len(self.edges)} edges)"
+            f"weights={self.weights!r}, {sum(map(len, self._steps))} edges)"
         )
 
 
@@ -151,24 +157,22 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
     if weights not in _COMPATIBLE[order]:
         raise ValueError(f"weight system {weights!r} is incompatible with the {order} order")
     ranks = permutations_by_rank(n)
-    # ranks, their lex-ordered members and sorted covers: (rank, lower, upper) order
-    edges: list[tuple[Permutation, Permutation, int]] = []
-    for stratum in ranks[:-1]:
-        for w in stratum:
+    steps = []
+    for lower, upper in zip(ranks, ranks[1:]):
+        col = {v: c for c, v in enumerate(upper)}
+        step = []
+        for r, w in enumerate(lower):
             if order == "weak":
-                for upper, i in sorted(weak_covers_up(w)):
-                    wt = i if weights == "nabla" else 1
-                    edges.append((w, upper, wt))
+                covers = [(col[v], i if weights == "nabla" else 1) for v, i in weak_covers_up(w)]
+            elif weights == "code":
+                covers = [(col[v], code_weight(w, i, j)) for v, i, j in strong_covers_up(w)]
+            elif weights == "chevalley":
+                covers = [(col[v], j - i) for v, i, j in strong_covers_up(w)]
             else:
-                for upper, i, j in sorted(strong_covers_up(w)):
-                    if weights == "code":
-                        wt = code_weight(w, i, j)
-                    elif weights == "chevalley":
-                        wt = j - i
-                    else:
-                        wt = 1
-                    edges.append((w, upper, wt))
-    return WeightedHasseDiagram(n, order, weights, ranks, tuple(edges))
+                covers = [(col[v], 1) for v, _, _ in strong_covers_up(w)]
+            step.extend((r, c, wt) for c, wt in sorted(covers))
+        steps.append(tuple(step))
+    return WeightedHasseDiagram(n, order, weights, ranks, tuple(steps))
 
 
 def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation) -> int:
@@ -212,20 +216,24 @@ def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
 def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
     """Check the flip symmetry: (u -> w, c) is an edge iff (w0*w -> w0*u, c) is.
 
-    Returns (True, None) or (False, first counterexample) with the edge
-    whose mirror is missing or carries a different weight.
+    On indices, with flip[k][i] that of w0 * ranks[k][i] in rank top - k,
+    the triple (r, c, wt) of step k must be (flip[k+1][c], flip[k][r], wt)
+    in step top - 1 - k.  Returns (True, None) or (False, first
+    counterexample) with the edge whose mirror is missing or differs.
     """
-    table = {(src, dst): wt for src, dst, wt in g.edges}
-    for src, dst, wt in g.edges:
-        mirror = (w0_times(dst), w0_times(src))
-        got = table.get(mirror)
-        if got != wt:
-            return False, {
-                "edge": f"{to_string(src)}->{to_string(dst)}",
-                "weight": str(wt),
-                "mirror": f"{to_string(mirror[0])}->{to_string(mirror[1])}",
-                "mirror_weight": "missing" if got is None else str(got),
-            }
+    flip = [[g._pos[w0_times(w)][1] for w in stratum] for stratum in g.ranks]
+    for k, step in enumerate(g._steps):
+        mirror_step = {(r, c): wt for r, c, wt in g._steps[g.top_rank - 1 - k]}
+        for r, c, wt in step:
+            got = mirror_step.get((flip[k + 1][c], flip[k][r]))
+            if got != wt:
+                src, dst = g.ranks[k][r], g.ranks[k + 1][c]
+                return False, {
+                    "edge": f"{to_string(src)}->{to_string(dst)}",
+                    "weight": str(wt),
+                    "mirror": f"{to_string(w0_times(dst))}->{to_string(w0_times(src))}",
+                    "mirror_weight": "missing" if got is None else str(got),
+                }
     return True, None
 
 
@@ -236,7 +244,7 @@ def verify_w0_symmetry(n: int) -> dict:
     checked = 0
     for order, weights in (("weak", "nabla"), ("strong", "code"), ("strong", "chevalley")):
         diagram = build_hasse(n, order, weights)
-        checked += len(diagram.edges)
+        checked += sum(map(len, diagram._steps))
         ok, witness = w0_symmetry_check(diagram)
         if not ok:
             failures.append({"witness": f"{order}/{weights}", **witness})

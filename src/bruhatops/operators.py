@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .chains import _dm_step, _um_step
 from .hasse import _sweep, build_hasse
@@ -29,11 +30,7 @@ from .permutations import (
 )
 from .schubert import (
     _peel,
-    apply_delta,
-    apply_nabla,
-    expand_in_padded_schubert_basis,
     monomials_of_rank,
-    padded_schubert,
     principal_specialization,
     schubert,
     staircase,
@@ -135,6 +132,35 @@ def _action_failure(w: Permutation, expected: dict, actual: dict) -> dict:
     }
 
 
+def _action_report(operator: str, n: int, perms: list[Permutation]) -> dict:
+    """The action suite's report on ``perms``, as one equality of single
+    steps per rank: the row of w in the padded delta step k against its row
+    in step k of strong/code, or its column in the padded nabla step k - 1
+    against its column in that of weak/nabla.  Failures follow ``perms``."""
+    up = operator == "delta"
+    g = build_hasse(n, "strong", "code") if up else build_hasse(n, "weak", "nabla")
+    checked, unit_reading_ok, failures = 0, True, []
+    for k, group in groupby(perms, key=lambda w: g._pos[w][0]):
+        s = k if up else k - 1
+        want, got = {}, {}  # index of w in rank k -> {cover of w: weight}
+        if 0 <= s < g.top_rank:
+            other = g.ranks[s + 1] if up else g.ranks[s]
+            for reading, step in ((want, g._steps[s]), (got, _padded_step(operator, n, s))):
+                for i, j, wt in step if up else _flipped(step):
+                    reading.setdefault(i, {})[other[j]] = wt
+        for w in group:
+            expected, actual = want.get(g._pos[w][1], {}), got.get(g._pos[w][1], {})
+            checked += len(expected)
+            unit_reading_ok = unit_reading_ok and all(c == 1 for c in actual.values())
+            if actual != expected:
+                failures.append(_action_failure(w, expected, actual))
+    report: dict = {"suite": f"{operator}-action", "n": n}
+    if not up:
+        report["weight_convention"] = "cover by s_i carries coefficient i"
+        report["unit_weight_reading_consistent"] = unit_reading_ok
+    return {**report, "checked": checked, "failures": failures}
+
+
 # The four *_chunk functions return the finished report of their suite on
 # the given permutations.  Reports of a split of S_n merge into the report
 # on all of S_n by summing "checked" and "permutations", concatenating
@@ -142,29 +168,7 @@ def _action_failure(w: Permutation, expected: dict, actual: dict) -> dict:
 
 def nabla_action_chunk(n: int, perms: list[Permutation]) -> dict:
     """The :func:`verify_nabla_theorem` report restricted to ``perms``."""
-    weak = build_hasse(n, "weak", "nabla")
-    into: dict[Permutation, dict[Permutation, int]] = {}
-    for src, dst, wt in weak.edges:
-        into.setdefault(dst, {})[src] = wt
-    failures = []
-    checked = 0
-    unit_reading_ok = True
-    for w in perms:
-        expected = into.get(w, {})
-        actual = expand_in_padded_schubert_basis(apply_nabla(padded_schubert(w)))
-        checked += len(expected)
-        if any(c != 1 for c in actual.values()):
-            unit_reading_ok = False
-        if actual != expected:
-            failures.append(_action_failure(w, expected, actual))
-    return {
-        "suite": "nabla-action",
-        "n": n,
-        "weight_convention": "cover by s_i carries coefficient i",
-        "unit_weight_reading_consistent": unit_reading_ok,
-        "checked": checked,
-        "failures": failures,
-    }
+    return _action_report("nabla", n, perms)
 
 
 def verify_nabla_theorem(n: int) -> dict:
@@ -179,19 +183,7 @@ def verify_nabla_theorem(n: int) -> dict:
 
 def delta_action_chunk(n: int, perms: list[Permutation]) -> dict:
     """The :func:`verify_delta_theorem` report restricted to ``perms``."""
-    strong = build_hasse(n, "strong", "code")
-    outof: dict[Permutation, dict[Permutation, int]] = {}
-    for src, dst, wt in strong.edges:
-        outof.setdefault(src, {})[dst] = wt
-    failures = []
-    checked = 0
-    for w in perms:
-        expected = outof.get(w, {})
-        actual = expand_in_padded_schubert_basis(apply_delta(padded_schubert(w)))
-        checked += len(expected)
-        if actual != expected:
-            failures.append(_action_failure(w, expected, actual))
-    return {"suite": "delta-action", "n": n, "checked": checked, "failures": failures}
+    return _action_report("delta", n, perms)
 
 
 def verify_delta_theorem(n: int) -> dict:

@@ -35,7 +35,6 @@ from .permutations import (
     Permutation,
     inverse,
     left_multiply_simple,
-    length,
     longest_element,
     num_inversions_max,
     permutations_by_rank,
@@ -343,9 +342,8 @@ def unpad(p: PaddedPolynomial) -> IntPolynomial:
     return IntPolynomial(p.n, p.terms)
 
 
-@lru_cache(maxsize=None)
 def padded_schubert(w: Permutation) -> PaddedPolynomial:
-    """pad(schubert(w)); cached since the operator suites hit it repeatedly."""
+    """pad(schubert(w))."""
     return pad(schubert(w))
 
 

@@ -16,9 +16,11 @@ from bruhatops.hasse import (
     weighted_path_count,
 )
 from bruhatops.permutations import (
+    lehmer_code,
     longest_element,
     num_inversions_max,
     permutations_by_rank,
+    strong_covers_up,
 )
 from bruhatops.snf import matmul
 
@@ -94,6 +96,32 @@ class TestWeightFunctions:
         assert code_weight((1, 3, 2), 1, 3) == 1
         with pytest.raises(ValueError):
             code_weight((1, 2, 3), 1, 3)  # jump by two in length
+
+    def test_code_weight_is_manhattan_distance_of_codes(self):
+        # oracle: the definition, on the Lehmer codes of both endpoints
+        for n in range(1, 7):
+            for stratum in permutations_by_rank(n):
+                for w in stratum:
+                    for upper, i, j in strong_covers_up(w):
+                        want = sum(abs(a - b) for a, b in zip(lehmer_code(w), lehmer_code(upper)))
+                        assert code_weight(w, i, j) == want, (w, i, j)
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (1, 5), (2, 2), (3, 2)])
+    def test_code_weight_rejects_indices_out_of_range(self, i, j):
+        with pytest.raises(ValueError, match=r"transposition indices out of range"):
+            code_weight((1, 2, 3, 4), i, j)
+
+    @pytest.mark.parametrize(
+        "w,i,j,upper",
+        [
+            ((2, 1, 3), 1, 2, "123"),  # w_i > w_j: goes down
+            ((1, 2, 3), 1, 3, "321"),  # 2 lies between 1 and 3 at position 2
+            ((1, 4, 2, 3), 1, 4, "3421"),  # 2 lies between 1 and 3 at position 3
+        ],
+    )
+    def test_code_weight_rejects_non_covers(self, w, i, j, upper):
+        with pytest.raises(ValueError, match=f"-> {upper} is not a strong cover"):
+            code_weight(w, i, j)
 
     def test_code_weights_always_odd(self):
         for n in range(2, 6):
@@ -248,13 +276,28 @@ class TestW0Symmetry:
 
     def test_detects_broken_weight(self):
         g = build_hasse(3, "weak", "nabla")
-        edges = list(g.edges)
-        src, dst, wt = edges[0]
-        edges[0] = (src, dst, wt + 1)
-        broken = WeightedHasseDiagram(3, "weak", "nabla", g.ranks, tuple(edges))
+        steps = [list(step) for step in g._steps]
+        r, c, wt = steps[0][0]
+        steps[0][0] = (r, c, wt + 1)
+        broken = WeightedHasseDiagram(3, "weak", "nabla", g.ranks, tuple(map(tuple, steps)))
         ok, witness = w0_symmetry_check(broken)
         assert not ok
         assert witness is not None and "mirror" in witness
+
+    def test_detects_dropped_triple(self):
+        # drop 312 -> 321 (index 1 -> 0 of the last step), the mirror of
+        # 123 -> 132, which is the first edge scanned
+        g = build_hasse(3, "weak", "nabla")
+        assert g._steps[2] == ((0, 0, 1), (1, 0, 2))
+        steps = (*g._steps[:2], ((0, 0, 1),))
+        ok, witness = w0_symmetry_check(WeightedHasseDiagram(3, "weak", "nabla", g.ranks, steps))
+        assert not ok
+        assert witness == {
+            "edge": "123->132",
+            "weight": "2",
+            "mirror": "312->321",
+            "mirror_weight": "missing",
+        }
 
 
 class TestExports:

@@ -5,11 +5,14 @@ import math
 import pytest
 
 import bruhatops.operators as operators
-from bruhatops.hasse import build_hasse, layer_matrix, weighted_path_count
+from bruhatops.cli import _chunks, _merge
+from bruhatops.hasse import WeightedHasseDiagram, build_hasse, layer_matrix, weighted_path_count
 from bruhatops.operators import (
     OperatorSpec,
     commutator_check,
+    delta_action_chunk,
     differential_layer_matrix,
+    nabla_action_chunk,
     transpose_duality_check,
     verify_delta_theorem,
     verify_macdonald,
@@ -20,6 +23,8 @@ from bruhatops.permutations import (
     identity,
     longest_element,
     num_inversions_max,
+    permutations_by_rank,
+    to_string,
     w0_times,
 )
 from bruhatops.schubert import (
@@ -28,7 +33,9 @@ from bruhatops.schubert import (
     apply_nabla,
     basis_matrix,
     basis_matrix_inverse,
+    expand_in_padded_schubert_basis,
     monomials_of_rank,
+    padded_schubert,
     principal_specialization,
     schubert,
 )
@@ -66,6 +73,47 @@ def conjugated_layer(operator, n, low, high):
         matmul(transpose(dense(basis_matrix_inverse(n, low))), mono),
         transpose(dense(basis_matrix(n, high))),
     )
+
+
+def per_permutation_report(operator, n, perms):
+    """Oracle for the action suites: apply the operator to each padded
+    Schubert polynomial, expand the image in the padded Schubert basis and
+    compare it with the covers of w read off ``edges`` of the diagram that
+    ``operators.build_hasse`` returns."""
+    up = operator == "delta"
+    g = operators.build_hasse(n, *(("strong", "code") if up else ("weak", "nabla")))
+    apply = apply_delta if up else apply_nabla
+    covers = {}
+    for src, dst, wt in g.edges:
+        at, to = (src, dst) if up else (dst, src)
+        covers.setdefault(at, {})[to] = wt
+    checked, unit_reading_ok, failures = 0, True, []
+    for w in perms:
+        expected = covers.get(w, {})
+        actual = expand_in_padded_schubert_basis(apply(padded_schubert(w)))
+        checked += len(expected)
+        unit_reading_ok = unit_reading_ok and all(c == 1 for c in actual.values())
+        if actual != expected:
+            failures.append(
+                {
+                    "witness": to_string(w),
+                    "expected": {to_string(u): str(c) for u, c in sorted(expected.items())},
+                    "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
+                }
+            )
+    if up:
+        return {"suite": "delta-action", "n": n, "checked": checked, "failures": failures}
+    return {
+        "suite": "nabla-action",
+        "n": n,
+        "weight_convention": "cover by s_i carries coefficient i",
+        "unit_weight_reading_consistent": unit_reading_ok,
+        "checked": checked,
+        "failures": failures,
+    }
+
+
+ACTION_CHUNKS = {"nabla": nabla_action_chunk, "delta": delta_action_chunk}
 
 
 class TestOperatorSpec:
@@ -162,6 +210,36 @@ class TestActionTheorems:
         report = verify_delta_theorem(n)
         assert report["failures"] == []
         assert report["checked"] == len(build_hasse(n, "strong", "code").edges)
+
+
+class TestActionStepsAgainstPerPermutationRoute:
+    """The action suites compare padded steps with diagram steps; the
+    per-permutation expansion is the independent route."""
+
+    @pytest.mark.parametrize("operator", ["nabla", "delta"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reports_match_on_all_of_sn_and_on_splits(self, operator, n):
+        perms = [w for stratum in permutations_by_rank(n) for w in stratum]
+        want = per_permutation_report(operator, n, perms)
+        chunk = ACTION_CHUNKS[operator]
+        assert chunk(n, perms) == want
+        for pieces in (2, 3):
+            assert _merge([chunk(n, part) for part in _chunks(perms, pieces)]) == want
+
+    @pytest.mark.parametrize(
+        "operator,order,weights", [("nabla", "weak", "nabla"), ("delta", "strong", "code")]
+    )
+    def test_bumped_weight_gives_the_same_failures(self, monkeypatch, operator, order, weights):
+        g = build_hasse(4, order, weights)
+        steps = [list(step) for step in g._steps]
+        r, c, wt = steps[2][1]
+        steps[2][1] = (r, c, wt + 1)
+        broken = WeightedHasseDiagram(4, order, weights, g.ranks, tuple(map(tuple, steps)))
+        monkeypatch.setattr(operators, "build_hasse", lambda n, o, w: broken)
+        perms = [w for stratum in permutations_by_rank(4) for w in stratum]
+        got = ACTION_CHUNKS[operator](4, perms)
+        assert len(got["failures"]) == 1
+        assert got == per_permutation_report(operator, 4, perms)
 
 
 class TestCommutator:
