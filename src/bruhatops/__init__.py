@@ -34,7 +34,11 @@ from .hasse import (
     diagram_to_dot,
     diagram_to_json,
     layer_matrix,
+    mahonian_numbers,
     nabla_weight,
+    predicted_snf,
+    rank_size,
+    verify_snf_theorem,
     verify_w0_symmetry,
     w0_symmetry_check,
     weighted_path_count,
@@ -87,15 +91,6 @@ from .schubert import (
     staircase,
     unpad,
 )
-from .snf import (
-    determinant,
-    mahonian_numbers,
-    matmul,
-    predicted_snf,
-    rank_size,
-    snf_via_minor_gcd,
-    transpose,
-    verify_snf_theorem,
-)
+from .snf import determinant, matmul, snf_via_minor_gcd, transpose
 
 __version__ = "0.1.0"

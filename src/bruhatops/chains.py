@@ -263,6 +263,33 @@ def predicted_um_snf(M: Iterable[int], low: int, high: int) -> tuple[int, ...]:
     return diagonal_model_snf(profile_rank_sizes(prof), low, high)
 
 
+def _smith_window_report(head: dict, low: int, high: int, expected, windows) -> dict:
+    """The report of one Smith window: ``head`` (suite and scope), the window
+    and its predicted invariants, and a failure for every (label, matrix)
+    pair whose Smith form differs.  ``windows`` may be a generator, so that
+    each matrix is built just before its :func:`snf` call."""
+    checked, failures = 0, []
+    for label, mat in windows:
+        got = snf(mat)
+        checked += 1
+        if got != expected:
+            failures.append(
+                {
+                    "witness": label,
+                    "expected": [str(x) for x in expected],
+                    "actual": [str(x) for x in got],
+                }
+            )
+    return {
+        **head,
+        "from": low,
+        "to": high,
+        "predicted": [str(x) for x in expected],
+        "checked": checked,
+        "failures": failures,
+    }
+
+
 def um_snf_check(M: Iterable[int], low: int, high: int) -> dict:
     """Smith form of the raising composite against the diagonal prediction.
 
@@ -272,25 +299,9 @@ def um_snf_check(M: Iterable[int], low: int, high: int) -> dict:
     """
     prof = _as_profile(M)
     expected = predicted_um_snf(prof, low, high)
-    failures = []
-    got = snf(um_layer_matrix(prof, low, high))
-    if got != expected:
-        failures.append(
-            {
-                "witness": f"raising[{low},{high}]",
-                "expected": [str(x) for x in expected],
-                "actual": [str(x) for x in got],
-            }
-        )
-    return {
-        "suite": "chains-snf",
-        "M": list(prof),
-        "from": low,
-        "to": high,
-        "predicted": [str(x) for x in expected],
-        "checked": 1,
-        "failures": failures,
-    }
+    head = {"suite": "chains-snf", "M": list(prof)}
+    window = [(f"raising[{low},{high}]", um_layer_matrix(prof, low, high))]
+    return _smith_window_report(head, low, high, expected, window)
 
 
 def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:

@@ -24,7 +24,13 @@ import sys
 from typing import Callable, Sequence
 
 from .chains import base_change_report, um_determinant_report, um_snf_check
-from .hasse import build_hasse, diagram_to_dot, diagram_to_json, verify_w0_symmetry
+from .hasse import (
+    build_hasse,
+    diagram_to_dot,
+    diagram_to_json,
+    verify_snf_theorem,
+    verify_w0_symmetry,
+)
 from .operators import (
     delta_action_chunk,
     macdonald_chunk,
@@ -44,7 +50,6 @@ from .schubert import (
     schubert,
     schubert_standard,
 )
-from .snf import verify_snf_theorem
 
 __all__ = ["main", "entrypoint"]
 
@@ -93,18 +98,6 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
         return pool.map(fn, items)
 
 
-def _chunks(seq: Sequence, pieces: int) -> list[list]:
-    pieces = max(1, min(pieces, len(seq)))
-    out = []
-    base, extra = divmod(len(seq), pieces)
-    start = 0
-    for i in range(pieces):
-        step = base + (1 if i < extra else 0)
-        out.append(list(seq[start : start + step]))
-        start += step
-    return out
-
-
 def _call(job: tuple):
     """Run one ``(function, *args)`` job; module level so that worker
     processes can unpickle it."""
@@ -126,31 +119,28 @@ def _merge(reports: list[dict]) -> dict:
     return out
 
 
-def _emit(payload, fmt: str) -> None:
+def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
         _print_table(payload)
 
 
-def _print_table(payload) -> None:
-    """Minimal human-readable rendering of a report payload."""
-    if isinstance(payload, dict) and "reports" in payload:
-        for report in payload["reports"]:
-            name = report.get("suite", "?")
-            scope = []
-            for key in ("n", "M", "from", "to"):
-                if key in report and report[key] is not None:
-                    scope.append(f"{key}={report[key]}")
-            status = "ok" if not report.get("failures") else "FAIL"
-            line = f"{name} [{', '.join(scope)}] checked={report.get('checked')} {status}"
-            print(line)
-            for failure in report.get("failures", []):
-                print(f"  counterexample {failure}")
-        verdict = "verified" if payload.get("ok") else "counterexample found"
-        print(verdict)
-    else:
-        print(json.dumps(payload, indent=2))
+def _print_table(payload: dict) -> None:
+    """Minimal human-readable rendering of a verify payload."""
+    for report in payload["reports"]:
+        name = report.get("suite", "?")
+        scope = []
+        for key in ("n", "M", "from", "to"):
+            if key in report and report[key] is not None:
+                scope.append(f"{key}={report[key]}")
+        status = "ok" if not report.get("failures") else "FAIL"
+        line = f"{name} [{', '.join(scope)}] checked={report.get('checked')} {status}"
+        print(line)
+        for failure in report.get("failures", []):
+            print(f"  counterexample {failure}")
+    verdict = "verified" if payload.get("ok") else "counterexample found"
+    print(verdict)
 
 
 def _windows(top: int, low, high) -> list[tuple[int, int]]:
@@ -164,19 +154,19 @@ def _windows(top: int, low, high) -> list[tuple[int, int]]:
 
 
 def _suite_jobs(args) -> list[tuple]:
-    """The suite's jobs as ``(function, *args)`` tuples.  The functions are
-    read from this module's bindings at call time, so that rebinding one of
-    them (a tracer, a test spy) reaches every job."""
+    """The suite's jobs as ``(function, *args)`` tuples, one per unit of
+    independent work: a rank for the action suites, whose ranks read
+    disjoint padded steps, and all of S_n for the path suites, whose every
+    permutation reads the same sweeps.  The functions are read from this
+    module's bindings at call time, so that rebinding one of them (a
+    tracer, a test spy) reaches every job."""
     suite, n, M, low, high = args.suite, args.n, args.M, args.from_rank, args.to_rank
-    if suite in ("nabla-action", "delta-action", "path-identities", "macdonald"):
-        chunk = {
-            "nabla-action": nabla_action_chunk,
-            "delta-action": delta_action_chunk,
-            "path-identities": path_identities_chunk,
-            "macdonald": macdonald_chunk,
-        }[suite]
-        perms = [w for stratum in permutations_by_rank(n) for w in stratum]
-        return [(chunk, n, part) for part in _chunks(perms, args.jobs)]
+    if suite in ("nabla-action", "delta-action"):
+        chunk = nabla_action_chunk if suite == "nabla-action" else delta_action_chunk
+        return [(chunk, n, list(stratum)) for stratum in permutations_by_rank(n)]
+    if suite in ("path-identities", "macdonald"):
+        chunk = path_identities_chunk if suite == "path-identities" else macdonald_chunk
+        return [(chunk, n, [w for stratum in permutations_by_rank(n) for w in stratum])]
     if suite == "sl2":
         return [(verify_sl2, n)]
     if suite == "w0-symmetry":

@@ -14,14 +14,21 @@ product of edge weights over all saturated chains from u to v; with every
 system above, the count from the identity to the longest element is N! for
 N = n(n-1)/2.  Every count is a sweep of sparse rows through the per-rank
 steps of the diagram with :func:`snf.push_rows`.
+
+The Smith-form theorem for the layer matrices lives here too.  Its
+prediction is the diagonal model of the rank sizes of S_n, the Mahonian
+numbers, which through Lehmer codes are the rank sizes of the chain product
+at the staircase (n-1, ..., 1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .chains import _smith_window_report, profile_rank_sizes
 from .permutations import (
     Permutation,
+    num_inversions_max,
     permutations_by_rank,
     right_multiply_transposition,
     strong_covers_up,
@@ -30,7 +37,8 @@ from .permutations import (
     w0_times,
     weak_covers_up,
 )
-from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
+from .schubert import staircase
+from .snf import IntMatrix, SparseStep, _flipped, compose_steps, diagonal_model_snf, push_rows
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -42,6 +50,10 @@ __all__ = [
     "layer_matrix",
     "w0_symmetry_check",
     "verify_w0_symmetry",
+    "mahonian_numbers",
+    "rank_size",
+    "predicted_snf",
+    "verify_snf_theorem",
     "diagram_to_json",
     "diagram_to_dot",
     "ORDERS",
@@ -249,6 +261,60 @@ def verify_w0_symmetry(n: int) -> dict:
         if not ok:
             failures.append({"witness": f"{order}/{weights}", **witness})
     return {"suite": "w0-symmetry", "n": n, "checked": checked, "failures": failures}
+
+
+def mahonian_numbers(n: int) -> tuple[int, ...]:
+    """Sizes of the length strata of S_n: coefficients of [n]_q!, the rank
+    sizes of the chain product at the staircase.
+
+    >>> mahonian_numbers(4)
+    (1, 3, 5, 6, 5, 3, 1)
+    """
+    return profile_rank_sizes(staircase(n))
+
+
+def rank_size(n: int, k: int) -> int:
+    """Number of permutations in S_n with exactly k inversions."""
+    sizes = mahonian_numbers(n)
+    if not 0 <= k < len(sizes):
+        raise ValueError(f"rank out of range for S_{n}: {k}")
+    return sizes[k]
+
+
+def _check_layer_pair(n: int, low: int, high: int) -> int:
+    top = num_inversions_max(n)
+    if not (0 <= low < high <= top):
+        raise ValueError(f"need 0 <= l < l' <= {top}, got ({low}, {high})")
+    if low + high > top:
+        raise ValueError(f"need l + l' <= {top}, got {low} + {high}")
+    return top
+
+
+def predicted_snf(n: int, low: int, high: int) -> tuple[int, ...]:
+    """Predicted Smith invariants for the four rank-(low, high) layer maps:
+    the diagonal model of the Mahonian rank sizes of S_n."""
+    _check_layer_pair(n, low, high)
+    return diagonal_model_snf(mahonian_numbers(n), low, high)
+
+
+def verify_snf_theorem(n: int, low: int, high: int) -> dict:
+    """Check that all four layer matrices share the predicted Smith form.
+
+    The four: the raising composite over ranks [low, high] and over the
+    complementary ranks [N-high, N-low], and the lowering composite over the
+    same two windows, all in the padded Schubert basis (equivalently, layer
+    matrices of the strong/code-weighted and weak/index-weighted diagrams).
+    """
+    top = _check_layer_pair(n, low, high)
+    expected = predicted_snf(n, low, high)
+    strong = build_hasse(n, "strong", "code")
+    weak = build_hasse(n, "weak", "nabla")
+    windows = (
+        (f"{label}[{a},{b}]", layer_matrix(diagram, a, b))
+        for label, diagram in (("delta", strong), ("nabla", weak))
+        for a, b in ((low, high), (top - high, top - low))
+    )
+    return _smith_window_report({"suite": "snf", "n": n}, low, high, expected, windows)
 
 
 def diagram_to_json(g: WeightedHasseDiagram) -> dict:

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .chains import _dm_step, _um_step
-from .hasse import _sweep, build_hasse
+from .chains import _dm_step, _um_step, dm_layer_matrix, um_layer_matrix
+from .hasse import _sweep, build_hasse, rank_size
 from .permutations import (
     Permutation,
     length,
@@ -35,7 +35,7 @@ from .schubert import (
     schubert,
     staircase,
 )
-from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows, rank_size
+from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
 
 __all__ = [
     "OperatorSpec",
@@ -80,20 +80,19 @@ def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMat
     """Matrix of the (high - low)-fold operator composite between two ranks.
 
     Rows = rank ``low`` basis elements, columns = rank ``high``; equal ranks
-    give the identity.  The composite is the product of the single steps:
-    in the monomial basis those of the chain product at M = staircase(n)
-    (raising is the box's lowering step, lowering its raising step), in the
-    padded Schubert basis those of :func:`_padded_step`.
+    give the identity.  In the monomial basis this is the layer of the
+    chain product at M = staircase(n) (raising is the box's lowering layer,
+    lowering its raising layer); in the padded Schubert basis it is the
+    product of the single steps of :func:`_padded_step`.
     """
     n = spec.n
     top = num_inversions_max(n)
     if not 0 <= low <= high <= top:
         raise ValueError(f"need 0 <= l <= l' <= {top}, got ({low}, {high})")
     if spec.basis == "monomial":
-        step = _dm_step if spec.operator == "delta" else _um_step
-        steps = [step(staircase(n), k) for k in range(low, high)]
-    else:
-        steps = [_padded_step(spec.operator, n, k) for k in range(low, high)]
+        layer = dm_layer_matrix if spec.operator == "delta" else um_layer_matrix
+        return layer(staircase(n), low, high)
+    steps = [_padded_step(spec.operator, n, k) for k in range(low, high)]
     return compose_steps(steps, rank_size(n, low), rank_size(n, high))
 
 

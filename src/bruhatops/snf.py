@@ -1,7 +1,8 @@
 """
-Exact integer linear algebra: dense matrices over Python ints, determinants,
-Smith normal form, and the Smith-form prediction for layer matrices of the
-weighted Bruhat orders.
+Exact integer linear algebra: dense matrices over Python ints, the sparse
+step composer, determinants, Smith normal form, and the diagonal model whose
+Smith chain the layer-matrix theorems predict.  No other module of the
+package is imported here.
 
 Everything here is exact; no floating point anywhere.  A matrix is a plain
 list of rows of ints.  A rank step is a sparse list of (row, col, weight)
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -34,13 +34,7 @@ __all__ = [
     "snf",
     "snf_via_minor_gcd",
     "divisibility_normalize",
-    "mahonian_numbers",
-    "rank_size",
     "diagonal_model_snf",
-    "predicted_snf",
-    "verify_snf_theorem",
-    "matrix_to_json",
-    "snf_to_json",
     "MINOR_GCD_SIZE_BOUND",
 ]
 
@@ -260,42 +254,6 @@ def snf_via_minor_gcd(mat: IntMatrix, bound: int = MINOR_GCD_SIZE_BOUND) -> tupl
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def mahonian_numbers(n: int) -> tuple[int, ...]:
-    """Sizes of the length strata of S_n: coefficients of [n]_q!.
-
-    >>> mahonian_numbers(4)
-    (1, 3, 5, 6, 5, 3, 1)
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
-    coeffs = [1]
-    for m in range(2, n + 1):
-        nxt = [0] * (len(coeffs) + m - 1)
-        for shift in range(m):
-            for k, c in enumerate(coeffs):
-                nxt[k + shift] += c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def rank_size(n: int, k: int) -> int:
-    """Number of permutations in S_n with exactly k inversions."""
-    sizes = mahonian_numbers(n)
-    if not 0 <= k < len(sizes):
-        raise ValueError(f"rank out of range for S_{n}: {k}")
-    return sizes[k]
-
-
-def _check_layer_pair(n: int, low: int, high: int) -> int:
-    top = n * (n - 1) // 2
-    if not (0 <= low < high <= top):
-        raise ValueError(f"need 0 <= l < l' <= {top}, got ({low}, {high})")
-    if low + high > top:
-        raise ValueError(f"need l + l' <= {top}, got {low} + {high}")
-    return top
-
-
 def diagonal_model_snf(sizes: Sequence[int], low: int, high: int) -> tuple[int, ...]:
     """Smith chain of the diagonal model of a graded poset's rank sizes:
     sizes[i] - sizes[i-1] entries equal to C(high-i, low-i) for i = 0..low,
@@ -306,64 +264,3 @@ def diagonal_model_snf(sizes: Sequence[int], low: int, high: int) -> tuple[int, 
         entries.extend([math.comb(high - i, low - i)] * count)
     scale = math.factorial(high - low)
     return tuple(scale * b for b in divisibility_normalize(entries))
-
-
-def predicted_snf(n: int, low: int, high: int) -> tuple[int, ...]:
-    """Predicted Smith invariants for the four rank-(low, high) layer maps:
-    the diagonal model of the Mahonian rank sizes of S_n."""
-    _check_layer_pair(n, low, high)
-    return diagonal_model_snf(mahonian_numbers(n), low, high)
-
-
-def verify_snf_theorem(n: int, low: int, high: int) -> dict:
-    """Check that all four layer matrices share the predicted Smith form.
-
-    The four: the raising composite over ranks [low, high] and over the
-    complementary ranks [N-high, N-low], and the lowering composite over the
-    same two windows, all in the padded Schubert basis (equivalently, layer
-    matrices of the strong/code-weighted and weak/index-weighted diagrams).
-    """
-    from .hasse import build_hasse, layer_matrix  # local import avoids a module cycle
-
-    top = _check_layer_pair(n, low, high)
-    expected = predicted_snf(n, low, high)
-    strong = build_hasse(n, "strong", "code")
-    weak = build_hasse(n, "weak", "nabla")
-    windows = [
-        ("delta", strong, low, high),
-        ("delta", strong, top - high, top - low),
-        ("nabla", weak, low, high),
-        ("nabla", weak, top - high, top - low),
-    ]
-    failures = []
-    for label, diagram, a, b in windows:
-        got = snf(layer_matrix(diagram, a, b))
-        if got != expected:
-            failures.append(
-                {
-                    "witness": f"{label}[{a},{b}]",
-                    "expected": [str(x) for x in expected],
-                    "actual": [str(x) for x in got],
-                }
-            )
-    return {
-        "suite": "snf",
-        "n": n,
-        "from": low,
-        "to": high,
-        "predicted": [str(x) for x in expected],
-        "checked": len(windows),
-        "failures": failures,
-    }
-
-
-def matrix_to_json(mat: IntMatrix) -> list[list[str]]:
-    """Decimal-string encoding, lossless for arbitrarily large entries."""
-    return [[str(x) for x in row] for row in mat]
-
-
-def snf_to_json(invariants: tuple[int, ...]) -> dict:
-    return {
-        "invariants": [str(b) for b in invariants],
-        "rank": sum(1 for b in invariants if b),
-    }

@@ -8,7 +8,7 @@ import time
 from itertools import permutations as iter_permutations
 
 from bruhatops.chains import base_change_unimodular_check, um_determinant_check, um_snf_check
-from bruhatops.hasse import build_hasse, w0_symmetry_check, weighted_path_count
+from bruhatops.hasse import build_hasse, verify_snf_theorem, w0_symmetry_check, weighted_path_count
 from bruhatops.operators import (
     OperatorSpec,
     commutator_check,
@@ -19,7 +19,7 @@ from bruhatops.operators import (
     verify_path_identities,
 )
 from bruhatops.permutations import identity, longest_element, num_inversions_max
-from bruhatops.snf import snf, snf_via_minor_gcd, verify_snf_theorem
+from bruhatops.snf import snf, snf_via_minor_gcd
 
 SNF_SAMPLE_PAIRS_N5 = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10), (2, 8))
 

@@ -24,9 +24,10 @@ from bruhatops.chains import (
     um_layer_matrix,
     um_snf_check,
 )
-from bruhatops.permutations import num_inversions_max
+from bruhatops.hasse import predicted_snf
+from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
-from bruhatops.snf import determinant, matmul, predicted_snf, snf, transpose
+from bruhatops.snf import determinant, diagonal_model_snf, matmul, snf, transpose
 
 
 def brute_rank_sizes(M):
@@ -260,13 +261,17 @@ class TestSmithPredictions:
         assert predicted_um_snf((1, 1), 0, 1) == (1,)
 
     def test_predicted_staircase_matches_flag_prediction(self):
+        # the S_n side counts the enumerated length strata, independently of
+        # the chain rank sizes that both library predictions read
         for n in (2, 3, 4):
             M = staircase(n)
             total = num_inversions_max(n)
+            sizes = [len(stratum) for stratum in permutations_by_rank(n)]
             for low in range(total + 1):
                 for high in range(low + 1, total + 1):
                     if low + high <= total:
-                        assert predicted_um_snf(M, low, high) == predicted_snf(n, low, high)
+                        want = diagonal_model_snf(sizes, low, high)
+                        assert predicted_um_snf(M, low, high) == predicted_snf(n, low, high) == want
 
     def test_single_chain_prediction(self):
         # 1x1 matrix: the rising factorial h!/l!

@@ -213,6 +213,14 @@ PERM_SUITE_CHUNKS = {
     "path-identities": "path_identities_chunk",
     "macdonald": "macdonald_chunk",
 }
+# the permutation count of each job at n = 3: the action suites run one job
+# per rank, the path suites one job on all of S_3
+JOB_SIZES_N3 = {
+    "nabla-action": [1, 2, 2, 1],
+    "delta-action": [1, 2, 2, 1],
+    "path-identities": [6],
+    "macdonald": [6],
+}
 
 
 class TestDispatch:
@@ -240,7 +248,7 @@ class TestDispatch:
         monkeypatch.setattr(cli, name, spy)
         code, _, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
         assert code == 0
-        assert calls == [6]
+        assert calls == JOB_SIZES_N3[suite]
 
     def test_merge_adds_concatenates_and_ands(self):
         first = {"suite": "s", "flag": True, "permutations": 2, "checked": 1, "failures": ["a"]}

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import bruhatops.operators as operators
-from bruhatops.cli import _chunks, _merge
+from bruhatops.cli import _merge
 from bruhatops.hasse import WeightedHasseDiagram, build_hasse, layer_matrix, weighted_path_count
 from bruhatops.operators import (
     OperatorSpec,
@@ -223,8 +223,13 @@ class TestActionStepsAgainstPerPermutationRoute:
         want = per_permutation_report(operator, n, perms)
         chunk = ACTION_CHUNKS[operator]
         assert chunk(n, perms) == want
+        by_rank = [list(stratum) for stratum in permutations_by_rank(n)]
+        assert _merge([chunk(n, part) for part in by_rank]) == want
         for pieces in (2, 3):
-            assert _merge([chunk(n, part) for part in _chunks(perms, pieces)]) == want
+            # contiguous pieces whose sizes differ by at most one
+            cuts = [len(perms) * i // pieces for i in range(pieces + 1)]
+            parts = [perms[a:b] for a, b in zip(cuts, cuts[1:])]
+            assert _merge([chunk(n, part) for part in parts]) == want
 
     @pytest.mark.parametrize(
         "operator,order,weights", [("nabla", "weak", "nabla"), ("delta", "strong", "code")]

@@ -1,5 +1,7 @@
-"""Package layout: submodule names and the benchmark tracer's layer targets."""
+"""Package layout: submodule names, the import layering, and the benchmark
+tracer's layer targets."""
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -28,3 +30,35 @@ def test_tracer_targets_resolve():
     assert all(Path(m.__file__).resolve().parent == src for m in modules.values())
     resolved = tracer.resolve_targets(modules)
     assert len(resolved) == len(tracer.TARGETS)
+
+
+def _package_imports(tree):
+    """(import node, enclosing function or None) for every import of a
+    bruhatops module: relative imports and absolute ``bruhatops`` ones."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                if any(alias.name.split(".")[0] == "bruhatops" for alias in child.names):
+                    out.append((child, func))
+            elif isinstance(child, ast.ImportFrom):
+                if child.level or (child.module or "").split(".")[0] == "bruhatops":
+                    out.append((child, func))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else func)
+
+    visit(tree, None)
+    return out
+
+
+def test_import_layering():
+    # snf is the linear-algebra core beneath every other module, and every
+    # package import sits at module level, where the import graph is visible
+    src = REPO / "src" / "bruhatops"
+    for path in sorted(src.glob("*.py")):
+        imports = _package_imports(ast.parse(path.read_text(), str(path)))
+        if path.name == "snf.py":
+            assert imports == [], f"snf.py imports a package module on line {imports[0][0].lineno}"
+        for node, func in imports:
+            assert func is None, f"{path.name}:{node.lineno}: package import inside {func}()"

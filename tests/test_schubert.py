@@ -34,7 +34,7 @@ from bruhatops.schubert import (
     staircase,
     unpad,
 )
-from bruhatops.snf import mahonian_numbers
+from bruhatops.hasse import mahonian_numbers
 
 
 def reference_divided_difference(i, p):

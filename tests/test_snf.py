@@ -7,6 +7,7 @@ from itertools import permutations as iter_permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruhatops.hasse import mahonian_numbers, predicted_snf, rank_size, verify_snf_theorem
 from bruhatops.permutations import length
 from bruhatops.snf import (
     compose_steps,
@@ -14,17 +15,11 @@ from bruhatops.snf import (
     diagonal_model_snf,
     divisibility_normalize,
     identity_matrix,
-    mahonian_numbers,
     matmul,
-    matrix_to_json,
-    predicted_snf,
     push_rows,
-    rank_size,
     snf,
-    snf_to_json,
     snf_via_minor_gcd,
     transpose,
-    verify_snf_theorem,
 )
 
 
@@ -237,12 +232,3 @@ class TestLayerTheorem:
         report = verify_snf_theorem(3, 1, 2)
         assert report["predicted"] == ["1", "2"]
 
-
-class TestJsonHelpers:
-    def test_matrix_to_json(self):
-        assert matrix_to_json([[1, -2], [3, 4]]) == [["1", "-2"], ["3", "4"]]
-
-    def test_snf_to_json(self):
-        doc = snf_to_json((1, 2, 0))
-        assert doc["invariants"] == ["1", "2", "0"]
-        assert doc["rank"] == 2
