@@ -70,6 +70,11 @@ SUITES = (
 PATH_SUITE_CAP = 6
 DIFFERENTIAL_SUITE_CAP = 5
 SNF_SUITE_CAP = 5
+# All 30 windows at n=5 take well under a second, so speed is not why
+# `snf --n 5` runs this sample by default: the benchmark's recorded stdout
+# digest for that invocation pins the sampled report, and the sample stays
+# only for that.  The exhaustive n=5 default waits for a separate benchmark
+# change that re-records the digest.
 SNF_SAMPLE_PAIRS_N5 = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10), (2, 8))
 
 _SUITE_CAPS = {

@@ -10,7 +10,9 @@ triples, and every layer matrix of the package is composed from consecutive
 steps by :func:`compose_steps`.  Smith invariants are returned as a tuple of
 nonnegative integers b_1 | b_2 | ... of length min(rows, cols) -- the
 diagonal of the Smith form with the surrounding zero padding trimmed away,
-so rank-deficient matrices show trailing zeros.
+so rank-deficient matrices show trailing zeros.  :func:`snf` eliminates
+modulo a nonzero maximal minor found by the Bareiss pass behind
+:func:`determinant`, so its entries never outgrow that minor.
 """
 
 from __future__ import annotations
@@ -104,33 +106,50 @@ def compose_steps(steps: Sequence[SparseStep], rows: int, cols: int) -> IntMatri
     return out
 
 
+def _bareiss(mat: IntMatrix) -> tuple[int, int]:
+    """Rank r of ``mat`` and its last fraction-free pivot, signed by the row
+    swaps: a nonzero r x r minor, the determinant when ``mat`` is square and
+    nonsingular, and 1 when r = 0.
+
+    Bareiss elimination down the columns, with a search for a nonzero pivot
+    in each; a column without one is skipped.  Every update divides exactly
+    by the previous pivot, so each entry is a minor of ``mat`` and entry
+    growth stays polynomial.
+    """
+    a = [list(row) for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        found = next((i for i in range(rank, rows) if a[i][c]), None)
+        if found is None:
+            continue
+        if found != rank:
+            a[rank], a[found] = a[found], a[rank]
+            sign = -sign
+        pivot = a[rank][c]
+        tail = a[rank][c + 1 :]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            x = row[c]
+            if x:
+                row[c + 1 :] = [(v * pivot - x * w) // prev for v, w in zip(row[c + 1 :], tail)]
+            elif pivot != prev:
+                row[c + 1 :] = [v * pivot // prev for v in row[c + 1 :]]
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
+
+
 def determinant(mat: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: division by the previous pivot is exact.
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    rank, minor = _bareiss(mat)
+    return minor if rank == n else 0
 
 
 def divisibility_normalize(diag: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -157,64 +176,81 @@ def divisibility_normalize(diag: list[int] | tuple[int, ...]) -> tuple[int, ...]
 def snf(mat: IntMatrix) -> tuple[int, ...]:
     """Smith invariants b_1 | b_2 | ... of an integer matrix.
 
-    Elimination with minimal-absolute-value pivoting: the smallest nonzero
-    entry of the trailing submatrix is moved to the pivot slot, its row and
-    column are reduced, and any nonzero remainder (strictly smaller than the
-    pivot) becomes the new pivot, so each round terminates.  A final
-    divisibility repair on the diagonal yields the canonical chain.
+    Elimination modulo a determinant (Cohen, *A Course in Computational
+    Algebraic Number Theory*, section 2.4, after Kannan-Bachem and
+    Domich-Kannan-Trotter).  The matrix is transposed to m = min(rows, cols)
+    rows.  One Bareiss pass gives its rank r and D = |a nonsingular r x r
+    minor|; b_1 * ... * b_r divides D, so over Z/D the Smith form is
+    (b_1, ..., b_r, D, ..., D).  Entries are therefore kept as symmetric
+    residues mod D and never outgrow it.  Each pivot is the smallest nonzero
+    entry of the trailing block; its column and row are reduced, and a
+    nonzero remainder (strictly smaller) becomes the new pivot, so each
+    round ends.  A trailing block that vanishes mod D gives invariants D.
+    The pivots' gcds with D, in divisibility order, start with b_1..b_r;
+    the other m - r invariants are 0.  All m rows stay in play, since the
+    rows of a maximal minor need not span the row lattice: [[2, 2], [1, 1]]
+    has invariants (1, 0).
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if any(len(row) != cols for row in mat):
         raise ValueError("ragged matrix")
-    size = min(rows, cols)
-    a = [list(row) for row in mat]
+    if rows > cols:
+        mat = transpose(mat)
+        rows, cols = cols, rows
+    rank, minor = _bareiss(mat)
+    modulus = abs(minor)
+    half = modulus // 2
+    a = [[r - modulus if (r := v % modulus) > half else r for v in row] for row in mat]
     diag: list[int] = []
-    for t in range(size):
-        best: tuple[int, int] | None = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+    for t in range(rows):
+        best = min(
+            ((abs(v), i, j) for i in range(t, rows) for j, v in enumerate(a[i][t:], t) if v),
+            default=None,
+        )
         if best is None:
-            diag.extend([0] * (size - t))
+            diag.extend([0] * (rows - t))
             break
-        bi, bj = best
+        _, bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
         if bj != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[bj] = row[bj], row[t]
         while True:
             swapped = False
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+                row_i, row_t = a[i], a[t]
+                if row_i[t]:
+                    q = row_i[t] // row_t[t]
                     if q:
-                        row_i, row_t = a[i], a[t]
-                        for j in range(t, cols):
-                            row_i[j] -= q * row_t[j]
-                    if a[i][t]:
+                        row_i[t:] = [
+                            r - modulus if (r := (v - q * w) % modulus) > half else r
+                            for v, w in zip(row_i[t:], row_t[t:])
+                        ]
+                    if row_i[t]:
                         # remainder is strictly smaller: promote it to pivot
-                        a[t], a[i] = a[i], a[t]
+                        a[t], a[i] = row_i, row_t
                         swapped = True
             if swapped:
                 continue
+            # column t is clear below the pivot, so a column move changes
+            # only row t
+            row_t = a[t]
+            pivot = row_t[t]
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, rows):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(rows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
+                if row_t[j]:
+                    row_t[j] %= pivot
+                    if row_t[j]:
+                        for row in a[t:]:
+                            row[t], row[j] = row[j], row[t]
                         swapped = True
+                        break
             if not swapped:
                 break
-        diag.append(abs(a[t][t]))
-    return divisibility_normalize(diag)
+        diag.append(a[t][t])
+    chain = divisibility_normalize([math.gcd(d, modulus) for d in diag])
+    return chain[:rank] + (0,) * (rows - rank)
 
 
 def snf_via_minor_gcd(mat: IntMatrix, bound: int = MINOR_GCD_SIZE_BOUND) -> tuple[int, ...]:

@@ -8,7 +8,14 @@ import time
 from itertools import permutations as iter_permutations
 
 from bruhatops.chains import base_change_unimodular_check, um_determinant_check, um_snf_check
-from bruhatops.hasse import build_hasse, verify_snf_theorem, w0_symmetry_check, weighted_path_count
+from bruhatops.hasse import (
+    build_hasse,
+    layer_matrix,
+    predicted_snf,
+    verify_snf_theorem,
+    w0_symmetry_check,
+    weighted_path_count,
+)
 from bruhatops.operators import (
     OperatorSpec,
     commutator_check,
@@ -24,6 +31,29 @@ from bruhatops.snf import snf, snf_via_minor_gcd
 SNF_SAMPLE_PAIRS_N5 = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10), (2, 8))
 
 BOX_PROFILES = ((3, 2, 1), (2, 2, 2), (4, 3, 2, 1), (3, 3, 1), (5, 1))
+
+
+def rank_mod_p(mat, p):
+    """Rank over GF(p) by Gauss-Jordan elimination; independent of snf."""
+    rows = [[x % p for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def primes_up_to(bound):
+    return [q for q in range(2, bound + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
 
 
 def criterion(number, description):
@@ -143,17 +173,29 @@ def test_criterion_07_sl2_commutator():
 @criterion(8, "Smith forms of all four layer windows match the binomial model")
 def test_criterion_08_snf_theorem():
     start = time.monotonic()
-    for n in (2, 3, 4):
+    windows = {}
+    for n in (2, 3, 4, 5):
         top = num_inversions_max(n)
+        windows[n] = []
         for low in range(top + 1):
             for high in range(low + 1, top + 1):
                 if low + high <= top:
+                    windows[n].append((low, high))
                     report = verify_snf_theorem(n, low, high)
                     assert report["failures"] == [], (n, low, high)
+                    # p-local oracle (Stanley, arXiv:1602.00166): the rank
+                    # mod p counts the invariants prime to p
+                    predicted = predicted_snf(n, low, high)
+                    for p in primes_up_to(high):
+                        units = sum(1 for b in predicted if b % p)
+                        for order, weights in (("strong", "code"), ("weak", "nabla")):
+                            g = build_hasse(n, order, weights)
+                            for a, b in ((low, high), (top - high, top - low)):
+                                got = rank_mod_p(layer_matrix(g, a, b), p)
+                                assert got == units, (n, order, a, b, p)
+    assert len(windows[5]) == 30
     assert len(SNF_SAMPLE_PAIRS_N5) >= 5
-    for low, high in SNF_SAMPLE_PAIRS_N5:
-        report = verify_snf_theorem(5, low, high)
-        assert report["failures"] == [], (5, low, high)
+    assert set(SNF_SAMPLE_PAIRS_N5) <= set(windows[5])
     assert time.monotonic() - start < 120.0
 
 
