@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chains import _smith_window_report, profile_rank_sizes
+from .chains import _smith_window_report, predicted_um_snf, profile_rank_sizes
 from .permutations import (
     Permutation,
     num_inversions_max,
@@ -38,7 +38,7 @@ from .permutations import (
     weak_covers_up,
 )
 from .schubert import staircase
-from .snf import IntMatrix, SparseStep, _flipped, compose_steps, diagonal_model_snf, push_rows
+from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -281,20 +281,11 @@ def rank_size(n: int, k: int) -> int:
     return sizes[k]
 
 
-def _check_layer_pair(n: int, low: int, high: int) -> int:
-    top = num_inversions_max(n)
-    if not (0 <= low < high <= top):
-        raise ValueError(f"need 0 <= l < l' <= {top}, got ({low}, {high})")
-    if low + high > top:
-        raise ValueError(f"need l + l' <= {top}, got {low} + {high}")
-    return top
-
-
 def predicted_snf(n: int, low: int, high: int) -> tuple[int, ...]:
     """Predicted Smith invariants for the four rank-(low, high) layer maps:
-    the diagonal model of the Mahonian rank sizes of S_n."""
-    _check_layer_pair(n, low, high)
-    return diagonal_model_snf(mahonian_numbers(n), low, high)
+    the diagonal model of the Mahonian rank sizes of S_n, which are the rank
+    sizes of the chain product at the staircase."""
+    return predicted_um_snf(staircase(n), low, high)
 
 
 def verify_snf_theorem(n: int, low: int, high: int) -> dict:
@@ -305,8 +296,8 @@ def verify_snf_theorem(n: int, low: int, high: int) -> dict:
     same two windows, all in the padded Schubert basis (equivalently, layer
     matrices of the strong/code-weighted and weak/index-weighted diagrams).
     """
-    top = _check_layer_pair(n, low, high)
     expected = predicted_snf(n, low, high)
+    top = num_inversions_max(n)
     strong = build_hasse(n, "strong", "code")
     weak = build_hasse(n, "weak", "nabla")
     windows = (

@@ -18,6 +18,11 @@ lowering operator nabla = sum_i y_i d/dx_i sends alpha to alpha - e_i with
 coefficient alpha_i, and the raising operator delta = sum_i x_i d/dy_i
 sends alpha to alpha + e_i with coefficient rho_i - alpha_i.
 
+Validation.  The public constructors check every exponent vector (length,
+sign and, for padded polynomials, the staircase), and so do the two
+actions, whose images can leave the staircase.  Sums, scalings and divided
+differences are valid by construction and build their results unchecked.
+
 Change of basis.  The lex-least term of ``schubert(w)`` is x^code(w^-1) with
 coefficient 1 (Macdonald, *Notes on Schubert polynomials*, 1991;
 Billey-Jockusch-Stanley 1993), so the padded Schubert basis is unitriangular
@@ -28,7 +33,7 @@ back-substitution from the lex-least term, with no division.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .chains import monomials_of_profile_rank
 from .permutations import (
@@ -103,6 +108,16 @@ class IntPolynomial:
         self.terms = _clean(n, items)
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict[Exponent, int]) -> "IntPolynomial":
+        """Wrap terms that are valid by construction, without :func:`_clean`:
+        n - 1 nonnegative exponents per key, no zero coefficient, and for a
+        padded result every key under the staircase."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "IntPolynomial":
         return cls(n)
 
@@ -126,11 +141,7 @@ class IntPolynomial:
                 merged[alpha] = v
             elif alpha in merged:
                 del merged[alpha]
-        cls = type(self)
-        out = cls.__new__(cls)
-        out.n = self.n
-        out.terms = merged
-        return out
+        return type(self)._trusted(self.n, merged)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self._binop(other, 1)
@@ -139,7 +150,8 @@ class IntPolynomial:
         return self._binop(other, -1)
 
     def scaled(self, c: int) -> "IntPolynomial":
-        return type(self)(self.n, {a: c * v for a, v in self.terms.items()})
+        terms = {a: c * v for a, v in self.terms.items()} if c else {}
+        return type(self)._trusted(self.n, terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -229,56 +241,39 @@ def _poly_string(terms: list[tuple[Exponent, int]], rho: Exponent | None) -> str
 def divided_difference(i: int, p: IntPolynomial) -> IntPolynomial:
     """Newton divided difference N_i(p) = (p - s_i(p)) / (x_i - x_{i+1}).
 
-    For i = n-1, the missing variable x_n participates with exponent 0 via a
-    temporary extra slot.  The quotient is produced by synthetic division;
-    the numerator is antisymmetric in x_i, x_{i+1}, so a nonzero remainder
-    can only mean an arithmetic bug and raises ArithmeticError.
+    Term by term in closed form (Macdonald, *Notes on Schubert polynomials*,
+    1991, ch. II): with a and b the exponents of x_i and x_{i+1}, the
+    monomial x_i^a x_{i+1}^b maps to the sum of x_i^(a-1-k) x_{i+1}^(b+k)
+    over 0 <= k < a - b when a > b, to minus the mirror sum when a < b, and
+    to 0 when a = b.  For i = n-1 the variable x_n is absent (b = 0), so the
+    quotient lies in x_1..x_{n-1} only when no exponent of x_{n-1} exceeds 1;
+    otherwise ValueError.
+
+    >>> str(divided_difference(1, IntPolynomial(3, {(2, 0): 1})))
+    'x1 + x2'
     """
     n = p.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"divided difference index out of range: {i}")
-    width = n - 1 if i < n - 1 else n
     pos = i - 1  # 0-based slot of x_i
-
-    num: dict[Exponent, int] = {}
+    last = i == n - 1
+    out: dict[Exponent, int] = {}
     for alpha, c in p.terms.items():
-        a = alpha + (0,) * (width - len(alpha))
-        num[a] = num.get(a, 0) + c
-        swapped = list(a)
-        swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-        b = tuple(swapped)
-        num[b] = num.get(b, 0) - c
-    num = {a: c for a, c in num.items() if c}
-
-    # Cancelling a term with x_i exponent e adds one with exponent e - 1, so
-    # the terms are bucketed by that exponent and cancelled from the top down.
-    levels: dict[int, dict[Exponent, int]] = {}
-    for a, c in num.items():
-        levels.setdefault(a[pos], {})[a] = c
-    quo: dict[Exponent, int] = {}
-    for e in range(max(levels, default=0), 0, -1):
-        below = levels.setdefault(e - 1, {})
-        for a, c in levels.pop(e, {}).items():
-            q = list(a)
-            q[pos] -= 1
-            quo[tuple(q)] = c
-            # subtracting c * x^q * (x_i - x_{i+1}) reintroduces the x_{i+1} half
-            q[pos + 1] += 1
-            rt = tuple(q)
-            rc = below.get(rt, 0) + c
-            if rc:
-                below[rt] = rc
-            else:
-                below.pop(rt, None)
-    if levels.get(0):
-        raise ArithmeticError("nonzero remainder in divided difference")
-
-    if width > n - 1:
-        for alpha in quo:
-            if alpha[-1]:
-                raise ValueError("quotient does not lie in x_1..x_{n-1}")
-        quo = {alpha[:-1]: c for alpha, c in quo.items()}
-    return IntPolynomial(n, quo)
+        a = alpha[pos]
+        b = 0 if last else alpha[pos + 1]
+        if last and a > 1:
+            raise ValueError("quotient does not lie in x_1..x_{n-1}")
+        head, tail = alpha[:pos], alpha[pos + 2 :]
+        sign = c if a > b else -c
+        # the exponent pairs (e, a + b - 1 - e) for e between b and a
+        for e in range(min(a, b), max(a, b)):
+            key = head + ((e,) if last else (e, a + b - 1 - e)) + tail
+            v = out.get(key, 0) + sign
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return IntPolynomial._trusted(n, out)
 
 
 @lru_cache(maxsize=None)
@@ -347,38 +342,33 @@ def padded_schubert(w: Permutation) -> PaddedPolynomial:
     return pad(schubert(w))
 
 
-def apply_nabla(p: PaddedPolynomial) -> PaddedPolynomial:
-    """Lowering operator sum_i y_i d/dx_i: alpha -> alpha - e_i, factor alpha_i."""
-    n = p.n
+def _shift(p: PaddedPolynomial, step: int, weight: Callable[[int, int], int]) -> PaddedPolynomial:
+    """Sum over terms c x^alpha and slots idx of c * weight(idx, alpha_idx)
+    x^(alpha + step e_idx), skipping zero weights; built through the
+    validating constructor, so a result above the staircase raises."""
     out: dict[Exponent, int] = {}
     for alpha, c in p.terms.items():
         for idx, e in enumerate(alpha):
-            if e:
-                shifted = alpha[:idx] + (e - 1,) + alpha[idx + 1 :]
-                v = out.get(shifted, 0) + c * e
+            f = weight(idx, e)
+            if f:
+                shifted = alpha[:idx] + (e + step,) + alpha[idx + 1 :]
+                v = out.get(shifted, 0) + c * f
                 if v:
                     out[shifted] = v
                 elif shifted in out:
                     del out[shifted]
-    return PaddedPolynomial(n, out)
+    return PaddedPolynomial(p.n, out)
+
+
+def apply_nabla(p: PaddedPolynomial) -> PaddedPolynomial:
+    """Lowering operator sum_i y_i d/dx_i: alpha -> alpha - e_i, factor alpha_i."""
+    return _shift(p, -1, lambda idx, e: e)
 
 
 def apply_delta(p: PaddedPolynomial) -> PaddedPolynomial:
     """Raising operator sum_i x_i d/dy_i: alpha -> alpha + e_i, factor rho_i - alpha_i."""
-    n = p.n
-    rho = staircase(n)
-    out: dict[Exponent, int] = {}
-    for alpha, c in p.terms.items():
-        for idx, e in enumerate(alpha):
-            room = rho[idx] - e
-            if room:
-                shifted = alpha[:idx] + (e + 1,) + alpha[idx + 1 :]
-                v = out.get(shifted, 0) + c * room
-                if v:
-                    out[shifted] = v
-                elif shifted in out:
-                    del out[shifted]
-    return PaddedPolynomial(n, out)
+    rho = staircase(p.n)
+    return _shift(p, 1, lambda idx, e: rho[idx] - e)
 
 
 def monomials_of_rank(n: int, k: int) -> tuple[Exponent, ...]:

@@ -38,8 +38,10 @@ class TestExitCodes:
         assert "--n" in err
 
     def test_bad_snf_window_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "snf", "--n", "3", "--from", "2", "--to", "3")
+        code, out, err = run(capsys, "verify", "--suite", "snf", "--n", "3", "--from", "2", "--to", "3")
         assert code == 2
+        assert out == ""
+        assert err == "error: need 0 <= l < l' and l + l' <= 3, got (2, 3)\n"
 
     def test_half_specified_window_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "snf", "--n", "3", "--from", "1")

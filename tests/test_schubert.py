@@ -192,6 +192,30 @@ class TestDividedDifference:
                 )
                 for i in range(1, n):
                     assert divided_difference(i, p) == reference_divided_difference(i, p)
+            # above the staircase, where N_i with i < n-1 stays in x_1..x_{n-1}
+            for _ in range(20):
+                p = IntPolynomial(
+                    n,
+                    {
+                        tuple(rng.randint(0, n + 2) for _ in range(n - 1)): rng.randint(-5, 5)
+                        for _ in range(rng.randint(0, 12))
+                    },
+                )
+                for i in range(1, n - 1):
+                    assert divided_difference(i, p) == reference_divided_difference(i, p)
+
+    def test_index_out_of_range(self):
+        p = schubert((3, 2, 1))
+        for i in (0, 3):
+            with pytest.raises(ValueError, match="index out of range"):
+                divided_difference(i, p)
+
+    def test_last_index_needs_linear_last_variable(self):
+        # N_{n-1}(x_{n-1}^2) = x_{n-1} + x_n leaves x_1..x_{n-1}
+        for n in (2, 3, 4):
+            square = IntPolynomial.monomial(n, (0,) * (n - 2) + (2,))
+            with pytest.raises(ValueError, match="does not lie in"):
+                divided_difference(n - 1, square)
 
     def test_kills_symmetric_parts(self):
         # x1 + x2 is symmetric in (1,2): difference is zero
@@ -272,6 +296,22 @@ class TestSchubert:
         assert principal_specialization(schubert((1, 4, 3, 2))) == 5
 
 
+    def test_table_validates_only_at_the_constructor(self, monkeypatch):
+        # divided differences build trusted results: only the top monomial
+        # passes through the validating constructor
+        calls = []
+        real = schubert_module._clean
+
+        def counting(n, items):
+            calls.append(n)
+            return real(n, items)
+
+        monkeypatch.setattr(schubert_module, "_clean", counting)
+        table = schubert_module._schubert_table.__wrapped__(5)
+        assert len(table) == 120
+        assert len(calls) == 1
+
+
 class TestPadding:
     def test_pad_unpad_round_trip(self):
         for w in iter_permutations(range(1, 5)):
@@ -287,6 +327,10 @@ class TestPadding:
                 assert sp.x_degree() == length(w)
                 for alpha in sp.terms:
                     assert sum(alpha) + sum(r - a for r, a in zip(rho, alpha)) == top
+
+    def test_pad_rejects_exponents_above_the_staircase(self):
+        with pytest.raises(ValueError, match="exceeds the staircase"):
+            pad(IntPolynomial(3, {(3, 0): 1}))
 
     def test_padded_string_shows_both_alphabets(self):
         assert str(padded_schubert((1, 3, 2))) == "x1*y1*y2 + x2*y1^2"
@@ -311,6 +355,10 @@ class TestActions:
     def test_nabla_on_monomials(self):
         p = PaddedPolynomial(3, {(2, 1): 1})
         assert apply_nabla(p).terms == {(1, 1): 2, (2, 0): 1}
+
+    def test_delta_validates_its_result(self):
+        with pytest.raises(ValueError, match="exceeds the staircase"):
+            apply_delta(IntPolynomial(3, {(3, 0): 1}))
 
     def test_actions_shift_degree_by_one(self):
         for w in iter_permutations(range(1, 5)):
