@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 from .chains import base_change_report, um_determinant_report, um_snf_check
 from .hasse import (
+    _vertex_names,
     build_hasse,
     diagram_to_dot,
     diagram_to_json,
@@ -195,7 +196,13 @@ def _suite_jobs(args) -> list[tuple]:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    if suite not in _WINDOW_SUITES and (args.from_rank is not None or args.to_rank is not None):
+        raise ValueError(f"suite {suite!r} takes no --from or --to")
+    if suite not in _SUITE_CAPS and args.n is not None:
+        raise ValueError(f"suite {suite!r} takes --M, not --n")
     if suite in _SUITE_CAPS:
+        if args.M is not None:
+            raise ValueError(f"suite {suite!r} takes --n, not --M")
         if args.n is None:
             raise ValueError(f"suite {suite!r} needs --n")
         if args.n < 1:
@@ -225,8 +232,9 @@ def cmd_hasse(args) -> int:
         print(diagram_to_dot(diagram), end="")
     elif args.format == "table":
         print(f"# S_{args.n}, {args.order} order, {args.weights} weights")
+        name = _vertex_names(diagram)
         for src, dst, wt in diagram.edges:
-            print(f"{to_string(src)} -> {to_string(dst)}  weight {wt}")
+            print(f"{name[src]} -> {name[dst]}  weight {wt}")
     else:
         print(json.dumps(diagram_to_json(diagram), indent=2))
     return 0
@@ -235,30 +243,21 @@ def cmd_hasse(args) -> int:
 def cmd_schubert(args) -> int:
     w = parse_permutation(args.perm)
     poly = schubert_standard(w) if args.standard_convention else schubert(w)
-    if args.specialize:
-        value = principal_specialization(poly)
-        payload: dict = {
-            "perm": to_string(w),
-            "n": len(w),
-            "convention": "standard" if args.standard_convention else "left-multiplication",
-            "value": str(value),
-        }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(value)
-        return 0
-    rendered = pad(poly) if args.padded else poly
-    payload = {
+    payload: dict = {
         "perm": to_string(w),
         "n": len(w),
         "convention": "standard" if args.standard_convention else "left-multiplication",
-        "padded": bool(args.padded),
-        "polynomial": str(rendered),
-        "terms": [
-            {"alpha": list(alpha), "coeff": str(coeff)} for alpha, coeff in rendered.sorted_terms()
-        ],
     }
+    if args.specialize:
+        rendered = principal_specialization(poly)
+        payload["value"] = str(rendered)
+    else:
+        rendered = pad(poly) if args.padded else poly
+        payload["padded"] = bool(args.padded)
+        payload["polynomial"] = str(rendered)
+        payload["terms"] = [
+            {"alpha": list(alpha), "coeff": str(coeff)} for alpha, coeff in rendered.sorted_terms()
+        ]
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

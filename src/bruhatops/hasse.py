@@ -30,7 +30,6 @@ from .permutations import (
     Permutation,
     num_inversions_max,
     permutations_by_rank,
-    right_multiply_transposition,
     strong_covers_up,
     to_string,
     validated,
@@ -87,8 +86,14 @@ def code_weight(w: Permutation, i: int, j: int) -> int:
         raise ValueError(f"transposition indices out of range: ({i}, {j})")
     a, b = word[i - 1], word[j - 1]
     if a > b or any(a < v < b for v in word[i : j - 1]):
-        upper = right_multiply_transposition(word, i, j)
+        upper = word[: i - 1] + (b,) + word[i : j - 1] + (a,) + word[j:]
         raise ValueError(f"{to_string(word)} -> {to_string(upper)} is not a strong cover")
+    return _code_weight(word, i, j)
+
+
+def _code_weight(word: Permutation, i: int, j: int) -> int:
+    """:func:`code_weight` of a cover that is known to be one."""
+    a, b = word[i - 1], word[j - 1]
     return 1 + 2 * sum(1 for v in word[j:] if a < v < b)
 
 
@@ -141,10 +146,14 @@ class WeightedHasseDiagram:
         )
 
     def rank_of(self, w: Permutation) -> int:
+        return self._index(w)[0]
+
+    def _index(self, w: Permutation) -> tuple[int, int]:
+        """(rank, index in its rank) of a vertex given as any permutation."""
         word = validated(w)
         if word not in self._pos:
             raise ValueError(f"not a vertex of this diagram: {to_string(word)}")
-        return self._pos[word][0]
+        return self._pos[word]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -177,7 +186,7 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
             if order == "weak":
                 covers = [(col[v], i if weights == "nabla" else 1) for v, i in weak_covers_up(w)]
             elif weights == "code":
-                covers = [(col[v], code_weight(w, i, j)) for v, i, j in strong_covers_up(w)]
+                covers = [(col[v], _code_weight(w, i, j)) for v, i, j in strong_covers_up(w)]
             elif weights == "chevalley":
                 covers = [(col[v], j - i) for v, i, j in strong_covers_up(w)]
             else:
@@ -190,12 +199,12 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
 def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation) -> int:
     """Sum over saturated chains u = x_0 < x_1 < ... < x_m = v of the
     product of edge weights; 0 when v is not reachable, 1 when u = v."""
-    ku = g.rank_of(u)
-    kv = g.rank_of(v)
+    ku, iu = g._index(u)
+    kv, iv = g._index(v)
     if ku > kv:
         return 0
-    (row,) = push_rows([{g._pos[validated(u)][1]: 1}], g._steps[ku:kv])
-    return row.get(g._pos[validated(v)][1], 0)
+    (row,) = push_rows([{iu: 1}], g._steps[ku:kv])
+    return row.get(iv, 0)
 
 
 def _sweep(g: WeightedHasseDiagram, up: bool) -> dict[Permutation, int]:
@@ -308,29 +317,36 @@ def verify_snf_theorem(n: int, low: int, high: int) -> dict:
     return _smith_window_report({"suite": "snf", "n": n}, low, high, expected, windows)
 
 
+def _vertex_names(g: WeightedHasseDiagram) -> dict[Permutation, str]:
+    """One-line notation of every vertex, formatted once for the emitters."""
+    return {w: to_string(w) for stratum in g.ranks for w in stratum}
+
+
 def diagram_to_json(g: WeightedHasseDiagram) -> dict:
     """JSON-ready dict; weights are decimal strings."""
+    name = _vertex_names(g)
     return {
         "n": g.n,
         "order": g.order,
         "weights": g.weights,
-        "ranks": [[to_string(w) for w in stratum] for stratum in g.ranks],
-        "edges": [[to_string(src), to_string(dst), str(wt)] for src, dst, wt in g.edges],
+        "ranks": [[name[w] for w in stratum] for stratum in g.ranks],
+        "edges": [[name[src], name[dst], str(wt)] for src, dst, wt in g.edges],
     }
 
 
 def diagram_to_dot(g: WeightedHasseDiagram) -> str:
     """Graphviz source: vertices by one-line notation, edges labeled by
     weight, each rank pinned to its own level."""
+    name = _vertex_names(g)
     lines = [
         f'digraph "{g.order}_{g.weights}_S{g.n}" {{',
         "  rankdir=BT;",
         "  node [shape=plaintext];",
     ]
     for src, dst, wt in g.edges:
-        lines.append(f'  "{to_string(src)}" -> "{to_string(dst)}" [label="{wt}"];')
+        lines.append(f'  "{name[src]}" -> "{name[dst]}" [label="{wt}"];')
     for stratum in g.ranks:
-        members = "; ".join(f'"{to_string(w)}"' for w in stratum)
+        members = "; ".join(f'"{name[w]}"' for w in stratum)
         lines.append(f"  {{ rank=same; {members}; }}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -244,11 +244,12 @@ def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
     co_fact = math.factorial(top - lu)
     fact = math.factorial(lu)
     (strong_from, strong_to), (weak_from, weak_to) = strong, weak
+    mirror = w0_times(u)
     values = {
         "raising count u to top over (N-l)!": (strong_to[u], co_fact),
         "lowering count bottom to u over l!": (weak_from[u], fact),
-        "raising count bottom to w0*u over (N-l)!": (strong_from[w0_times(u)], co_fact),
-        "lowering count w0*u to top over l!": (weak_to[w0_times(u)], fact),
+        "raising count bottom to w0*u over (N-l)!": (strong_from[mirror], co_fact),
+        "lowering count w0*u to top over l!": (weak_to[mirror], fact),
     }
     failures = []
     for label, (count, denom) in values.items():
@@ -339,12 +340,13 @@ def transpose_duality_check(n: int, low: int, high: int) -> bool:
     pad_hi = differential_layer_matrix(
         OperatorSpec("delta", "padded-schubert", n), top - high, top - low
     )
-    lo_perms = permutations_of_rank(n, low)
-    hi_perms = permutations_of_rank(n, high)
     co_lo_p = {w: i for i, w in enumerate(permutations_of_rank(n, top - high))}
     co_hi_p = {w: i for i, w in enumerate(permutations_of_rank(n, top - low))}
-    for a, u in enumerate(lo_perms):
-        for b, v in enumerate(hi_perms):
-            if pad_lo[a][b] != pad_hi[co_lo_p[w0_times(v)]][co_hi_p[w0_times(u)]]:
+    # the row of w0*v and the column of w0*u in the complementary window
+    rows = [co_lo_p[w0_times(v)] for v in permutations_of_rank(n, high)]
+    cols = [co_hi_p[w0_times(u)] for u in permutations_of_rank(n, low)]
+    for a, c in enumerate(cols):
+        for b, r in enumerate(rows):
+            if pad_lo[a][b] != pad_hi[r][c]:
                 return False
     return True

@@ -35,9 +35,6 @@ __all__ = [
     "lehmer_code",
     "inverse",
     "w0_times",
-    "right_multiply_simple",
-    "right_multiply_transposition",
-    "left_multiply_simple",
     "weak_covers_up",
     "strong_covers_up",
     "permutations_by_rank",
@@ -96,13 +93,7 @@ def length(w: Iterable[int]) -> int:
     >>> length((3, 2, 1))
     3
     """
-    word = validated(w)
-    return sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
+    return sum(a > b for a, b in itertools.combinations(validated(w), 2))
 
 
 def lehmer_code(w: Iterable[int]) -> tuple[int, ...]:
@@ -149,47 +140,6 @@ def w0_times(w: Iterable[int]) -> Permutation:
     return tuple(n + 1 - v for v in word)
 
 
-def right_multiply_simple(w: Iterable[int], i: int) -> Permutation:
-    """w * s_i: swap the entries at positions i and i+1 (1-based).
-
-    >>> right_multiply_simple((1, 2, 3), 1)
-    (2, 1, 3)
-    """
-    word = validated(w)
-    if not 1 <= i <= len(word) - 1:
-        raise ValueError(f"simple index out of range: {i}")
-    out = list(word)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def right_multiply_transposition(w: Iterable[int], i: int, j: int) -> Permutation:
-    """w * t_ij: swap the entries at positions i < j (1-based).
-
-    >>> right_multiply_transposition((2, 1, 3), 1, 3)
-    (3, 1, 2)
-    """
-    word = validated(w)
-    if not 1 <= i < j <= len(word):
-        raise ValueError(f"transposition indices out of range: ({i}, {j})")
-    out = list(word)
-    out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
-    return tuple(out)
-
-
-def left_multiply_simple(w: Iterable[int], i: int) -> Permutation:
-    """s_i * w: swap the values i and i+1 wherever they occur.
-
-    >>> left_multiply_simple((3, 1, 2), 1)
-    (3, 2, 1)
-    """
-    word = validated(w)
-    if not 1 <= i <= len(word) - 1:
-        raise ValueError(f"simple index out of range: {i}")
-    swap = {i: i + 1, i + 1: i}
-    return tuple(swap.get(v, v) for v in word)
-
-
 def weak_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int]]:
     """All weak-order covers w < w*s_i, as pairs (w*s_i, i).
 
@@ -201,7 +151,7 @@ def weak_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int]]:
     """
     word = validated(w)
     return {
-        (right_multiply_simple(word, i), i)
+        (word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :], i)
         for i in range(1, len(word))
         if word[i - 1] < word[i]
     }
@@ -222,8 +172,9 @@ def strong_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int, int]]:
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             a, b = word[i - 1], word[j - 1]
-            if a < b and not any(a < word[k] < b for k in range(i, j - 1)):
-                covers.add((right_multiply_transposition(word, i, j), i, j))
+            if a < b and not any(a < v < b for v in word[i : j - 1]):
+                upper = word[: i - 1] + (b,) + word[i : j - 1] + (a,) + word[j:]
+                covers.add((upper, i, j))
     return covers
 
 
@@ -239,7 +190,7 @@ def permutations_by_rank(n: int) -> tuple[tuple[Permutation, ...], ...]:
     ranks: list[list[Permutation]] = [[] for _ in range(num_inversions_max(n) + 1)]
     # itertools.permutations emits words in lex order, keeping strata sorted.
     for word in itertools.permutations(range(1, n + 1)):
-        ranks[length(word)].append(word)
+        ranks[sum(a > b for a, b in itertools.combinations(word, 2))].append(word)
     return tuple(tuple(stratum) for stratum in ranks)
 
 

@@ -39,7 +39,6 @@ from .chains import monomials_of_profile_rank
 from .permutations import (
     Permutation,
     inverse,
-    left_multiply_simple,
     longest_element,
     num_inversions_max,
     permutations_by_rank,
@@ -290,7 +289,8 @@ def _schubert_table(n: int) -> dict[Permutation, IntPolynomial]:
             inv_w = inverse(w)
             # any left ascent i (value i sits before i+1) yields a parent
             i = next(a for a in range(1, n) if inv_w[a - 1] < inv_w[a])
-            parent = left_multiply_simple(w, i)
+            # the parent s_i * w swaps the values i and i+1
+            parent = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
             table[w] = divided_difference(i, table[parent])
     return table
 
@@ -316,7 +316,7 @@ def schubert_standard(w: Permutation) -> IntPolynomial:
     >>> str(schubert_standard((2, 3, 1)))
     'x1*x2'
     """
-    return schubert(inverse(validated(w)))
+    return schubert(inverse(w))
 
 
 def principal_specialization(p: IntPolynomial) -> int:

@@ -253,7 +253,7 @@ def snf(mat: IntMatrix) -> tuple[int, ...]:
     return chain[:rank] + (0,) * (rows - rank)
 
 
-def snf_via_minor_gcd(mat: IntMatrix, bound: int = MINOR_GCD_SIZE_BOUND) -> tuple[int, ...]:
+def snf_via_minor_gcd(mat: IntMatrix) -> tuple[int, ...]:
     """Smith invariants via determinantal divisors; independent oracle.
 
     d_k = gcd of all k x k minors, b_k = d_k / d_{k-1}.  Exponential in the
@@ -264,8 +264,10 @@ def snf_via_minor_gcd(mat: IntMatrix, bound: int = MINOR_GCD_SIZE_BOUND) -> tupl
     if any(len(row) != cols for row in mat):
         raise ValueError("ragged matrix")
     size = min(rows, cols)
-    if size > bound:
-        raise ValueError(f"matrix too large for the minor-gcd route: min dim {size} > {bound}")
+    if size > MINOR_GCD_SIZE_BOUND:
+        raise ValueError(
+            f"matrix too large for the minor-gcd route: min dim {size} > {MINOR_GCD_SIZE_BOUND}"
+        )
     out: list[int] = []
     d_prev = 1
     for k in range(1, size + 1):

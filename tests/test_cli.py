@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, formats, determinism, parallel runs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--suite", "chains-basis")
         assert code == 2
         assert "--M" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["nabla-action", "--n", "3", "--M", "2,1"], "suite 'nabla-action' takes --n, not --M"),
+            (["snf", "--n", "3", "--M", "2,1"], "suite 'snf' takes --n, not --M"),
+            (["chains-det", "--M", "2,1", "--n", "3"], "suite 'chains-det' takes --M, not --n"),
+            (["chains-snf", "--M", "2,1", "--n", "3"], "suite 'chains-snf' takes --M, not --n"),
+            (["nabla-action", "--n", "3", "--from", "1", "--to", "2"], "suite 'nabla-action' takes no --from or --to"),
+            (["sl2", "--n", "3", "--from", "1"], "suite 'sl2' takes no --from or --to"),
+            (["chains-basis", "--M", "2,1", "--to", "2"], "suite 'chains-basis' takes no --from or --to"),
+        ],
+    )
+    def test_option_the_suite_ignores_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--suite", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestHasseCommand:
@@ -299,10 +319,14 @@ class TestSchubertCommand:
 
 class TestConsoleScript:
     def test_module_entry_help(self):
+        # the subprocess imports the package from the same src as this one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bruhatops.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "hasse" in proc.stdout

@@ -1,5 +1,7 @@
 """Weighted cover diagrams and path counting against brute-force oracles."""
 
+import sys
+
 import pytest
 
 from bruhatops.hasse import (
@@ -15,12 +17,18 @@ from bruhatops.hasse import (
     w0_symmetry_check,
     weighted_path_count,
 )
+import bruhatops.permutations as permutations
 from bruhatops.permutations import (
+    inverse,
+    length,
     lehmer_code,
     longest_element,
     num_inversions_max,
     permutations_by_rank,
     strong_covers_up,
+    to_string,
+    w0_times,
+    weak_covers_up,
 )
 from bruhatops.snf import matmul
 
@@ -98,13 +106,19 @@ class TestWeightFunctions:
             code_weight((1, 2, 3), 1, 3)  # jump by two in length
 
     def test_code_weight_is_manhattan_distance_of_codes(self):
-        # oracle: the definition, on the Lehmer codes of both endpoints
+        # oracle: the definition, on the Lehmer codes of both endpoints, for
+        # the public weight and for every edge of the diagram, which does
+        # not go through it
+        def distance(w, upper):
+            return sum(abs(a - b) for a, b in zip(lehmer_code(w), lehmer_code(upper)))
+
         for n in range(1, 7):
             for stratum in permutations_by_rank(n):
                 for w in stratum:
                     for upper, i, j in strong_covers_up(w):
-                        want = sum(abs(a - b) for a, b in zip(lehmer_code(w), lehmer_code(upper)))
-                        assert code_weight(w, i, j) == want, (w, i, j)
+                        assert code_weight(w, i, j) == distance(w, upper), (w, i, j)
+            for w, upper, wt in build_hasse(n, "strong", "code").edges:
+                assert wt == distance(w, upper), (w, upper)
 
     @pytest.mark.parametrize("i,j", [(0, 2), (1, 5), (2, 2), (3, 2)])
     def test_code_weight_rejects_indices_out_of_range(self, i, j):
@@ -132,6 +146,53 @@ class TestWeightFunctions:
         assert chevalley_weight(1, 3) == 2
         with pytest.raises(ValueError):
             chevalley_weight(2, 2)
+
+
+class TestValidationAtTheBoundary:
+    """Public functions reject a non-permutation; the package's own loops
+    run on trusted tuples and validate each permutation at most once."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            length,
+            lehmer_code,
+            inverse,
+            w0_times,
+            to_string,
+            weak_covers_up,
+            strong_covers_up,
+            pytest.param(lambda w: code_weight(w, 1, 2), id="code_weight"),
+            pytest.param(lambda w: nabla_weight(w, 1), id="nabla_weight"),
+            pytest.param(lambda w: build_hasse(3, "weak", "nabla").rank_of(w), id="rank_of"),
+        ],
+        ids=lambda call: call.__name__,
+    )
+    def test_rejects_non_permutation(self, call):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(1, 1, 2\)"):
+            call((1, 1, 2))
+
+    @pytest.fixture
+    def validated_calls(self, monkeypatch):
+        calls = []
+        real = permutations.validated
+
+        def spy(w):
+            calls.append(tuple(w))
+            return real(w)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bruhatops" and hasattr(module, "validated"):
+                monkeypatch.setattr(module, "validated", spy)
+        return calls
+
+    def test_build_validates_each_vertex_at_most_once(self, validated_calls):
+        build_hasse.__wrapped__(5, "strong", "code")
+        assert len(set(validated_calls)) == len(validated_calls) <= 120
+
+    def test_enumeration_validates_nothing(self, validated_calls):
+        permutations_by_rank.__wrapped__(5)
+        assert validated_calls == []
 
 
 class TestBuildHasse:
