@@ -40,14 +40,15 @@ from .operators import (
     verify_sl2,
 )
 from .permutations import (
+    inverse,
     num_inversions_max,
     parse as parse_permutation,
     permutations_by_rank,
     to_string,
 )
 from .schubert import (
+    _specialization_table,
     pad,
-    principal_specialization,
     schubert,
     schubert_standard,
 )
@@ -242,16 +243,17 @@ def cmd_hasse(args) -> int:
 
 def cmd_schubert(args) -> int:
     w = parse_permutation(args.perm)
-    poly = schubert_standard(w) if args.standard_convention else schubert(w)
     payload: dict = {
         "perm": to_string(w),
         "n": len(w),
         "convention": "standard" if args.standard_convention else "left-multiplication",
     }
     if args.specialize:
-        rendered = principal_specialization(poly)
+        # S_w(1) from the integer recursion; the polynomial is never built
+        rendered = _specialization_table(len(w))[inverse(w) if args.standard_convention else w]
         payload["value"] = str(rendered)
     else:
+        poly = schubert_standard(w) if args.standard_convention else schubert(w)
         rendered = pad(poly) if args.padded else poly
         payload["padded"] = bool(args.padded)
         payload["polynomial"] = str(rendered)

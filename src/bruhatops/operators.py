@@ -16,22 +16,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Iterator
 
 from .chains import _dm_step, _um_step, dm_layer_matrix, um_layer_matrix
 from .hasse import _sweep, build_hasse, rank_size
 from .permutations import (
     Permutation,
-    length,
+    _inversions,
     num_inversions_max,
     permutations_by_rank,
     permutations_of_rank,
     to_string,
+    validated,
     w0_times,
 )
 from .schubert import (
     _peel,
+    _specialization_table,
     monomials_of_rank,
-    principal_specialization,
     schubert,
     staircase,
 )
@@ -234,17 +236,30 @@ def verify_sl2(n: int) -> dict:
     }
 
 
+def _validated_perms(n: int, perms: list[Permutation]) -> Iterator[Permutation]:
+    """Each of ``perms`` validated once, as a permutation of S_n; the path
+    chunks then read it with trusted arithmetic only."""
+    for u in perms:
+        word = validated(u)
+        if len(word) != n:
+            raise ValueError(f"not a permutation of S_{n}: {word}")
+        yield word
+
+
 def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
-    """Exact comparisons for one permutation; divisions are cross-multiplied.
-    ``strong`` and ``weak`` hold each diagram's counts from the identity and
-    to the longest element, as :func:`hasse._sweep` returns them."""
+    """Exact comparisons for one validated permutation u of S_n; divisions
+    are cross-multiplied.  ``strong`` and ``weak`` hold each diagram's
+    counts from the identity and to the longest element, as
+    :func:`hasse._sweep` returns them.  Each count is compared with a
+    factorial times S_u(1), read from the integer transition recursion
+    :func:`schubert._specialization_table`; no polynomial is built."""
     top = num_inversions_max(n)
-    lu = length(u)
-    spec = principal_specialization(schubert(u))
+    lu = _inversions(u)
+    spec = _specialization_table(n)[u]
     co_fact = math.factorial(top - lu)
     fact = math.factorial(lu)
     (strong_from, strong_to), (weak_from, weak_to) = strong, weak
-    mirror = w0_times(u)
+    mirror = tuple(n + 1 - v for v in u)  # w0 * u
     values = {
         "raising count u to top over (N-l)!": (strong_to[u], co_fact),
         "lowering count bottom to u over l!": (weak_from[u], fact),
@@ -265,12 +280,13 @@ def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
 
 
 def path_identities_chunk(n: int, perms: list[Permutation]) -> dict:
-    """The :func:`verify_path_identities` report restricted to ``perms``."""
+    """The :func:`verify_path_identities` report restricted to ``perms``;
+    each permutation is validated once, on entry."""
     strong = build_hasse(n, "strong", "code")
     weak = build_hasse(n, "weak", "nabla")
     sweeps = [(_sweep(g, up=True), _sweep(g, up=False)) for g in (strong, weak)]
     failures = []
-    for u in perms:
+    for u in _validated_perms(n, perms):
         failures.extend(_five_way_failures(n, u, *sweeps))
     return {
         "suite": "path-identities",
@@ -288,11 +304,15 @@ def verify_path_identities(n: int) -> dict:
 
 
 def macdonald_chunk(n: int, perms: list[Permutation]) -> dict:
-    """The :func:`verify_macdonald` report restricted to ``perms``."""
+    """The :func:`verify_macdonald` report restricted to ``perms``.  Each
+    permutation is validated once, on entry, and its count is compared with
+    l(u)! times S_u(1) from the integer transition recursion
+    :func:`schubert._specialization_table`; no polynomial is built."""
     counts = _sweep(build_hasse(n, "weak", "nabla"), up=True)
+    spec = _specialization_table(n)
     failures = []
-    for u in perms:
-        expected = math.factorial(length(u)) * principal_specialization(schubert(u))
+    for u in _validated_perms(n, perms):
+        expected = math.factorial(_inversions(u)) * spec[u]
         got = counts[u]
         if got != expected:
             failures.append(

@@ -93,7 +93,12 @@ def length(w: Iterable[int]) -> int:
     >>> length((3, 2, 1))
     3
     """
-    return sum(a > b for a, b in itertools.combinations(validated(w), 2))
+    return _inversions(validated(w))
+
+
+def _inversions(word: Permutation) -> int:
+    """The inversion count of a tuple that is a permutation by construction."""
+    return sum(a > b for a, b in itertools.combinations(word, 2))
 
 
 def lehmer_code(w: Iterable[int]) -> tuple[int, ...]:
@@ -190,7 +195,7 @@ def permutations_by_rank(n: int) -> tuple[tuple[Permutation, ...], ...]:
     ranks: list[list[Permutation]] = [[] for _ in range(num_inversions_max(n) + 1)]
     # itertools.permutations emits words in lex order, keeping strata sorted.
     for word in itertools.permutations(range(1, n + 1)):
-        ranks[sum(a > b for a, b in itertools.combinations(word, 2))].append(word)
+        ranks[_inversions(word)].append(word)
     return tuple(tuple(stratum) for stratum in ranks)
 
 

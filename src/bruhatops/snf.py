@@ -112,13 +112,19 @@ def _bareiss(mat: IntMatrix) -> tuple[int, int]:
     nonsingular, and 1 when r = 0.
 
     Bareiss elimination down the columns, with a search for a nonzero pivot
-    in each; a column without one is skipped.  Every update divides exactly
-    by the previous pivot, so each entry is a minor of ``mat`` and entry
-    growth stays polynomial.
+    in each; a column without one is skipped.  Rows are scaled lazily: each
+    row records the pivot ``level`` it is current at, and a row with a zero
+    in the pivot column is left alone instead of being rescaled by
+    pivot / previous pivot.  A row with an entry there is updated to
+    (v * pivot - x * w) / level, and a stale pivot row is brought current
+    once, as v * prev / level.  Both divisions are exact: the results are
+    the rows of the eager elimination, whose entries are minors of ``mat``,
+    so entry growth stays polynomial.
     """
     a = [list(row) for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    level = [1] * rows
     rank, sign, prev = 0, 1, 1
     for c in range(cols):
         if rank == rows:
@@ -128,16 +134,18 @@ def _bareiss(mat: IntMatrix) -> tuple[int, int]:
             continue
         if found != rank:
             a[rank], a[found] = a[found], a[rank]
+            level[rank], level[found] = level[found], level[rank]
             sign = -sign
+        if level[rank] != prev:
+            a[rank][c:] = [v * prev // level[rank] for v in a[rank][c:]]
         pivot = a[rank][c]
         tail = a[rank][c + 1 :]
         for i in range(rank + 1, rows):
             row = a[i]
             x = row[c]
             if x:
-                row[c + 1 :] = [(v * pivot - x * w) // prev for v, w in zip(row[c + 1 :], tail)]
-            elif pivot != prev:
-                row[c + 1 :] = [v * pivot // prev for v in row[c + 1 :]]
+                row[c + 1 :] = [(v * pivot - x * w) // level[i] for v, w in zip(row[c + 1 :], tail)]
+                level[i] = pivot
         prev = pivot
         rank += 1
     return rank, sign * prev

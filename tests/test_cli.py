@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, parallel runs."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -315,6 +316,26 @@ class TestSchubertCommand:
         assert out.strip() == "1"
         code, out, _ = run(capsys, "schubert", "--perm", "132", "--specialize")
         assert json.loads(out)["value"] == "2"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_specialize_sums_the_printed_polynomial(self, capsys, n):
+        for w in itertools.permutations(range(1, n + 1)):
+            perm = "".join(map(str, w))
+            for convention in ([], ["--standard-convention"]):
+                _, out, _ = run(capsys, "schubert", "--perm", perm, *convention)
+                value = str(sum(int(t["coeff"]) for t in json.loads(out)["terms"]))
+                _, out, _ = run(capsys, "schubert", "--perm", perm, "--specialize", *convention)
+                doc = json.loads(out)
+                assert doc["value"] == value
+                assert doc["convention"] == ("standard" if convention else "left-multiplication")
+                _, out, _ = run(capsys, "schubert", "--perm", perm, "--specialize", *convention, "--format", "table")
+                assert out == value + "\n"
+
+    def test_specialize_builds_no_polynomial(self, capsys, no_schubert_table):
+        for convention in ([], ["--standard-convention"]):
+            code, out, _ = run(capsys, "schubert", "--perm", "14532", "--specialize", *convention)
+            assert code == 0
+            assert json.loads(out)["value"] == "9"
 
 
 class TestConsoleScript:

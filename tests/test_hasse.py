@@ -1,7 +1,5 @@
 """Weighted cover diagrams and path counting against brute-force oracles."""
 
-import sys
-
 import pytest
 
 from bruhatops.hasse import (
@@ -17,7 +15,6 @@ from bruhatops.hasse import (
     w0_symmetry_check,
     weighted_path_count,
 )
-import bruhatops.permutations as permutations
 from bruhatops.permutations import (
     inverse,
     length,
@@ -171,20 +168,6 @@ class TestValidationAtTheBoundary:
     def test_rejects_non_permutation(self, call):
         with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(1, 1, 2\)"):
             call((1, 1, 2))
-
-    @pytest.fixture
-    def validated_calls(self, monkeypatch):
-        calls = []
-        real = permutations.validated
-
-        def spy(w):
-            calls.append(tuple(w))
-            return real(w)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "bruhatops" and hasattr(module, "validated"):
-                monkeypatch.setattr(module, "validated", spy)
-        return calls
 
     def test_build_validates_each_vertex_at_most_once(self, validated_calls):
         build_hasse.__wrapped__(5, "strong", "code")

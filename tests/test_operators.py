@@ -12,7 +12,9 @@ from bruhatops.operators import (
     commutator_check,
     delta_action_chunk,
     differential_layer_matrix,
+    macdonald_chunk,
     nabla_action_chunk,
+    path_identities_chunk,
     transpose_duality_check,
     verify_delta_theorem,
     verify_macdonald,
@@ -328,6 +330,36 @@ class TestPathIdentities:
         weak = build_hasse(3, "weak", "nabla")
         assert weighted_path_count(weak, (1, 2, 3), (2, 3, 1)) == 2
         assert math.factorial(2) * principal_specialization(schubert((2, 3, 1))) == 2
+
+    def test_suites_build_no_polynomial(self, no_schubert_table):
+        assert verify_macdonald(5)["failures"] == []
+        assert verify_path_identities(5)["failures"] == []
+
+    def test_bumped_specialization_fails_each_label_once(self, monkeypatch):
+        # S_1324(1) = 2, read as 3: l = 1 and (N - l)! = 5! = 120
+        real = operators._specialization_table
+        u = (1, 3, 2, 4)
+        monkeypatch.setattr(operators, "_specialization_table", lambda n: {**real(n), u: real(n)[u] + 1})
+        assert verify_path_identities(4)["failures"] == [
+            {"witness": "1324: raising count u to top over (N-l)!", "expected": "360", "actual": "240"},
+            {"witness": "1324: lowering count bottom to u over l!", "expected": "3", "actual": "2"},
+            {"witness": "1324: raising count bottom to w0*u over (N-l)!", "expected": "360", "actual": "240"},
+            {"witness": "1324: lowering count w0*u to top over l!", "expected": "3", "actual": "2"},
+        ]
+        assert verify_macdonald(4)["failures"] == [{"witness": "1324", "expected": "3", "actual": "2"}]
+
+    @pytest.mark.parametrize("chunk", [path_identities_chunk, macdonald_chunk])
+    def test_chunk_validates_each_permutation_once(self, chunk, validated_calls):
+        perms = [list(w) for stratum in permutations_by_rank(5) for w in stratum]
+        chunk(5, perms)  # fills the caches of the diagrams and S_u(1)
+        validated_calls.clear()
+        assert chunk(5, perms)["failures"] == []
+        assert len(set(validated_calls)) == len(validated_calls) <= len(perms)
+
+    @pytest.mark.parametrize("chunk", [path_identities_chunk, macdonald_chunk])
+    def test_chunk_rejects_a_permutation_of_another_size(self, chunk):
+        with pytest.raises(ValueError, match=r"not a permutation of S_4: \(2, 1, 3\)"):
+            chunk(4, [(1, 2, 3, 4), (2, 1, 3)])
 
     @pytest.mark.parametrize("order,weights", [("strong", "code"), ("strong", "chevalley"), ("weak", "nabla")])
     def test_total_count_is_factorial_of_top(self, order, weights):

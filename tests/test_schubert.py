@@ -296,6 +296,13 @@ class TestSchubert:
         assert principal_specialization(schubert((1, 4, 3, 2))) == 5
 
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_specialization_table_sums_the_coefficients(self, n):
+        # the integer transition recursion against the polynomial table
+        table = schubert_module._specialization_table(n)
+        assert table.keys() == schubert_module._schubert_table(n).keys()
+        assert all(v == principal_specialization(schubert(w)) for w, v in table.items())
+
     def test_table_validates_only_at_the_constructor(self, monkeypatch):
         # divided differences build trusted results: only the top monomial
         # passes through the validating constructor
