@@ -23,18 +23,20 @@ at the staircase (n-1, ..., 1).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import Iterator
 
 from .chains import _smith_window_report, predicted_um_snf, profile_rank_sizes
 from .permutations import (
     Permutation,
+    _lex_codes,
+    _rank_index,
     num_inversions_max,
     permutations_by_rank,
-    strong_covers_up,
     to_string,
     validated,
     w0_times,
-    weak_covers_up,
 )
 from .schubert import staircase
 from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
@@ -88,12 +90,6 @@ def code_weight(w: Permutation, i: int, j: int) -> int:
     if a > b or any(a < v < b for v in word[i : j - 1]):
         upper = word[: i - 1] + (b,) + word[i : j - 1] + (a,) + word[j:]
         raise ValueError(f"{to_string(word)} -> {to_string(upper)} is not a strong cover")
-    return _code_weight(word, i, j)
-
-
-def _code_weight(word: Permutation, i: int, j: int) -> int:
-    """:func:`code_weight` of a cover that is known to be one."""
-    a, b = word[i - 1], word[j - 1]
     return 1 + 2 * sum(1 for v in word[j:] if a < v < b)
 
 
@@ -109,10 +105,11 @@ class WeightedHasseDiagram:
 
     ``ranks[k]`` lists the permutations of length k in lex order; ``_steps[k]``
     holds the covers out of rank k as (lower index, upper index, weight)
-    triples, sorted; ``_pos`` maps each permutation to (rank, index).
+    triples, sorted; ``_pos`` maps each permutation to (rank, index), built
+    on first use (the sweeps and the w0 check never read it).
     """
 
-    __slots__ = ("n", "order", "weights", "ranks", "_pos", "_steps")
+    __slots__ = ("n", "order", "weights", "ranks", "_steps", "_positions")
 
     def __init__(
         self,
@@ -127,9 +124,15 @@ class WeightedHasseDiagram:
         self.weights = weights
         self.ranks = ranks
         self._steps = steps
-        self._pos: dict[Permutation, tuple[int, int]] = {
-            w: (k, idx) for k, stratum in enumerate(ranks) for idx, w in enumerate(stratum)
-        }
+        self._positions: dict[Permutation, tuple[int, int]] | None = None
+
+    @property
+    def _pos(self) -> dict[Permutation, tuple[int, int]]:
+        if self._positions is None:
+            self._positions = {
+                w: (k, idx) for k, stratum in enumerate(self.ranks) for idx, w in enumerate(stratum)
+            }
+        return self._positions
 
     @property
     def top_rank(self) -> int:
@@ -166,6 +169,16 @@ class WeightedHasseDiagram:
 def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
     """Construct the full weighted cover diagram of S_n.
 
+    Every vertex is read as its lex index g and Lehmer code c, whose digits
+    are those of g in the factorial base (0-based p below, 1-based i < j), so
+    each cover's index is integer arithmetic on the code:
+
+    * the weak cover w*s_{p+1} (where w_p < w_{p+1}) has lex index
+      g + (c_{p+1} + 1 - c_p)(n-1-p)! + (c_p - c_{p+1})(n-2-p)!;
+    * w*t_ij covers w iff w_i < w_j and no w_q with i < q < j lies between
+      them; with m = c_j - c_i + #{i < q < j : w_q < w_i} its lex index is
+      g + (1 + m)(n-i)! - m(n-j)!, and its code weight is 1 + 2m.
+
     Raises ValueError on an unknown order/weight tag or an incompatible
     pairing (nabla weights need the weak order; code and chevalley weights
     need the strong order).  Diagrams are cached and shared; treat them as
@@ -178,22 +191,67 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
     if weights not in _COMPATIBLE[order]:
         raise ValueError(f"weight system {weights!r} is incompatible with the {order} order")
     ranks = permutations_by_rank(n)
-    steps = []
-    for lower, upper in zip(ranks, ranks[1:]):
-        col = {v: c for c, v in enumerate(upper)}
-        step = []
-        for r, w in enumerate(lower):
-            if order == "weak":
-                covers = [(col[v], i if weights == "nabla" else 1) for v, i in weak_covers_up(w)]
-            elif weights == "code":
-                covers = [(col[v], _code_weight(w, i, j)) for v, i, j in strong_covers_up(w)]
-            elif weights == "chevalley":
-                covers = [(col[v], j - i) for v, i, j in strong_covers_up(w)]
-            else:
-                covers = [(col[v], 1) for v, _, _ in strong_covers_up(w)]
-            step.extend((r, c, wt) for c, wt in sorted(covers))
-        steps.append(tuple(step))
+    covers = _weak_covers if order == "weak" else _strong_covers
+    steps: list = [[] for _ in ranks[1:]]
+    for k, row in covers(n, weights, _rank_index(n)):
+        if row:
+            steps[k] += row
+    for k, step in enumerate(steps):
+        steps[k] = tuple(step)  # frees each list as its tuple is made
     return WeightedHasseDiagram(n, order, weights, ranks, tuple(steps))
+
+
+def _places(n: int) -> list[int]:
+    """Place values of the factorial base: (n-1-p)! at 0-based position p."""
+    return [math.factorial(n - 1 - p) for p in range(n)]
+
+
+def _weak_covers(n: int, weights: str, at: list[int]) -> Iterator[tuple[int, list]]:
+    """Rank and sorted (row, column, weight) triples of the weak covers out
+    of each vertex, in lex order; ``at`` is :func:`_rank_index` of n.  The
+    cover by s_{p+1} has the larger lex index the smaller p is."""
+    place = _places(n)
+    nabla = weights == "nabla"
+    for g, (w, c) in enumerate(_lex_codes(n)):
+        r = at[g]
+        row = []
+        for p in range(n - 2, -1, -1):
+            if w[p] < w[p + 1]:
+                d = c[p] - c[p + 1]
+                h = g + (1 - d) * place[p] + d * place[p + 1]
+                row.append((r, at[h], p + 1 if nabla else 1))
+        yield sum(c), row
+
+
+def _strong_covers(n: int, weights: str, at: list[int]) -> Iterator[tuple[int, list]]:
+    """Rank and sorted (row, column, weight) triples of the strong covers
+    out of each vertex, in lex order; ``at`` is :func:`_rank_index` of n.
+
+    For each i the scan over j > i keeps the smallest value above w_i seen
+    so far (``bound``) and the count of values below w_i (``below``).  The
+    covers by t_ij have the larger lex index the smaller i is, and for one
+    i the smaller j is (w_j, the new entry at i, is larger)."""
+    place = _places(n)
+    code, chevalley = weights == "code", weights == "chevalley"
+    for g, (w, c) in enumerate(_lex_codes(n)):
+        r = at[g]
+        row = []
+        for i in range(n - 2, -1, -1):
+            a, ci = w[i], c[i]
+            bound, below, found = n + 1, 0, []
+            for j in range(i + 1, n):
+                b = w[j]
+                if b < a:
+                    below += 1
+                elif b < bound:
+                    bound = b
+                    m = c[j] - ci + below
+                    wt = 1 + 2 * m if code else j - i if chevalley else 1
+                    found.append((r, at[g + (1 + m) * place[i] - m * place[j]], wt))
+                    if b == a + 1:
+                        break
+            row += reversed(found)
+        yield sum(c), row
 
 
 def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation) -> int:
@@ -237,12 +295,16 @@ def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
 def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
     """Check the flip symmetry: (u -> w, c) is an edge iff (w0*w -> w0*u, c) is.
 
-    On indices, with flip[k][i] that of w0 * ranks[k][i] in rank top - k,
-    the triple (r, c, wt) of step k must be (flip[k+1][c], flip[k][r], wt)
-    in step top - 1 - k.  Returns (True, None) or (False, first
-    counterexample) with the edge whose mirror is missing or differs.
+    On indices, with flip[k][i] that of w0 * ranks[k][i] in rank top - k
+    (see :func:`_w0_flip`), the triple (r, c, wt) of step k must be
+    (flip[k+1][c], flip[k][r], wt) in step top - 1 - k.  Returns (True,
+    None) or (False, first counterexample) with the edge whose mirror is
+    missing or differs.  Raises ValueError unless ``g.ranks`` are the lex
+    strata of :func:`permutations_by_rank`, which the flip relies on.
     """
-    flip = [[g._pos[w0_times(w)][1] for w in stratum] for stratum in g.ranks]
+    if g.ranks != permutations_by_rank(g.n):
+        raise ValueError("the w0 check needs the diagram's ranks to be the lex strata of S_n")
+    flip = _w0_flip(g.ranks)
     for k, step in enumerate(g._steps):
         mirror_step = {(r, c): wt for r, c, wt in g._steps[g.top_rank - 1 - k]}
         for r, c, wt in step:
@@ -256,6 +318,14 @@ def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
                     "mirror_weight": "missing" if got is None else str(got),
                 }
     return True, None
+
+
+def _w0_flip(ranks: tuple[tuple[Permutation, ...], ...]) -> list[range]:
+    """flip[k][i]: the index of w0 * ranks[k][i] in rank top - k, for the
+    lex strata of S_n.  The code of w0*w is (n-1-c_1, ..., 0), so w0*w has
+    lex index n! - 1 - g: w -> w0*w reverses lex order and lays rank k onto
+    rank top - k backwards."""
+    return [range(len(stratum) - 1, -1, -1) for stratum in ranks]
 
 
 def verify_w0_symmetry(n: int) -> dict:

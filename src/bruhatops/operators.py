@@ -14,7 +14,6 @@ and the lowering operator's is the index-weighted weak-order layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
@@ -61,21 +60,45 @@ OPERATORS = ("nabla", "delta")
 BASES = ("monomial", "padded-schubert")
 
 
-@dataclass(frozen=True)
 class OperatorSpec:
-    """Which operator, in which basis, on which symmetric group."""
+    """Which operator, in which basis, on which symmetric group; immutable,
+    compared and hashed by its three fields.  A plain class: importing
+    ``dataclasses`` would pull ``inspect`` into every CLI start."""
 
-    operator: str
-    basis: str
-    n: int
+    __slots__ = ("operator", "basis", "n")
 
-    def __post_init__(self) -> None:
-        if self.operator not in OPERATORS:
-            raise ValueError(f"unknown operator: {self.operator!r}")
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis: {self.basis!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive: {self.n}")
+    def __init__(self, operator: str, basis: str, n: int) -> None:
+        if operator not in OPERATORS:
+            raise ValueError(f"unknown operator: {operator!r}")
+        if basis not in BASES:
+            raise ValueError(f"unknown basis: {basis!r}")
+        if n < 1:
+            raise ValueError(f"n must be positive: {n}")
+        for name, value in zip(self.__slots__, (operator, basis, n)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple[str, str, int]:
+        return self.operator, self.basis, self.n
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"OperatorSpec(operator={self.operator!r}, basis={self.basis!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return OperatorSpec, self._fields()
 
 
 def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMatrix:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Permutation = tuple[int, ...]
 
@@ -183,9 +183,24 @@ def strong_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int, int]]:
     return covers
 
 
+def _codes(n: int) -> Iterator[tuple[int, ...]]:
+    """The full Lehmer codes of S_n (c_n = 0 included) in lex order of their
+    words: a code is the factorial-base digits of its word's lex index,
+    sum_p c_p * (n-1-p)! with 0-based p."""
+    return itertools.product(*(range(n - p) for p in range(n)))
+
+
+def _lex_codes(n: int) -> Iterator[tuple[Permutation, tuple[int, ...]]]:
+    """Every word of S_n beside its full Lehmer code, in lex order."""
+    return zip(itertools.permutations(range(1, n + 1)), _codes(n))
+
+
 @lru_cache(maxsize=None)
 def permutations_by_rank(n: int) -> tuple[tuple[Permutation, ...], ...]:
     """All of S_n stratified by length; each stratum sorted lexicographically.
+
+    The words come in lex order beside their Lehmer codes, and the length
+    of a word is the sum of its code, so no inversion is counted.
 
     >>> permutations_by_rank(3)[1]
     ((1, 3, 2), (2, 1, 3))
@@ -193,10 +208,23 @@ def permutations_by_rank(n: int) -> tuple[tuple[Permutation, ...], ...]:
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
     ranks: list[list[Permutation]] = [[] for _ in range(num_inversions_max(n) + 1)]
-    # itertools.permutations emits words in lex order, keeping strata sorted.
-    for word in itertools.permutations(range(1, n + 1)):
-        ranks[_inversions(word)].append(word)
+    for word, code in _lex_codes(n):
+        ranks[sum(code)].append(word)
     return tuple(tuple(stratum) for stratum in ranks)
+
+
+@lru_cache(maxsize=None)
+def _rank_index(n: int) -> list[int]:
+    """The index of each permutation of S_n within its stratum of
+    :func:`permutations_by_rank`, listed by lex index.  Cached and shared;
+    treat it as read-only."""
+    seen = [0] * (num_inversions_max(n) + 1)
+    out = []
+    for code in _codes(n):
+        k = sum(code)
+        out.append(seen[k])
+        seen[k] += 1
+    return out
 
 
 def permutations_of_rank(n: int, k: int) -> list[Permutation]:

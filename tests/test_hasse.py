@@ -1,10 +1,14 @@
 """Weighted cover diagrams and path counting against brute-force oracles."""
 
+import itertools
+import math
+
 import pytest
 
 from bruhatops.hasse import (
     WeightedHasseDiagram,
     _sweep,
+    _w0_flip,
     build_hasse,
     chevalley_weight,
     code_weight,
@@ -28,6 +32,8 @@ from bruhatops.permutations import (
     weak_covers_up,
 )
 from bruhatops.snf import matmul
+
+from test_permutations import reference_ranks
 
 ALL_SYSTEMS = [
     ("weak", "nabla"),
@@ -56,6 +62,35 @@ def dfs_path_weight_sum(g, u, v):
             else:
                 stack.append((dst, acc * wt))
     return total
+
+
+def reference_code_weight(w, i, j):
+    """Oracle: 1 + 2 * #{q > j : w_i < w_q < w_j} for a strong cover."""
+    a, b = w[i - 1], w[j - 1]
+    return 1 + 2 * sum(1 for v in w[j:] if a < v < b)
+
+
+def reference_steps(n, order, weights):
+    """Oracle: the sorted steps of a diagram built vertex by vertex from the
+    public covers of each permutation, each cover's column looked up in a
+    dict of its rank."""
+    ranks = reference_ranks(n)
+    steps = []
+    for lower, upper in zip(ranks, ranks[1:]):
+        col = {v: c for c, v in enumerate(upper)}
+        step = []
+        for r, w in enumerate(lower):
+            if order == "weak":
+                covers = [(col[v], i if weights == "nabla" else 1) for v, i in weak_covers_up(w)]
+            elif weights == "code":
+                covers = [(col[v], reference_code_weight(w, i, j)) for v, i, j in strong_covers_up(w)]
+            elif weights == "chevalley":
+                covers = [(col[v], j - i) for v, i, j in strong_covers_up(w)]
+            else:
+                covers = [(col[v], 1) for v, _, _ in strong_covers_up(w)]
+            step.extend((r, c, wt) for c, wt in sorted(covers))
+        steps.append(tuple(step))
+    return tuple(steps)
 
 
 # frozen n=3 cover data, weights recomputed by hand from the definitions
@@ -179,6 +214,17 @@ class TestValidationAtTheBoundary:
 
 
 class TestBuildHasse:
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_index_arithmetic_matches_cover_oracle(self, order, weights):
+        for n in range(1, 7):
+            g = build_hasse(n, order, weights)
+            assert g.ranks == reference_ranks(n)
+            assert g._steps == reference_steps(n, order, weights), n
+
+    @pytest.mark.parametrize("weights", ["code", "chevalley"])
+    def test_strong_index_arithmetic_matches_cover_oracle_at_n7(self, weights):
+        assert build_hasse(7, "strong", weights)._steps == reference_steps(7, "strong", weights)
+
     def test_figure_edge_sets_frozen(self):
         assert set(build_hasse(3, "weak", "nabla").edges) == WEAK_NABLA_3
         assert set(build_hasse(3, "strong", "code").edges) == STRONG_CODE_3
@@ -317,6 +363,25 @@ class TestW0Symmetry:
         for n in range(2, 6):
             ok, witness = w0_symmetry_check(build_hasse(n, order, weights))
             assert ok, witness
+
+    def test_flip_is_lex_reversal(self):
+        # w0*w has lex index n! - 1 - g, so within the strata the flip sends
+        # index i of rank k to the index of w0*w found by lookup
+        for n in range(1, 7):
+            words = list(itertools.permutations(range(1, n + 1)))
+            lex = {w: g for g, w in enumerate(words)}
+            assert all(lex[w0_times(w)] == math.factorial(n) - 1 - g for g, w in enumerate(words))
+            g = build_hasse(n, "weak", "unit")
+            flip = _w0_flip(g.ranks)
+            for k, stratum in enumerate(g.ranks):
+                for i, w in enumerate(stratum):
+                    assert g._pos[w0_times(w)] == (g.top_rank - k, flip[k][i])
+
+    def test_rejects_ranks_that_are_not_the_lex_strata(self):
+        g = build_hasse(3, "weak", "nabla")
+        shuffled = (g.ranks[0], g.ranks[1][::-1], *g.ranks[2:])
+        with pytest.raises(ValueError, match="lex strata"):
+            w0_symmetry_check(WeightedHasseDiagram(3, "weak", "nabla", shuffled, g._steps))
 
     def test_detects_broken_weight(self):
         g = build_hasse(3, "weak", "nabla")

@@ -1,6 +1,7 @@
 """Differential operators as matrices: graph agreement, sl2, dualities."""
 
 import math
+import pickle
 
 import pytest
 
@@ -127,6 +128,23 @@ class TestOperatorSpec:
             OperatorSpec("nabla", "fourier", 3)
         with pytest.raises(ValueError):
             OperatorSpec("nabla", "monomial", 0)
+
+    def test_value_semantics(self):
+        spec = OperatorSpec("nabla", "monomial", 3)
+        assert spec == OperatorSpec("nabla", "monomial", 3)
+        assert spec != OperatorSpec("nabla", "monomial", 4)
+        assert spec != ("nabla", "monomial", 3)
+        assert hash(spec) == hash(OperatorSpec("nabla", "monomial", 3))
+        assert repr(spec) == "OperatorSpec(operator='nabla', basis='monomial', n=3)"
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_immutable(self):
+        spec = OperatorSpec("delta", "padded-schubert", 3)
+        with pytest.raises(AttributeError):
+            spec.n = 4
+        with pytest.raises(AttributeError):
+            del spec.basis
+        assert spec.n == 3 and spec.basis == "padded-schubert"
 
 
 class TestGraphAgreement:

@@ -4,6 +4,9 @@ tracer's layer targets."""
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -62,3 +65,18 @@ def test_import_layering():
             assert imports == [], f"snf.py imports a package module on line {imports[0][0].lineno}"
         for node, func in imports:
             assert func is None, f"{path.name}:{node.lineno}: package import inside {func}()"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both cost every CLI start about 12-15 ms of imports
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, bruhatops.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

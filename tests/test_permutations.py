@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruhatops.permutations import (
+    _inversions,
+    _rank_index,
     identity,
     inverse,
     lehmer_code,
@@ -167,6 +169,14 @@ class TestCovers:
                 assert strong_covers_up(w) == want
 
 
+def reference_ranks(n):
+    """Oracle: S_n grouped by inversion count, each stratum in lex order."""
+    ranks = [[] for _ in range(num_inversions_max(n) + 1)]
+    for w in sorted(iter_permutations(range(1, n + 1))):
+        ranks[_inversions(w)].append(w)
+    return tuple(map(tuple, ranks))
+
+
 class TestStratification:
     def test_ranks_partition_and_sort(self):
         for n in range(1, 6):
@@ -178,6 +188,16 @@ class TestStratification:
                 assert list(stratum) == sorted(stratum)
                 assert all(length(w) == k for w in stratum)
         assert permutations_of_rank(3, 1) == [(1, 3, 2), (2, 1, 3)]
+
+    def test_code_sums_group_like_inversion_counts(self):
+        for n in range(1, 9):
+            assert permutations_by_rank(n) == reference_ranks(n), n
+
+    def test_rank_index_follows_lex_order(self):
+        for n in range(1, 8):
+            pos = {w: i for stratum in permutations_by_rank(n) for i, w in enumerate(stratum)}
+            want = [pos[w] for w in iter_permutations(range(1, n + 1))]
+            assert _rank_index(n) == want, n
 
 
 class TestStringForms:
