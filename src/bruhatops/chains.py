@@ -6,23 +6,42 @@ powers of the raising operator.
 
 The raising operator sends x^alpha to sum_i (alpha_i + 1) x_i x^alpha,
 truncating any monomial that escapes the box M to zero; the lowering
-operator sends x^beta to sum_i (M_i - beta_i + 1) x^beta / x_i.  The m-th
-divided power of the raising operator has the closed form
+operator sends x^beta to sum_i (M_i - beta_i + 1) x^beta / x_i.
 
-    U^m / m! (x^alpha)  =  sum over alpha <= beta <= M, |beta| = |alpha| + m
-                            of  prod_i C(beta_i, alpha_i)  x^beta,
+The basis B_k of rank k holds one row per generator f of rank m <= min(k,
+|M| - k): the divided power U^(k-m)/(k-m)! applied to x^f.  One walk up the
+ranks builds every B_k: the rows of rank k-1 are pushed through the raising
+step, each entry is divided exactly by k - m, the generators whose range
+ends are dropped, and below the middle the unit rows of the new generators
+are appended.  That walk is also a proof.  If B_l and B_h are square with
+det +-1 and every division on the way from l to h was exact, then
 
-which is what the basis construction below consumes.
+    B_l U_[l,h]  =  (h-l)! [Pi | 0] P B_h,    Pi = diag C(h-m, l-m),
+
+with P a permutation, so the raising composite U_[l,h] has the Smith form
+of the diagonal (h-l)! Pi and, on a square window, |det| = |det (h-l)! Pi|;
+no composite is built.  The proof trusts neither the generators nor a closed
+form: any rows that pass are a certificate, and a window they do not prove
+falls back to exact elimination of its composite.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
-from itertools import product
-from typing import Iterable
+from itertools import accumulate, product
+from typing import Iterable, Iterator, Sequence
 
-from .snf import IntMatrix, SparseStep, compose_steps, determinant, diagonal_model_snf, snf
+from .snf import (
+    IntMatrix,
+    SparseStep,
+    _dense,
+    compose_steps,
+    determinant,
+    diagonal_model_snf,
+    push_rows,
+    snf,
+)
 
 ChainProfile = tuple[int, ...]
 Exponent = tuple[int, ...]
@@ -149,16 +168,46 @@ def construct_A(M: Iterable[int], n: int) -> list[Exponent]:
     return sorted(out, reverse=True)
 
 
-def _raising_power_vector(M: ChainProfile, f: Exponent, n: int) -> list[int]:
-    """Coordinates of U^{n-|f|}/(n-|f|)! applied to x^f, over rank-n monomials."""
-    monos = monomials_of_profile_rank(M, n)
-    vec = []
-    for beta in monos:
-        if all(b >= a for a, b in zip(f, beta)):
-            vec.append(math.prod(math.comb(b, a) for a, b in zip(f, beta)))
-        else:
-            vec.append(0)
-    return vec
+def _pushed_bases(
+    M: ChainProfile, step, keep: int
+) -> Iterator[tuple[list[dict[int, int]], list[int], bool]]:
+    """The rows of the bases B_0, ..., B_|M| as sparse rows over the
+    monomials of each rank, built by one walk up the ranks; only the
+    generators of rank at most ``keep`` (at most |M|/2) take part.
+
+    Yields, per rank k, (rows, born, exact): the row of every live
+    generator, the rank each generator was born at, and whether every
+    division on the step into rank k was exact.  The rows of rank k - 1 are
+    pushed through ``step(M, k - 1)`` together, each entry is divided by
+    k - m for its generator's rank m, the generators with m > |M| - k are
+    dropped, and for k <= keep the unit rows of :func:`construct_A` are
+    appended.  Only two ranks of rows are alive at once.
+    """
+    total = sum(M)
+    rows: list[dict[int, int]] = []
+    born: list[int] = []
+    for k in range(total + 1):
+        exact = True
+        if k:
+            live = [i for i, m in enumerate(born) if m <= total - k]
+            born = [born[i] for i in live]
+            pushed = push_rows([rows[i] for i in live], [step(M, k - 1)])
+            rows = []
+            for row, m in zip(pushed, born):
+                divided = {}
+                for c, v in row.items():
+                    q, r = divmod(v, k - m)
+                    if r:
+                        exact = False
+                    if q:
+                        divided[c] = q
+                rows.append(divided)
+        if k <= keep:
+            col = {alpha: idx for idx, alpha in enumerate(monomials_of_profile_rank(M, k))}
+            for f in construct_A(M, k):
+                rows.append({col[f]: 1})
+                born.append(k)
+        yield rows, born, exact
 
 
 def construct_B(M: Iterable[int], n: int) -> list[list[int]]:
@@ -166,28 +215,33 @@ def construct_B(M: Iterable[int], n: int) -> list[list[int]]:
 
     Divided powers of the raising operator push every A-generator of rank
     m up to rank n; m runs to n below the middle and to |M| - n above it.
-    The vector count always matches the rank size.
+    Rows come in order of m, then of :func:`construct_A`, and the vector
+    count always matches the rank size.  Raises ArithmeticError if a
+    divided power is not integral, which the raising step rules out.
     """
     prof = _as_profile(M)
-    total = sum(prof)
-    if not 0 <= n <= total:
+    sizes = profile_rank_sizes(prof)
+    if not 0 <= n < len(sizes):
         raise ValueError(f"rank out of range for the box {prof}: {n}")
-    bound = min(n, total - n)
-    out = []
-    for m in range(bound + 1):
-        for f in construct_A(prof, m):
-            out.append(_raising_power_vector(prof, f, n))
-    return out
+    keep = min(n, len(sizes) - 1 - n)
+    for k, (rows, _, exact) in zip(range(n + 1), _pushed_bases(prof, _um_step, keep)):
+        if not exact:
+            raise ArithmeticError(f"a divided power into rank {k} of {prof} is not integral")
+    return _dense(rows, sizes[n])
 
 
 def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict | None]:
     """The rank-n basis vectors must form a square unimodular matrix.
 
-    Returns (True, None) or (False, witness): the vector count against the
-    rank size when they differ, else the determinant.
+    Returns (True, None) or (False, witness): the divided power that is not
+    integral, else the vector count against the rank size when they differ,
+    else the determinant.
     """
     prof = _as_profile(M)
-    vectors = construct_B(prof, n)
+    try:
+        vectors = construct_B(prof, n)
+    except ArithmeticError as exc:
+        return False, {"divided_power": str(exc)}
     size = len(monomials_of_profile_rank(prof, n))
     if len(vectors) != size:
         return False, {"vectors": str(len(vectors)), "rank_size": str(size)}
@@ -252,6 +306,42 @@ def dm_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
     return _layer(M, low, high, _dm_step)
 
 
+@lru_cache(maxsize=None)
+def _rank_certificate(M: ChainProfile, step, det) -> tuple[tuple[int, bool, bool], ...]:
+    """Per rank k of the box, from one walk of :func:`_pushed_bases` over
+    ``step``: (generators born at k, every division into rank k was exact,
+    the rows of rank k are square with |det| = 1 under ``det``).
+
+    Only these facts are kept, never the rows.  The step and the determinant
+    are part of the key, so a rebound one (a tracer, a test double) gets its
+    own certificate.  The rows go to ``det`` ordered by leading column.
+    """
+    sizes = profile_rank_sizes(M)
+    out = []
+    for k, (rows, born, exact) in enumerate(_pushed_bases(M, step, sum(M) // 2)):
+        size = sizes[k]
+        square = len(rows) == size
+        if square:
+            rows = sorted(rows, key=lambda row: min(row, default=size))
+        out.append((born.count(k), exact, square and abs(det(_dense(rows, size))) == 1))
+    return tuple(out)
+
+
+def _proved_sizes(M: ChainProfile, low: int, high: int) -> list[int] | None:
+    """When the certificate proves the window [low, high] (l + h <= |M|),
+    the number of its generators of rank <= i for i = 0..low, from which
+    the diagonal (h-l)! Pi of the module docstring is read; else None.
+
+    A window is proved when its two end ranks are unimodular and every
+    division on the ranks low + 1 .. high was exact.
+    """
+    cert = _rank_certificate(M, _um_step, determinant)
+    exact = all(step_exact for _, step_exact, _ in cert[low + 1 : high + 1])
+    if not (exact and cert[low][2] and cert[high][2]):
+        return None
+    return list(accumulate(born for born, _, _ in cert[: low + 1]))
+
+
 def predicted_um_snf(M: Iterable[int], low: int, high: int) -> tuple[int, ...]:
     """Smith chain of the diagonal model of the box's rank sizes:
     |P_i| - |P_{i-1}| entries equal to C(high-i, low-i) for i = 0..low,
@@ -265,12 +355,11 @@ def predicted_um_snf(M: Iterable[int], low: int, high: int) -> tuple[int, ...]:
 
 def _smith_window_report(head: dict, low: int, high: int, expected, windows) -> dict:
     """The report of one Smith window: ``head`` (suite and scope), the window
-    and its predicted invariants, and a failure for every (label, matrix)
-    pair whose Smith form differs.  ``windows`` may be a generator, so that
-    each matrix is built just before its :func:`snf` call."""
+    and its predicted invariants, and a failure for every (label, invariants)
+    pair that differs from the prediction.  ``windows`` may be a generator,
+    so that each matrix is built and reduced just before the next."""
     checked, failures = 0, []
-    for label, mat in windows:
-        got = snf(mat)
+    for label, got in windows:
         checked += 1
         if got != expected:
             failures.append(
@@ -295,13 +384,28 @@ def um_snf_check(M: Iterable[int], low: int, high: int) -> dict:
 
     Only the window below the middle (low + high <= |M|) is covered; the
     complementary window belongs to the lowering operator, whose composite
-    is the transpose of this one and therefore adds nothing new.
+    is the transpose of this one and therefore adds nothing new.  A window
+    the certificate proves is not eliminated; any other goes to :func:`snf`.
     """
     prof = _as_profile(M)
     expected = predicted_um_snf(prof, low, high)
+    sizes = _proved_sizes(prof, low, high)
+    if sizes is not None and diagonal_model_snf(sizes, low, high) == expected:
+        got = expected
+    else:
+        got = snf(um_layer_matrix(prof, low, high))
     head = {"suite": "chains-snf", "M": list(prof)}
-    window = [(f"raising[{low},{high}]", um_layer_matrix(prof, low, high))]
-    return _smith_window_report(head, low, high, expected, window)
+    return _smith_window_report(head, low, high, expected, [(f"raising[{low},{high}]", got)])
+
+
+def _diagonal_det(sizes: Sequence[int], low: int, high: int) -> int:
+    """|det| of the diagonal model on a square window: prod over m = 0..low
+    of ((high-m)!/(low-m)!)^(sizes[m] - sizes[m-1])."""
+    out = 1
+    for m in range(low + 1):
+        count = sizes[m] - (sizes[m - 1] if m > 0 else 0)
+        out *= (math.factorial(high - m) // math.factorial(low - m)) ** count
+    return out
 
 
 def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
@@ -311,21 +415,19 @@ def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
     total = sum(prof)
     if high != total - low or low > high:
         raise ValueError(f"need l' = |M| - l with l <= l', got ({low}, {high})")
-    sizes = profile_rank_sizes(prof)
-    out = 1
-    for m in range(low + 1):
-        count = sizes[m] - (sizes[m - 1] if m > 0 else 0)
-        ratio = math.factorial(high - m) // math.factorial(low - m)
-        out *= ratio**count
-    return out
+    return _diagonal_det(profile_rank_sizes(prof), low, high)
 
 
 def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, dict | None]:
-    """Exact determinant of the complementary-rank raising composite against
-    the closed formula.  Returns (True, None) or (False, witness) with the
-    expected and the actual |det|."""
+    """|det| of the complementary-rank raising composite against the closed
+    formula: proved by the certificate, or else by exact elimination.
+    Returns (True, None) or (False, witness) with the expected and the
+    actual |det|."""
     prof = _as_profile(M)
     expected = um_determinant_formula(prof, low, high)
+    sizes = _proved_sizes(prof, low, high)
+    if sizes is not None and _diagonal_det(sizes, low, high) == expected:
+        return True, None
     got = abs(determinant(um_layer_matrix(prof, low, high)))
     if got != expected:
         return False, {"expected": str(expected), "actual": str(got)}

@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 
 from .chains import base_change_report, um_determinant_report, um_snf_check
 from .hasse import (
+    _json_chunks,
     _vertex_names,
     build_hasse,
     diagram_to_dot,
-    diagram_to_json,
     verify_snf_theorem,
     verify_w0_symmetry,
 )
@@ -237,7 +237,9 @@ def cmd_hasse(args) -> int:
         for src, dst, wt in diagram.edges:
             print(f"{name[src]} -> {name[dst]}  weight {wt}")
     else:
-        print(json.dumps(diagram_to_json(diagram), indent=2))
+        for chunk in _json_chunks(diagram):
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
     return 0
 
 

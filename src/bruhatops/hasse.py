@@ -23,6 +23,7 @@ at the staircase (n-1, ..., 1).
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 from typing import Iterator
@@ -39,7 +40,7 @@ from .permutations import (
     w0_times,
 )
 from .schubert import staircase
-from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
+from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows, snf
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -330,13 +331,15 @@ def _w0_flip(ranks: tuple[tuple[Permutation, ...], ...]) -> list[range]:
 
 def verify_w0_symmetry(n: int) -> dict:
     """The flip symmetry on the weak/nabla, strong/code and strong/chevalley
-    diagrams of S_n; ``checked`` counts their edges."""
+    diagrams of S_n; ``checked`` counts their edges.  Each diagram is built
+    uncached and dropped after its check, so only one is alive at a time."""
     failures = []
     checked = 0
     for order, weights in (("weak", "nabla"), ("strong", "code"), ("strong", "chevalley")):
-        diagram = build_hasse(n, order, weights)
+        diagram = build_hasse.__wrapped__(n, order, weights)
         checked += sum(map(len, diagram._steps))
         ok, witness = w0_symmetry_check(diagram)
+        del diagram
         if not ok:
             failures.append({"witness": f"{order}/{weights}", **witness})
     return {"suite": "w0-symmetry", "n": n, "checked": checked, "failures": failures}
@@ -380,7 +383,7 @@ def verify_snf_theorem(n: int, low: int, high: int) -> dict:
     strong = build_hasse(n, "strong", "code")
     weak = build_hasse(n, "weak", "nabla")
     windows = (
-        (f"{label}[{a},{b}]", layer_matrix(diagram, a, b))
+        (f"{label}[{a},{b}]", snf(layer_matrix(diagram, a, b)))
         for label, diagram in (("delta", strong), ("nabla", weak))
         for a, b in ((low, high), (top - high, top - low))
     )
@@ -402,6 +405,26 @@ def diagram_to_json(g: WeightedHasseDiagram) -> dict:
         "ranks": [[name[w] for w in stratum] for stratum in g.ranks],
         "edges": [[name[src], name[dst], str(wt)] for src, dst, wt in g.edges],
     }
+
+
+def _json_chunks(g: WeightedHasseDiagram) -> Iterator[str]:
+    """The text of ``json.dumps(diagram_to_json(g), indent=2)`` in pieces:
+    the head and the ranks, then the edges of one rank step per piece, so
+    that no document and no string of the whole text is ever held."""
+    name = _vertex_names(g)
+    quoted = {w: json.dumps(text) for w, text in name.items()}
+    head = {"n": g.n, "order": g.order, "weights": g.weights}
+    head["ranks"] = [[name[w] for w in stratum] for stratum in g.ranks]
+    yield json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "edges": ['
+    sep = "\n"
+    for low, high, step in zip(g.ranks, g.ranks[1:], g._steps):
+        if step:
+            yield sep + ",\n".join(
+                f'    [\n      {quoted[low[r]]},\n      {quoted[high[c]]},\n      "{wt}"\n    ]'
+                for r, c, wt in step
+            )
+            sep = ",\n"
+    yield "]\n}" if sep == "\n" else "\n  ]\n}"
 
 
 def diagram_to_dot(g: WeightedHasseDiagram) -> str:

@@ -96,14 +96,19 @@ def push_rows(rows: list[dict[int, int]], steps: Iterable[SparseStep]) -> list[d
     return rows
 
 
-def compose_steps(steps: Sequence[SparseStep], rows: int, cols: int) -> IntMatrix:
-    """Dense rows x cols product of consecutive sparse steps; the identity
-    when there are no steps."""
-    out = [[0] * cols for _ in range(rows)]
-    for out_i, row in zip(out, push_rows([{i: 1} for i in range(rows)], steps)):
+def _dense(rows: list[dict[int, int]], cols: int) -> IntMatrix:
+    """Sparse rows (index -> value) as a dense matrix with ``cols`` columns."""
+    out = [[0] * cols for _ in rows]
+    for out_i, row in zip(out, rows):
         for c, v in row.items():
             out_i[c] = v
     return out
+
+
+def compose_steps(steps: Sequence[SparseStep], rows: int, cols: int) -> IntMatrix:
+    """Dense rows x cols product of consecutive sparse steps; the identity
+    when there are no steps."""
+    return _dense(push_rows([{i: 1} for i in range(rows)], steps), cols)
 
 
 def _bareiss(mat: IntMatrix) -> tuple[int, int]:

@@ -1,12 +1,15 @@
 """Products of chains: bases, raising/lowering matrices, Smith forms."""
 
+import json
 import math
 from itertools import product as iter_product
 
 import pytest
 
+import bruhatops.chains as chains
 from bruhatops.chains import (
     _dm_step,
+    _proved_sizes,
     _um_step,
     base_change_report,
     base_change_unimodular_check,
@@ -24,6 +27,7 @@ from bruhatops.chains import (
     um_layer_matrix,
     um_snf_check,
 )
+from bruhatops.cli import main
 from bruhatops.hasse import predicted_snf
 from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
@@ -36,6 +40,25 @@ def brute_rank_sizes(M):
     for alpha in iter_product(*(range(m + 1) for m in M)):
         sizes[sum(alpha)] += 1
     return tuple(sizes)
+
+
+def raising_power_vector(M, f, n):
+    """Oracle: coordinates of U^{n-|f|}/(n-|f|)! applied to x^f over the
+    rank-n monomials, by the closed form prod_i C(beta_i, f_i)."""
+    vec = []
+    for beta in monomials_of_profile_rank(M, n):
+        if all(b >= a for a, b in zip(f, beta)):
+            vec.append(math.prod(math.comb(b, a) for a, b in zip(f, beta)))
+        else:
+            vec.append(0)
+    return vec
+
+
+def closed_form_basis(M, n):
+    """Oracle: the rank-n basis from the closed form, generators of rank
+    m = 0..min(n, |M| - n) in the order of construct_A."""
+    bound = min(n, sum(M) - n)
+    return [raising_power_vector(M, f, n) for m in range(bound + 1) for f in construct_A(M, m)]
 
 
 def brute_um_layer(M, low, high):
@@ -163,6 +186,11 @@ class TestBasisConstruction:
         for k in range(sum(M) + 1):
             ok, witness = base_change_unimodular_check(M, k)
             assert ok, (M, k, witness)
+
+    @pytest.mark.parametrize("M", [(2, 1), (3, 2, 1), (2, 2, 2), (4, 3, 3, 2, 2), (4, 4, 3, 3, 2)])
+    def test_pushed_basis_matches_closed_form(self, M):
+        for k in range(sum(M) + 1):
+            assert construct_B(M, k) == closed_form_basis(M, k), (M, k)
 
     def test_unimodular_invariant_under_profile_relabeling(self):
         for k in range(7):
@@ -337,3 +365,137 @@ class TestWitnesses:
             False,
             {"vectors": "1", "rank_size": "2"},
         )
+
+
+CERTIFIED_PROFILES = [
+    (1,),
+    (3,),
+    (5,),
+    (1, 1),
+    (2, 1),
+    (2, 2),
+    (5, 1),
+    (0, 2, 1),
+    (1, 2, 3),
+    (2, 3, 1),
+    (3, 2, 1),
+    (3, 3, 1),
+    (2, 2, 2),
+    (4, 3, 2, 1),
+]
+
+
+def snf_windows(M):
+    total = sum(M)
+    return [(a, b) for a in range(total + 1) for b in range(a + 1, total + 1) if a + b <= total]
+
+
+def det_windows(M):
+    total = sum(M)
+    return [(a, total - a) for a in range(total // 2 + 1)]
+
+
+def chain_reports(M):
+    """The chains-snf report of every window of M, then the chains-det
+    report of every square window."""
+    return [um_snf_check(M, a, b) for a, b in snf_windows(M)] + [
+        um_determinant_report(M, a, b) for a, b in det_windows(M)
+    ]
+
+
+def exact_route(monkeypatch):
+    """From here on the certificate proves no window, so every window is
+    eliminated."""
+    monkeypatch.setattr(chains, "_proved_sizes", lambda M, low, high: None)
+
+
+def raise_one_weight(monkeypatch, at):
+    """From here on the first triple of the raising step out of rank ``at``
+    weighs one more."""
+    real = chains._um_step
+
+    def perturbed(M, k):
+        step = real(M, k)
+        if k == at:
+            (r, c, w), *rest = step
+            step = ((r, c, w + 1), *rest)
+        return step
+
+    monkeypatch.setattr(chains, "_um_step", perturbed)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("M", CERTIFIED_PROFILES)
+    def test_every_window_is_proved(self, M):
+        sizes = profile_rank_sizes(M)
+        for low, high in snf_windows(M) + det_windows(M):
+            assert _proved_sizes(M, low, high) == list(sizes[: low + 1]), (low, high)
+
+    @pytest.mark.parametrize("M", CERTIFIED_PROFILES)
+    def test_reports_equal_the_exact_route(self, M, monkeypatch):
+        proved = chain_reports(M)
+        exact_route(monkeypatch)
+        assert chain_reports(M) == proved
+
+    @pytest.mark.parametrize("at", range(14))
+    def test_raised_weight_proves_no_window_through_it(self, monkeypatch, at):
+        M = (4, 3, 3, 2, 2)
+        raise_one_weight(monkeypatch, at)
+        for low, high in snf_windows(M) + det_windows(M):
+            if low <= at < high:
+                assert _proved_sizes(M, low, high) is None, (low, high)
+            elif high <= at:
+                assert _proved_sizes(M, low, high) is not None, (low, high)
+
+    @pytest.mark.parametrize("at", range(14))
+    def test_raised_weight_determinants_match_the_exact_route(self, monkeypatch, at):
+        # a window the raised weight does not reach has the composite it had
+        # before, which passes; one it reaches gets what elimination says
+        M = (4, 3, 3, 2, 2)
+        raise_one_weight(monkeypatch, at)
+        reports = [um_determinant_report(M, low, high) for low, high in det_windows(M)]
+        exact_route(monkeypatch)
+        for (low, high), report in zip(det_windows(M), reports):
+            if low <= at < high:
+                assert report == um_determinant_report(M, low, high), (low, high)
+            else:
+                assert report["failures"] == [], (low, high)
+
+    @pytest.mark.parametrize("at", range(10))
+    def test_raised_weight_reports_match_the_exact_route(self, monkeypatch, at):
+        M = (3, 3, 2, 2)
+        raise_one_weight(monkeypatch, at)
+        reports = chain_reports(M)
+        assert any(report["failures"] for report in reports)
+        exact_route(monkeypatch)
+        assert chain_reports(M) == reports
+
+    def test_raised_weight_fails_the_pushed_basis(self, monkeypatch):
+        M = (3, 3, 2, 2)
+        raise_one_weight(monkeypatch, 3)
+        failures = [base_change_report(M, k)["failures"] for k in range(sum(M) + 1)]
+        assert failures[:4] == [[]] * 4
+        assert failures[4] == [
+            {
+                "witness": "rank 4",
+                "expected": "unimodular",
+                "divided_power": "a divided power into rank 4 of (3, 3, 2, 2) is not integral",
+            }
+        ]
+
+    def test_chains_det_eliminates_nothing(self, monkeypatch, capsys):
+        calls = []
+        real = chains.determinant
+
+        def spy(mat):
+            calls.append(len(mat))
+            return real(mat)
+
+        def refuse(M, low, high):
+            raise AssertionError(f"raising[{low},{high}] was composed")
+
+        monkeypatch.setattr(chains, "determinant", spy)
+        monkeypatch.setattr(chains, "um_layer_matrix", refuse)
+        assert main(["verify", "--suite", "chains-det", "--M", "4,4,3,3,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert calls == list(profile_rank_sizes((4, 4, 3, 3, 2)))

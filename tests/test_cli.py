@@ -148,6 +148,14 @@ class TestHasseCommand:
         assert doc["n"] == 3
         assert ["123", "132", "2"] in doc["edges"]
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_json_is_the_indented_document(self, capsys, n):
+        from bruhatops.hasse import build_hasse, diagram_to_json
+
+        code, out, _ = run(capsys, "hasse", "--n", str(n), "--order", "strong", "--weights", "code")
+        assert code == 0
+        assert out == json.dumps(diagram_to_json(build_hasse(n, "strong", "code")), indent=2) + "\n"
+
     def test_dot_format(self, capsys):
         code, out, _ = run(capsys, "hasse", "--n", "3", "--order", "strong", "--weights", "code", "--format", "dot")
         assert code == 0

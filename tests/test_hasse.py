@@ -1,12 +1,14 @@
 """Weighted cover diagrams and path counting against brute-force oracles."""
 
 import itertools
+import json
 import math
 
 import pytest
 
 from bruhatops.hasse import (
     WeightedHasseDiagram,
+    _json_chunks,
     _sweep,
     _w0_flip,
     build_hasse,
@@ -16,6 +18,7 @@ from bruhatops.hasse import (
     diagram_to_json,
     layer_matrix,
     nabla_weight,
+    verify_w0_symmetry,
     w0_symmetry_check,
     weighted_path_count,
 )
@@ -393,6 +396,21 @@ class TestW0Symmetry:
         assert not ok
         assert witness is not None and "mirror" in witness
 
+    def test_suite_builds_no_cached_diagram(self):
+        # each diagram is built, checked and dropped; the cache is not touched
+        before = build_hasse.cache_info()
+        report = verify_w0_symmetry(5)
+        after = build_hasse.cache_info()
+        assert after == before
+        systems = (("weak", "nabla"), ("strong", "code"), ("strong", "chevalley"))
+        diagrams = [build_hasse(5, order, weights) for order, weights in systems]
+        assert report == {
+            "suite": "w0-symmetry",
+            "n": 5,
+            "checked": sum(len(step) for g in diagrams for step in g._steps),
+            "failures": [],
+        }
+
     def test_detects_dropped_triple(self):
         # drop 312 -> 321 (index 1 -> 0 of the last step), the mirror of
         # 123 -> 132, which is the first edge scanned
@@ -424,3 +442,9 @@ class TestExports:
         assert '"123" -> "132" [label="2"];' in dot
         assert "rank=same" in dot
         assert dot.rstrip().endswith("}")
+
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_json_chunks_are_the_indented_document(self, order, weights):
+        for n in range(1, 6):
+            g = build_hasse(n, order, weights)
+            assert "".join(_json_chunks(g)) == json.dumps(diagram_to_json(g), indent=2), n
