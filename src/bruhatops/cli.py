@@ -201,6 +201,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"suite {suite!r} takes no --from or --to")
     if suite not in _SUITE_CAPS and args.n is not None:
         raise ValueError(f"suite {suite!r} takes --M, not --n")
+    if suite not in _SUITE_CAPS and args.force:
+        raise ValueError(f"suite {suite!r} takes no --force")
     if suite in _SUITE_CAPS:
         if args.M is not None:
             raise ValueError(f"suite {suite!r} takes --n, not --M")

@@ -6,9 +6,9 @@ All layer matrices follow one convention: rows are indexed by the LOWER
 rank, columns by the UPPER rank (lex order on permutations, lex-descending
 on monomial exponents), and the entry at (x, y) is the coefficient tying x
 to y across the composite, regardless of the direction the operator moves.
-Under that convention, the single-step matrix of the raising operator in
-the padded Schubert basis is exactly the code-weighted strong-order layer,
-and the lowering operator's is the index-weighted weak-order layer.
+The action suites check that the raising and lowering operators' single
+steps in the padded Schubert basis are the code-weighted strong-order and
+index-weighted weak-order steps; sl2 checks those two diagrams' duality.
 """
 
 from __future__ import annotations
@@ -217,26 +217,24 @@ def verify_delta_theorem(n: int) -> dict:
 
 
 def commutator_check(n: int) -> tuple[bool, dict | None]:
-    """[delta, nabla] must act on rank k as the scalar 2k - N.
-
-    Assembled from the single sparse steps in the padded Schubert basis:
-    with D_k the raising step out of rank k and V_k the lowering step back
-    from rank k+1 (both stored rows=lower), the commutator on rank k is
-    D_{k-1}^T V_{k-1} - V_k D_k^T, whose row i is the unit row e_i pushed
-    through D_{k-1}^T then V_{k-1}, minus e_i pushed through V_k then D_k^T.
+    """The duality of the strong/code and weak/nabla diagrams in the sl2
+    form of dual graded graphs: D_{k-1}^T V_{k-1} - V_k D_k^T = (2k - N) I
+    on rank k, with D_k and V_k their steps out of rank k (rows = rank k).
+    The action suites equate these steps with the padded Schubert steps of
+    delta and nabla, so with them this is [delta, nabla] = 2k - N.
 
     Returns (True, None) or (False, witness) naming the first failing rank,
     the entry (row, column) in lex order of its permutations, and the
     expected and actual values.
     """
     top = num_inversions_max(n)
-    prev = None  # (D_{k-1}, V_{k-1}); one pair of steps at a time bounds memory
+    # raising[k] is D_{k-1}; an empty step, the zero map, pads either end
+    raising = ((), *build_hasse(n, "strong", "code")._steps, ())
+    lowering = ((), *build_hasse(n, "weak", "nabla")._steps, ())
     for k in range(top + 1):
-        units = [{i: 1} for i in range(len(permutations_of_rank(n, k)))]
-        cur = (_padded_step("delta", n, k), _padded_step("nabla", n, k)) if k < top else None
-        below = push_rows(units, [_flipped(prev[0]), prev[1]]) if prev else [{} for _ in units]
-        above = push_rows(units, [cur[1], _flipped(cur[0])]) if cur else [{} for _ in units]
-        prev = cur
+        units = [{i: 1} for i in range(rank_size(n, k))]
+        below = push_rows(units, [_flipped(raising[k]), lowering[k]])
+        above = push_rows(units, [lowering[k + 1], _flipped(raising[k + 1])])
         for i, (down_up, up_down) in enumerate(zip(below, above)):
             for j in sorted({i, *down_up, *up_down}):
                 want = 2 * k - top if i == j else 0
@@ -249,7 +247,7 @@ def commutator_check(n: int) -> tuple[bool, dict | None]:
 
 
 def verify_sl2(n: int) -> dict:
-    """The sl2 relation [delta, nabla] = 2k - N on every rank k of S_n."""
+    """The sl2 duality of the two weighted diagrams on every rank of S_n."""
     ok, witness = commutator_check(n)
     return {
         "suite": "sl2",

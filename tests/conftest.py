@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bruhatops.permutations as permutations
+from bruhatops.hasse import WeightedHasseDiagram
 
 
 @pytest.fixture
@@ -40,3 +41,22 @@ def no_schubert_table(monkeypatch):
     fresh = functools.lru_cache(maxsize=None)(schubert_module._specialization_table.__wrapped__)
     for name in ("operators", "cli"):
         monkeypatch.setattr(importlib.import_module(f"bruhatops.{name}"), "_specialization_table", fresh)
+
+
+@pytest.fixture
+def bump_raising_step(monkeypatch):
+    """``bump(n, k, triple)`` adds ``triple`` to step k of a rebuilt
+    strong/code diagram of S_n, which ``operators.build_hasse`` returns from
+    then on; every other diagram is built as usual."""
+    operators = importlib.import_module("bruhatops.operators")
+    real = operators.build_hasse
+
+    def bump(n, k, triple):
+        g = real(n, "strong", "code")
+        steps = g._steps[:k] + (g._steps[k] + (triple,),) + g._steps[k + 1 :]
+        broken = WeightedHasseDiagram(n, "strong", "code", g.ranks, steps)
+        monkeypatch.setattr(
+            operators, "build_hasse", lambda m, o, w: broken if (m, o, w) == (n, "strong", "code") else real(m, o, w)
+        )
+
+    return bump

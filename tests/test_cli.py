@@ -67,18 +67,8 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_sl2_failure_names_its_witness(self, capsys, monkeypatch):
-        import bruhatops.operators as operators
-
-        real = operators._padded_step
-
-        def corrupted(operator, n, k):
-            step = real(operator, n, k)
-            if operator == "delta" and k == 1:
-                step += ((0, 0, 1),)
-            return step
-
-        monkeypatch.setattr(operators, "_padded_step", corrupted)
+    def test_sl2_failure_names_its_witness(self, capsys, bump_raising_step):
+        bump_raising_step(3, 1, (0, 0, 1))
         code, out, _ = run(capsys, "verify", "--suite", "sl2", "--n", "3")
         assert code == 1
         assert json.loads(out)["reports"][0]["failures"] == [
@@ -131,6 +121,9 @@ class TestExitCodes:
             (["nabla-action", "--n", "3", "--from", "1", "--to", "2"], "suite 'nabla-action' takes no --from or --to"),
             (["sl2", "--n", "3", "--from", "1"], "suite 'sl2' takes no --from or --to"),
             (["chains-basis", "--M", "2,1", "--to", "2"], "suite 'chains-basis' takes no --from or --to"),
+            (["chains-basis", "--M", "2,1", "--force"], "suite 'chains-basis' takes no --force"),
+            (["chains-snf", "--M", "2,1", "--force"], "suite 'chains-snf' takes no --force"),
+            (["chains-det", "--M", "2,1", "--force"], "suite 'chains-det' takes no --force"),
         ],
     )
     def test_option_the_suite_ignores_is_usage_error(self, capsys, argv, message):
@@ -222,6 +215,15 @@ class TestVerifyCommand:
             code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
             assert code == 0, suite
             assert json.loads(out)["ok"] is True
+
+    def test_sl2_builds_no_polynomial(self, capsys, no_schubert_table):
+        from bruhatops.operators import commutator_check
+
+        assert commutator_check(6) == (True, None)
+        code, out, _ = run(capsys, "verify", "--suite", "sl2", "--n", "5")
+        assert code == 0
+        report = {"suite": "sl2", "n": 5, "checked": 11, "failures": []}
+        assert out == json.dumps({"ok": True, "reports": [report]}, indent=2) + "\n"
 
 
 # a small instance of every suite

@@ -27,6 +27,7 @@ from bruhatops.permutations import (
     longest_element,
     num_inversions_max,
     permutations_by_rank,
+    permutations_of_rank,
     to_string,
     w0_times,
 )
@@ -42,7 +43,7 @@ from bruhatops.schubert import (
     principal_specialization,
     schubert,
 )
-from bruhatops.snf import identity_matrix, matmul, transpose
+from bruhatops.snf import _flipped, identity_matrix, matmul, push_rows, transpose
 
 
 def dense_monomial_step(operator, n, k):
@@ -114,6 +115,37 @@ def per_permutation_report(operator, n, perms):
         "checked": checked,
         "failures": failures,
     }
+
+
+def padded_commutator_check(n):
+    """Oracle for the sl2 suite: the scan of ``commutator_check`` on the
+    padded Schubert steps that ``operators._padded_step`` returns, where
+    every Schubert polynomial is pushed through a monomial step and peeled
+    back.  It checks [delta, nabla] = 2k - N in the padded basis itself."""
+    top = num_inversions_max(n)
+    step = operators._padded_step
+    prev = None  # (D_{k-1}, V_{k-1})
+    for k in range(top + 1):
+        units = [{i: 1} for i in range(len(permutations_of_rank(n, k)))]
+        cur = (step("delta", n, k), step("nabla", n, k)) if k < top else None
+        below = push_rows(units, [_flipped(prev[0]), prev[1]]) if prev else [{} for _ in units]
+        above = push_rows(units, [cur[1], _flipped(cur[0])]) if cur else [{} for _ in units]
+        prev = cur
+        for i, (down_up, up_down) in enumerate(zip(below, above)):
+            for j in sorted({i, *down_up, *up_down}):
+                want = 2 * k - top if i == j else 0
+                got = down_up.get(j, 0) - up_down.get(j, 0)
+                if got != want:
+                    return False, {"rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)}
+    return True, None
+
+
+def bump_padded_raising_step(monkeypatch, k, triple):
+    """Add ``triple`` to the padded delta step k that ``operators._padded_step``
+    returns from here on."""
+    real = operators._padded_step
+    bumped = lambda op, n, j: real(op, n, j) + ((triple,) if (op, j) == ("delta", k) else ())
+    monkeypatch.setattr(operators, "_padded_step", bumped)
 
 
 ACTION_CHUNKS = {"nabla": nabla_action_chunk, "delta": delta_action_chunk}
@@ -272,41 +304,48 @@ class TestCommutator:
     def test_sl2_relation(self, n):
         assert commutator_check(n) == (True, None)
 
-    def test_witness_names_first_failing_entry(self, monkeypatch):
-        real = operators._padded_step
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_diagram_duality_matches_padded_route(self, n):
+        assert commutator_check(n) == padded_commutator_check(n) == (True, None)
 
-        def corrupted(operator, n, k):
-            step = real(operator, n, k)
-            if operator == "delta" and k == 1:
-                step += ((0, 0, 1),)
-            return step
-
-        monkeypatch.setattr(operators, "_padded_step", corrupted)
+    def test_witness_names_first_failing_entry(self, monkeypatch, bump_raising_step):
         # rank 1 picks up -V_1 D_1^T; with V_1 = [[0, 1], [2, 0]] the extra
         # triple bumps D_1[0][0], which shifts entry (1, 0) from 0 to -2 and
-        # leaves (0, 0) alone
-        assert commutator_check(3) == (
-            False,
-            {"rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"},
-        )
+        # leaves (0, 0) alone; the padded route, bumped alike, agrees
+        witness = {"rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"}
+        bump_raising_step(3, 1, (0, 0, 1))
+        assert commutator_check(3) == (False, witness)
+        bump_padded_raising_step(monkeypatch, 1, (0, 0, 1))
+        assert padded_commutator_check(3) == (False, witness)
 
-    def test_witness_seen_only_through_raise_then_lower(self, monkeypatch):
+    def test_witness_seen_only_through_raise_then_lower(self, monkeypatch, bump_raising_step):
         # the entry (2, 0) on rank 2 is nonzero in V_2 D_2^T alone, so the
         # scan over row 2 must reach columns that only that product fills;
         # the witness matches the dense product D^T V - V D^T
-        real = operators._padded_step
+        witness = {"rank": 2, "entry": [2, 0], "expected": "0", "actual": "-2"}
+        bump_raising_step(4, 2, (0, 2, 1))
+        assert commutator_check(4) == (False, witness)
+        bump_padded_raising_step(monkeypatch, 2, (0, 2, 1))
+        assert padded_commutator_check(4) == (False, witness)
 
-        def corrupted(operator, n, k):
-            step = real(operator, n, k)
-            if operator == "delta" and k == 2:
-                step += ((0, 2, 1),)
-            return step
-
-        monkeypatch.setattr(operators, "_padded_step", corrupted)
-        assert commutator_check(4) == (
-            False,
-            {"rank": 2, "entry": [2, 0], "expected": "0", "actual": "-2"},
-        )
+    # the first failure at n = 3, 4, 5 with the other compatible weights,
+    # as (rank, expected, actual), each at entry (0, 0) of its rank
+    @pytest.mark.parametrize(
+        "strong,weak,firsts",
+        [
+            ("code", "unit", [(0, -3, -2), (0, -6, -3), (0, -10, -4)]),
+            ("chevalley", "nabla", [(1, -1, 1), (1, -4, 0), (1, -8, -2)]),
+            ("chevalley", "unit", [(0, -3, -2), (0, -6, -3), (0, -10, -4)]),
+            ("unit", "nabla", [(1, -1, 1), (1, -4, 0), (1, -8, -2)]),
+            ("unit", "unit", [(0, -3, -2), (0, -6, -3), (0, -10, -4)]),
+        ],
+    )
+    def test_only_code_and_nabla_weights_are_dual(self, monkeypatch, strong, weak, firsts):
+        pick = {"strong": strong, "weak": weak}
+        monkeypatch.setattr(operators, "build_hasse", lambda n, o, w: build_hasse(n, o, pick[o]))
+        for n, (rank, want, got) in zip((3, 4, 5), firsts):
+            witness = {"rank": rank, "entry": [0, 0], "expected": str(want), "actual": str(got)}
+            assert commutator_check(n) == (False, witness), n
 
 
 class TestPathIdentities:
