@@ -27,6 +27,7 @@ falls back to exact elimination of its composite.
 
 from __future__ import annotations
 
+import marshal
 import math
 from functools import cache, lru_cache
 from itertools import accumulate, product
@@ -170,31 +171,34 @@ def construct_A(M: Iterable[int], n: int) -> list[Exponent]:
 
 def _pushed_bases(
     M: ChainProfile, step, keep: int
-) -> Iterator[tuple[list[dict[int, int]], list[int], bool]]:
+) -> Iterator[tuple[list[dict[int, int]], list[int], tuple[int, ...]]]:
     """The rows of the bases B_0, ..., B_|M| as sparse rows over the
     monomials of each rank, built by one walk up the ranks; only the
     generators of rank at most ``keep`` (at most |M|/2) take part.
 
-    Yields, per rank k, (rows, born, exact): the row of every live
-    generator, the rank each generator was born at, and whether every
-    division on the step into rank k was exact.  The rows of rank k - 1 are
-    pushed through ``step(M, k - 1)`` together, each entry is divided by
-    k - m for its generator's rank m, the generators with m > |M| - k are
-    dropped, and for k <= keep the unit rows of :func:`construct_A` are
-    appended.  Only two ranks of rows are alive at once.
+    Yields, per rank k, (rows, born, inexact): the row of every live
+    generator, the rank each generator was born at, and the positions of
+    the rows whose division on the step into rank k was not exact.  The
+    rows of rank k - 1 are pushed through ``step(M, k - 1)`` together, each
+    entry is divided by k - m for its generator's rank m, the generators
+    with m > |M| - k are dropped, and for k <= keep the unit rows of
+    :func:`construct_A` are appended.  Generators are born in order of rank
+    and die in the reverse order, so the live ones are always the first in
+    order of birth, and a row's position names its generator.  Only two
+    ranks of rows are alive at once.
     """
     total = sum(M)
     rows: list[dict[int, int]] = []
     born: list[int] = []
     for k in range(total + 1):
-        exact = True
+        inexact = []
         if k:
             live = [i for i, m in enumerate(born) if m <= total - k]
             born = [born[i] for i in live]
             pushed = push_rows([rows[i] for i in live], [step(M, k - 1)])
             rows = []
-            for row, m in zip(pushed, born):
-                divided = {}
+            for i, (row, m) in enumerate(zip(pushed, born)):
+                divided, exact = {}, True
                 for c, v in row.items():
                     q, r = divmod(v, k - m)
                     if r:
@@ -202,12 +206,15 @@ def _pushed_bases(
                     if q:
                         divided[c] = q
                 rows.append(divided)
+                if not exact:
+                    inexact.append(i)
+            del pushed  # between yields only the rows of one rank stay alive
         if k <= keep:
             col = {alpha: idx for idx, alpha in enumerate(monomials_of_profile_rank(M, k))}
             for f in construct_A(M, k):
                 rows.append({col[f]: 1})
                 born.append(k)
-        yield rows, born, exact
+        yield rows, born, tuple(inexact)
 
 
 def construct_B(M: Iterable[int], n: int) -> list[list[int]]:
@@ -224,28 +231,102 @@ def construct_B(M: Iterable[int], n: int) -> list[list[int]]:
     if not 0 <= n < len(sizes):
         raise ValueError(f"rank out of range for the box {prof}: {n}")
     keep = min(n, len(sizes) - 1 - n)
-    for k, (rows, _, exact) in zip(range(n + 1), _pushed_bases(prof, _um_step, keep)):
-        if not exact:
+    for k, (rows, _, inexact) in zip(range(n + 1), _pushed_bases(prof, _um_step, keep)):
+        if inexact:
             raise ArithmeticError(f"a divided power into rank {k} of {prof} is not integral")
     return _dense(rows, sizes[n])
+
+
+class _Walk:
+    """One walk of :func:`_pushed_bases` over all generators, advanced only
+    as far as a caller asks.
+
+    For every rank k reached it records the generators born at k
+    (``born[k]``), the generators alive at k (``live[k]``, the first ones in
+    order of birth) and the positions of the rows whose division into rank k
+    was not exact (``inexact[k]``).  The rows of a rank are kept until
+    :meth:`take` hands them out, marshalled once the walk has passed the
+    rank (the rows of every rank of (4,4,3,3,2) take 0.33 MB so, against
+    1.9 MB as dicts); a rank asked for again after that is walked to afresh.
+    """
+
+    def __init__(self, M: ChainProfile, step):
+        self.M, self.step = M, step
+        self.born: list[int] = []
+        self.live: list[int] = []
+        self.inexact: list[tuple[int, ...]] = []
+        self._restart()
+
+    def _restart(self) -> None:
+        self._ranks = enumerate(_pushed_bases(self.M, self.step, sum(self.M) // 2))
+        self._at = -1
+        self._rows: dict[int, list[dict[int, int]] | bytes] = {}
+
+    def reach(self, k: int) -> _Walk:
+        """Walk on to rank k, keeping the rows of every rank passed."""
+        while self._at < k:
+            if self._at in self._rows:
+                self._rows[self._at] = marshal.dumps(self._rows[self._at])
+            self._at, (rows, born, inexact) = next(self._ranks)
+            if self._at == len(self.live):
+                self.born.append(born.count(self._at))
+                self.live.append(len(rows))
+                self.inexact.append(inexact)
+            self._rows[self._at] = rows
+        return self
+
+    def take(self, k: int) -> list[dict[int, int]]:
+        """The rows of B_k, in order of birth of their generators, which the
+        walk then forgets."""
+        if k not in self._rows:
+            if k <= self._at:
+                self._restart()
+            self.reach(k)
+        rows = self._rows.pop(k)
+        return rows if k == self._at else marshal.loads(rows)
+
+
+@lru_cache(maxsize=None)
+def _walk(M: ChainProfile, step) -> _Walk:
+    return _Walk(M, step)
+
+
+@lru_cache(maxsize=None)
+def _rank_det(M: ChainProfile, step, det, k: int) -> tuple[int, int | None]:
+    """(vector count, determinant) of the basis B_k walked over ``step``:
+    ``det`` of its rows in order of birth of their generators, or None when
+    they are not square.
+
+    Taken on first request and cached without the rows.  The step and the
+    determinant are part of the key, so a rebound one (a tracer, a test
+    double) gets its own values.
+    """
+    rows = _walk(M, step).take(k)
+    size = profile_rank_sizes(M)[k]
+    return len(rows), (det(_dense(rows, size)) if len(rows) == size else None)
 
 
 def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict | None]:
     """The rank-n basis vectors must form a square unimodular matrix.
 
-    Returns (True, None) or (False, witness): the divided power that is not
-    integral, else the vector count against the rank size when they differ,
-    else the determinant.
+    Returns (True, None) or (False, witness): the first rank into which a
+    divided power of a generator of B_n is not integral, else the vector
+    count against the rank size when they differ, else the determinant.
+    These are the facts :func:`construct_B` and :func:`determinant` give,
+    read from the one walk the window checks share.
     """
     prof = _as_profile(M)
-    try:
-        vectors = construct_B(prof, n)
-    except ArithmeticError as exc:
-        return False, {"divided_power": str(exc)}
-    size = len(monomials_of_profile_rank(prof, n))
-    if len(vectors) != size:
-        return False, {"vectors": str(len(vectors)), "rank_size": str(size)}
-    det = determinant(vectors)
+    sizes = profile_rank_sizes(prof)
+    if not 0 <= n < len(sizes):
+        raise ValueError(f"rank out of range for the box {prof}: {n}")
+    step = _um_step
+    walk = _walk(prof, step).reach(n)
+    for k in range(1, n + 1):
+        if walk.inexact[k] and walk.inexact[k][0] < walk.live[n]:
+            return False, {"divided_power": f"a divided power into rank {k} of {prof} is not integral"}
+    vectors, det = _rank_det(prof, step, determinant, n)
+    if vectors != sizes[n]:
+        return False, {"vectors": str(vectors), "rank_size": str(sizes[n])}
     if abs(det) != 1:
         return False, {"determinant": str(det)}
     return True, None
@@ -306,40 +387,28 @@ def dm_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
     return _layer(M, low, high, _dm_step)
 
 
-@lru_cache(maxsize=None)
-def _rank_certificate(M: ChainProfile, step, det) -> tuple[tuple[int, bool, bool], ...]:
-    """Per rank k of the box, from one walk of :func:`_pushed_bases` over
-    ``step``: (generators born at k, every division into rank k was exact,
-    the rows of rank k are square with |det| = 1 under ``det``).
-
-    Only these facts are kept, never the rows.  The step and the determinant
-    are part of the key, so a rebound one (a tracer, a test double) gets its
-    own certificate.  The rows go to ``det`` ordered by leading column.
-    """
-    sizes = profile_rank_sizes(M)
-    out = []
-    for k, (rows, born, exact) in enumerate(_pushed_bases(M, step, sum(M) // 2)):
-        size = sizes[k]
-        square = len(rows) == size
-        if square:
-            rows = sorted(rows, key=lambda row: min(row, default=size))
-        out.append((born.count(k), exact, square and abs(det(_dense(rows, size))) == 1))
-    return tuple(out)
+def _unimodular(M: ChainProfile, step, k: int) -> bool:
+    """Whether the rows of B_k are square with det +-1."""
+    det = _rank_det(M, step, determinant, k)[1]
+    return det is not None and abs(det) == 1
 
 
 def _proved_sizes(M: ChainProfile, low: int, high: int) -> list[int] | None:
-    """When the certificate proves the window [low, high] (l + h <= |M|),
-    the number of its generators of rank <= i for i = 0..low, from which
-    the diagonal (h-l)! Pi of the module docstring is read; else None.
+    """When the basis proves the window [low, high] (l + h <= |M|), the
+    number of its generators of rank <= i for i = 0..low, from which the
+    diagonal (h-l)! Pi of the module docstring is read; else None.
 
-    A window is proved when its two end ranks are unimodular and every
-    division on the ranks low + 1 .. high was exact.
+    A window is proved when every division on the ranks low + 1 .. high was
+    exact and its two end ranks are unimodular; only those two ranks'
+    determinants are taken.
     """
-    cert = _rank_certificate(M, _um_step, determinant)
-    exact = all(step_exact for _, step_exact, _ in cert[low + 1 : high + 1])
-    if not (exact and cert[low][2] and cert[high][2]):
+    step = _um_step
+    walk = _walk(M, step).reach(high)
+    if any(walk.inexact[low + 1 : high + 1]):
         return None
-    return list(accumulate(born for born, _, _ in cert[: low + 1]))
+    if not (_unimodular(M, step, low) and _unimodular(M, step, high)):
+        return None
+    return list(accumulate(walk.born[: low + 1]))
 
 
 def predicted_um_snf(M: Iterable[int], low: int, high: int) -> tuple[int, ...]:

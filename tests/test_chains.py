@@ -31,7 +31,7 @@ from bruhatops.cli import main
 from bruhatops.hasse import predicted_snf
 from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
-from bruhatops.snf import determinant, diagonal_model_snf, matmul, snf, transpose
+from bruhatops.snf import _dense, determinant, diagonal_model_snf, matmul, snf, transpose
 
 
 def brute_rank_sizes(M):
@@ -359,8 +359,7 @@ class TestWitnesses:
     def test_short_basis_names_its_vector_count(self, monkeypatch):
         import bruhatops.chains as chains
 
-        real = chains.construct_B
-        monkeypatch.setattr(chains, "construct_B", lambda M, n: real(M, n)[:-1])
+        short_basis(monkeypatch)
         assert base_change_unimodular_check((2, 1), 1) == (
             False,
             {"vectors": "1", "rank_size": "2"},
@@ -409,16 +408,36 @@ def exact_route(monkeypatch):
     monkeypatch.setattr(chains, "_proved_sizes", lambda M, low, high: None)
 
 
-def raise_one_weight(monkeypatch, at):
+def short_basis(monkeypatch):
+    """From here on every basis B_k of the shared walk reports one vector
+    fewer than it has, and no determinant."""
+    real = chains._rank_det
+    monkeypatch.setattr(chains, "_rank_det", lambda M, step, det, k: (real(M, step, det, k)[0] - 1, None))
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of ``chains.<name>`` from here on."""
+    calls = []
+    real = getattr(chains, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chains, name, spy)
+    return calls
+
+
+def raise_one_weight(monkeypatch, at, by=1):
     """From here on the first triple of the raising step out of rank ``at``
-    weighs one more."""
+    weighs ``by`` more."""
     real = chains._um_step
 
     def perturbed(M, k):
         step = real(M, k)
         if k == at:
             (r, c, w), *rest = step
-            step = ((r, c, w + 1), *rest)
+            step = ((r, c, w + by), *rest)
         return step
 
     monkeypatch.setattr(chains, "_um_step", perturbed)
@@ -498,4 +517,104 @@ class TestCertificate:
         monkeypatch.setattr(chains, "um_layer_matrix", refuse)
         assert main(["verify", "--suite", "chains-det", "--M", "4,4,3,3,2"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
-        assert calls == list(profile_rank_sizes((4, 4, 3, 3, 2)))
+        assert sorted(calls) == sorted(profile_rank_sizes((4, 4, 3, 3, 2)))
+
+    def test_chains_basis_walks_once(self, monkeypatch, capsys):
+        # one push per step and one determinant per rank, where a walk per
+        # rank made 136 pushes
+        pushes, dets = count_calls(monkeypatch, "push_rows"), count_calls(monkeypatch, "determinant")
+        chains._walk.cache_clear()
+        assert main(["verify", "--suite", "chains-basis", "--M", "4,4,3,3,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert (len(pushes), len(dets)) == (16, 17)
+
+    def test_single_window_takes_its_end_determinants(self, monkeypatch):
+        M = (4, 3, 3, 2, 2)
+        sizes = profile_rank_sizes(M)
+        dets = count_calls(monkeypatch, "determinant")
+        assert um_snf_check(M, 2, 9)["failures"] == []
+        assert [len(mat) for (mat,) in dets] == [sizes[2], sizes[9]]
+
+    @pytest.mark.parametrize("order", [(3, 0, 6, 3, 2), (6, 5, 4, 3, 2, 1, 0), (0, 0, 6, 6)])
+    def test_walk_hands_out_the_rows_of_construct_B(self, order):
+        # ranks passed, taken at the walk's own rank, and walked to afresh,
+        # after a walk to the top that took nothing
+        M = (3, 2, 1)
+        walk = chains._Walk(M, _um_step).reach(sum(M))
+        for k in order:
+            assert _dense(walk.take(k), profile_rank_size(M, k)) == construct_B(M, k), k
+        assert walk.born == [1, 2, 2, 1, 0, 0, 0]
+        assert walk.live == [1, 3, 5, 6, 5, 3, 1]
+
+
+def reference_basis_report(M, n):
+    """Oracle: the chains-basis report of rank n from B_n built on its own
+    by ``construct_B`` and reduced by ``determinant``, both read through the
+    module, so a patched one reaches it."""
+    try:
+        vectors = chains.construct_B(M, n)
+    except ArithmeticError as exc:
+        witness = {"divided_power": str(exc)}
+    else:
+        size = profile_rank_size(M, n)
+        if len(vectors) != size:
+            witness = {"vectors": str(len(vectors)), "rank_size": str(size)}
+        else:
+            det = chains.determinant(vectors)
+            witness = None if abs(det) == 1 else {"determinant": str(det)}
+    failures = [] if witness is None else [{"witness": f"rank {n}", "expected": "unimodular", **witness}]
+    return {"suite": "chains-basis", "M": list(M), "checked": 1, "failures": failures}
+
+
+def basis_reports(M, report):
+    return [report(M, n) for n in range(sum(M) + 1)]
+
+
+class TestBasisWitnesses:
+    """Every chains-basis report, read from the shared walk, equals the one
+    its own construct_B and determinant give."""
+
+    @pytest.mark.parametrize("M", CERTIFIED_PROFILES)
+    def test_every_rank(self, M):
+        reports = basis_reports(M, base_change_report)
+        assert reports == basis_reports(M, reference_basis_report)
+        assert all(report["failures"] == [] for report in reports)
+
+    @pytest.mark.parametrize(
+        "M, at", [((3, 3, 2, 2), at) for at in range(10)] + [((4, 3, 3, 2, 2), at) for at in range(14)]
+    )
+    def test_raised_weight(self, monkeypatch, M, at):
+        raise_one_weight(monkeypatch, at)
+        reports = basis_reports(M, base_change_report)
+        assert reports == basis_reports(M, reference_basis_report)
+        assert any(report["failures"] for report in reports)
+
+    @pytest.mark.parametrize("at", range(10))
+    def test_weight_raised_by_the_divisor(self, monkeypatch, at):
+        # raised by the divisor at + 1, the row of the rank-0 generator stays
+        # integral into rank at + 1 while other rows need not; the top basis
+        # holds only that generator, so its first inexact rank comes later
+        M = (3, 3, 2, 2)
+        raise_one_weight(monkeypatch, at, by=at + 1)
+        reports = basis_reports(M, base_change_report)
+        assert reports == basis_reports(M, reference_basis_report)
+        if 4 <= at < 9:
+            assert reports[-1]["failures"][0]["divided_power"].startswith(f"a divided power into rank {at + 2} ")
+
+    @pytest.mark.parametrize("M", [(2, 1), (3, 2, 1), (3, 3, 2, 2)])
+    def test_patched_determinant_keeps_its_sign(self, monkeypatch, M):
+        real = chains.determinant
+        monkeypatch.setattr(chains, "determinant", lambda mat: 3 * real(mat))
+        reports = basis_reports(M, base_change_report)
+        assert reports == basis_reports(M, reference_basis_report)
+        signs = {report["failures"][0]["determinant"] for report in reports}
+        assert signs == ({"3"} if M == (2, 1) else {"3", "-3"})
+
+    @pytest.mark.parametrize("M", [(2, 1), (3, 2, 1)])
+    def test_short_basis(self, monkeypatch, M):
+        real = chains.construct_B
+        monkeypatch.setattr(chains, "construct_B", lambda M, n: real(M, n)[:-1])
+        short_basis(monkeypatch)
+        reports = basis_reports(M, base_change_report)
+        assert reports == basis_reports(M, reference_basis_report)
+        assert reports[1]["failures"][0]["vectors"] == str(profile_rank_size(M, 1) - 1)

@@ -55,6 +55,18 @@ def _package_imports(tree):
     return out
 
 
+def _imported_modules(node):
+    """The package submodules an import names: snf for ``from .snf import
+    x``, ``from bruhatops.snf import x`` and ``import bruhatops.snf``; snf and
+    hasse for ``from . import snf, hasse``; "" for ``import bruhatops``."""
+    if isinstance(node, ast.Import):
+        return {".".join(alias.name.split(".")[1:2]) for alias in node.names}
+    parts = (node.module or "").split(".")[0 if node.level else 1 :]
+    if parts and parts[0]:
+        return {parts[0]}
+    return {alias.name for alias in node.names}
+
+
 def test_import_layering():
     # snf is the linear-algebra core beneath every other module, and every
     # package import sits at module level, where the import graph is visible
@@ -63,6 +75,10 @@ def test_import_layering():
         imports = _package_imports(ast.parse(path.read_text(), str(path)))
         if path.name == "snf.py":
             assert imports == [], f"snf.py imports a package module on line {imports[0][0].lineno}"
+        if path.name == "chains.py":
+            # the chain suites run on snf alone: no diagram, table or CLI
+            for node, _ in imports:
+                assert _imported_modules(node) == {"snf"}, f"chains.py:{node.lineno} imports past snf"
         for node, func in imports:
             assert func is None, f"{path.name}:{node.lineno}: package import inside {func}()"
 
