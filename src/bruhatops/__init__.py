@@ -44,12 +44,8 @@ from .hasse import (
     weighted_path_count,
 )
 from .operators import (
-    BASES,
-    OPERATORS,
-    OperatorSpec,
     commutator_check,
     differential_layer_matrix,
-    transpose_duality_check,
     verify_delta_theorem,
     verify_macdonald,
     verify_nabla_theorem,
@@ -79,18 +75,16 @@ from .schubert import (
     PaddedPolynomial,
     apply_delta,
     apply_nabla,
-    basis_matrix,
     basis_matrix_inverse,
     divided_difference,
     expand_in_padded_schubert_basis,
     monomials_of_rank,
     pad,
-    padded_schubert,
     principal_specialization,
     schubert_standard,
     staircase,
     unpad,
 )
-from .snf import determinant, matmul, snf_via_minor_gcd, transpose
+from .snf import determinant, transpose
 
 __version__ = "0.1.0"

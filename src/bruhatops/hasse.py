@@ -149,9 +149,6 @@ class WeightedHasseDiagram:
             for r, c, wt in step
         )
 
-    def rank_of(self, w: Permutation) -> int:
-        return self._index(w)[0]
-
     def _index(self, w: Permutation) -> tuple[int, int]:
         """(rank, index in its rank) of a vertex given as any permutation."""
         word = validated(w)

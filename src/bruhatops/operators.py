@@ -17,7 +17,7 @@ import math
 from itertools import groupby
 from typing import Iterator
 
-from .chains import _dm_step, _um_step, dm_layer_matrix, um_layer_matrix
+from .chains import _dm_step, _um_step
 from .hasse import _sweep, build_hasse, rank_size
 from .permutations import (
     Permutation,
@@ -27,19 +27,17 @@ from .permutations import (
     permutations_of_rank,
     to_string,
     validated,
-    w0_times,
 )
 from .schubert import (
     _peel,
+    _schubert_table,
     _specialization_table,
     monomials_of_rank,
-    schubert,
     staircase,
 )
 from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
 
 __all__ = [
-    "OperatorSpec",
     "differential_layer_matrix",
     "verify_nabla_theorem",
     "verify_delta_theorem",
@@ -47,77 +45,28 @@ __all__ = [
     "verify_sl2",
     "verify_path_identities",
     "verify_macdonald",
-    "transpose_duality_check",
     "nabla_action_chunk",
     "delta_action_chunk",
     "path_identities_chunk",
     "macdonald_chunk",
-    "OPERATORS",
-    "BASES",
 ]
 
-OPERATORS = ("nabla", "delta")
-BASES = ("monomial", "padded-schubert")
-
-
-class OperatorSpec:
-    """Which operator, in which basis, on which symmetric group; immutable,
-    compared and hashed by its three fields.  A plain class: importing
-    ``dataclasses`` would pull ``inspect`` into every CLI start."""
-
-    __slots__ = ("operator", "basis", "n")
-
-    def __init__(self, operator: str, basis: str, n: int) -> None:
-        if operator not in OPERATORS:
-            raise ValueError(f"unknown operator: {operator!r}")
-        if basis not in BASES:
-            raise ValueError(f"unknown basis: {basis!r}")
-        if n < 1:
-            raise ValueError(f"n must be positive: {n}")
-        for name, value in zip(self.__slots__, (operator, basis, n)):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple[str, str, int]:
-        return self.operator, self.basis, self.n
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"OperatorSpec(operator={self.operator!r}, basis={self.basis!r}, n={self.n!r})"
-
-    def __reduce__(self):
-        return OperatorSpec, self._fields()
-
-
-def differential_layer_matrix(spec: OperatorSpec, low: int, high: int) -> IntMatrix:
-    """Matrix of the (high - low)-fold operator composite between two ranks.
+def differential_layer_matrix(operator: str, n: int, low: int, high: int) -> IntMatrix:
+    """Matrix of the (high - low)-fold composite of ``operator`` ("nabla" or
+    "delta") between two ranks of the padded Schubert basis of S_n.
 
     Rows = rank ``low`` basis elements, columns = rank ``high``; equal ranks
-    give the identity.  In the monomial basis this is the layer of the
-    chain product at M = staircase(n) (raising is the box's lowering layer,
-    lowering its raising layer); in the padded Schubert basis it is the
-    product of the single steps of :func:`_padded_step`.
+    give the identity.  It is the product of the single steps of
+    :func:`_padded_step`.
     """
-    n = spec.n
+    if operator not in ("nabla", "delta"):
+        raise ValueError(f"unknown operator: {operator!r}")
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
     top = num_inversions_max(n)
     if not 0 <= low <= high <= top:
         raise ValueError(f"need 0 <= l <= l' <= {top}, got ({low}, {high})")
-    if spec.basis == "monomial":
-        layer = dm_layer_matrix if spec.operator == "delta" else um_layer_matrix
-        return layer(staircase(n), low, high)
-    steps = [_padded_step(spec.operator, n, k) for k in range(low, high)]
+    steps = [_padded_step(operator, n, k) for k in range(low, high)]
     return compose_steps(steps, rank_size(n, low), rank_size(n, high))
 
 
@@ -133,8 +82,9 @@ def _padded_step(operator: str, n: int, k: int) -> SparseStep:
     src_index = {alpha: i for i, alpha in enumerate(monomials_of_rank(n, src))}
     dst_monos = monomials_of_rank(n, dst)
     dst_index = {w: j for j, w in enumerate(permutations_of_rank(n, dst))}
+    table = _schubert_table(n)
     rows = [
-        {src_index[alpha]: c for alpha, c in schubert(w).terms.items()}
+        {src_index[alpha]: c for alpha, c in table[w].terms.items()}
         for w in permutations_of_rank(n, src)
     ]
     out = []
@@ -347,47 +297,3 @@ def verify_macdonald(n: int) -> dict:
     principal specialization of the Schubert polynomial, for every u."""
     return macdonald_chunk(n, _all_permutations(n))
 
-
-def transpose_duality_check(n: int, low: int, high: int) -> bool:
-    """Two mirror dualities between the windows [low, high] and
-    [N-high, N-low].
-
-    In the monomial basis the raising composite over the complementary
-    window is the transpose of the lowering composite under the exponent
-    complement alpha -> rho - alpha; in the padded Schubert basis the two
-    raising composites are transposes under the relabeling w -> w0*w.
-    """
-    top = num_inversions_max(n)
-    if not (0 <= low <= high <= top):
-        raise ValueError(f"need 0 <= l <= l' <= {top}, got ({low}, {high})")
-    rho = staircase(n)
-
-    nab = differential_layer_matrix(OperatorSpec("nabla", "monomial", n), low, high)
-    dl = differential_layer_matrix(
-        OperatorSpec("delta", "monomial", n), top - high, top - low
-    )
-    lo_monos = monomials_of_rank(n, low)
-    hi_monos = monomials_of_rank(n, high)
-    co_lo = {m: i for i, m in enumerate(monomials_of_rank(n, top - high))}
-    co_hi = {m: i for i, m in enumerate(monomials_of_rank(n, top - low))}
-    for a, alpha in enumerate(lo_monos):
-        for b, beta in enumerate(hi_monos):
-            r = co_lo[tuple(x - y for x, y in zip(rho, beta))]
-            c = co_hi[tuple(x - y for x, y in zip(rho, alpha))]
-            if nab[a][b] != dl[r][c]:
-                return False
-
-    pad_lo = differential_layer_matrix(OperatorSpec("delta", "padded-schubert", n), low, high)
-    pad_hi = differential_layer_matrix(
-        OperatorSpec("delta", "padded-schubert", n), top - high, top - low
-    )
-    co_lo_p = {w: i for i, w in enumerate(permutations_of_rank(n, top - high))}
-    co_hi_p = {w: i for i, w in enumerate(permutations_of_rank(n, top - low))}
-    # the row of w0*v and the column of w0*u in the complementary window
-    rows = [co_lo_p[w0_times(v)] for v in permutations_of_rank(n, high)]
-    cols = [co_hi_p[w0_times(u)] for u in permutations_of_rank(n, low)]
-    for a, c in enumerate(cols):
-        for b, r in enumerate(rows):
-            if pad_lo[a][b] != pad_hi[r][c]:
-                return False
-    return True

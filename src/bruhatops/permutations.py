@@ -267,8 +267,3 @@ def parse(text: str) -> Permutation:
         raise ValueError(f"cannot parse permutation: {text!r}") from None
     return validated(word)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

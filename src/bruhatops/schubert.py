@@ -62,7 +62,6 @@ __all__ = [
     "apply_delta",
     "expand_in_padded_schubert_basis",
     "monomials_of_rank",
-    "basis_matrix",
     "basis_matrix_inverse",
 ]
 
@@ -334,13 +333,29 @@ def _specialization_table(n: int) -> dict[Permutation, int]:
 def schubert(w: Permutation) -> IntPolynomial:
     """Schubert polynomial of w in the left-multiplication convention.
 
+    Only the chain from w up to the longest element is built: w climbs by
+    the left ascents that fill :func:`_schubert_table`, at most N of them,
+    and divided differences come back down the same chain.
+
     >>> str(schubert((3, 2, 1)))
     'x1^2*x2'
     >>> str(schubert((1, 3, 2)))
     'x1 + x2'
     """
     word = validated(w)
-    return _schubert_table(len(word))[word]
+    n = len(word)
+    ascents = []
+    while True:
+        inv_w = inverse(word)
+        i = next((a for a in range(1, n) if inv_w[a - 1] < inv_w[a]), None)
+        if i is None:
+            break
+        ascents.append(i)
+        word = tuple(i + 1 if v == i else i if v == i + 1 else v for v in word)
+    poly = IntPolynomial.monomial(n, staircase(n))
+    for i in reversed(ascents):
+        poly = divided_difference(i, poly)
+    return poly
 
 
 def schubert_standard(w: Permutation) -> IntPolynomial:
@@ -371,11 +386,6 @@ def pad(p: IntPolynomial) -> PaddedPolynomial:
 def unpad(p: PaddedPolynomial) -> IntPolynomial:
     """Forget the y-part; inverse of :func:`pad` on its image."""
     return IntPolynomial(p.n, p.terms)
-
-
-def padded_schubert(w: Permutation) -> PaddedPolynomial:
-    """pad(schubert(w))."""
-    return pad(schubert(w))
 
 
 def _shift(p: PaddedPolynomial, step: int, weight: Callable[[int, int], int]) -> PaddedPolynomial:
@@ -413,23 +423,6 @@ def monomials_of_rank(n: int, k: int) -> tuple[Exponent, ...]:
     if not 0 <= k <= num_inversions_max(n):
         raise ValueError(f"rank out of range for S_{n}: {k}")
     return monomials_of_profile_rank(staircase(n), k)
-
-
-@lru_cache(maxsize=None)
-def basis_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Rank-k change of basis: rows = permutations of length k (lex), columns
-    = staircase monomials of rank k (lex-descending); entry = coefficient of
-    the monomial in the padded Schubert polynomial.  Unimodular."""
-    perms = permutations_of_rank(n, k)
-    monos = monomials_of_rank(n, k)
-    col = {alpha: idx for idx, alpha in enumerate(monos)}
-    rows = []
-    for w in perms:
-        vec = [0] * len(monos)
-        for alpha, c in schubert(w).terms.items():
-            vec[col[alpha]] = c
-        rows.append(tuple(vec))
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -475,8 +468,9 @@ def _peel(n: int, terms: Mapping[Exponent, int]) -> dict[Permutation, int]:
 
 @lru_cache(maxsize=None)
 def basis_matrix_inverse(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of :func:`basis_matrix`: row alpha holds the Schubert
-    coordinates of the monomial x^alpha, columns as the rows of the basis."""
+    """Exact inverse of the rank-k change of basis: row alpha holds the
+    Schubert coordinates of the monomial x^alpha, columns the permutations of
+    length k in lex order."""
     perms = permutations_of_rank(n, k)
     return tuple(
         tuple(coords.get(w, 0) for w in perms)
@@ -492,8 +486,3 @@ def expand_in_padded_schubert_basis(p: PaddedPolynomial) -> dict[Permutation, in
         raise ValueError("polynomial mixes ranks; expansion needs a single x-degree")
     return _peel(p.n, p.terms)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

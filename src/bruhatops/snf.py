@@ -17,7 +17,6 @@ modulo a nonzero maximal minor found by the Bareiss pass behind
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -27,43 +26,14 @@ SparseStep = Sequence[tuple[int, int, int]]
 __all__ = [
     "IntMatrix",
     "SparseStep",
-    "identity_matrix",
     "push_rows",
     "compose_steps",
-    "matmul",
     "transpose",
     "determinant",
     "snf",
-    "snf_via_minor_gcd",
     "divisibility_normalize",
     "diagonal_model_snf",
-    "MINOR_GCD_SIZE_BOUND",
 ]
-
-# snf_via_minor_gcd enumerates all k x k minors; past this size the count
-# explodes combinatorially, so refuse rather than hang.
-MINOR_GCD_SIZE_BOUND = 8
-
-
-def identity_matrix(k: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product; shapes must agree."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in a]
-    for i, row in enumerate(a):
-        out_i = out[i]
-        for k, aik in enumerate(row):
-            if aik:
-                b_k = b[k]
-                for j in range(cols):
-                    out_i[j] += aik * b_k[j]
-    return out
-
 
 def transpose(a: IntMatrix) -> IntMatrix:
     return [list(col) for col in zip(*a)] if a else []
@@ -264,45 +234,6 @@ def snf(mat: IntMatrix) -> tuple[int, ...]:
         diag.append(a[t][t])
     chain = divisibility_normalize([math.gcd(d, modulus) for d in diag])
     return chain[:rank] + (0,) * (rows - rank)
-
-
-def snf_via_minor_gcd(mat: IntMatrix) -> tuple[int, ...]:
-    """Smith invariants via determinantal divisors; independent oracle.
-
-    d_k = gcd of all k x k minors, b_k = d_k / d_{k-1}.  Exponential in the
-    matrix size, hence the hard size bound.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if any(len(row) != cols for row in mat):
-        raise ValueError("ragged matrix")
-    size = min(rows, cols)
-    if size > MINOR_GCD_SIZE_BOUND:
-        raise ValueError(
-            f"matrix too large for the minor-gcd route: min dim {size} > {MINOR_GCD_SIZE_BOUND}"
-        )
-    out: list[int] = []
-    d_prev = 1
-    for k in range(1, size + 1):
-        if d_prev == 0:
-            out.append(0)
-            continue
-        g = 0
-        done = False
-        for rsel in itertools.combinations(range(rows), k):
-            for csel in itertools.combinations(range(cols), k):
-                sub = [[mat[i][j] for j in csel] for i in rsel]
-                g = math.gcd(g, determinant(sub))
-                if g == d_prev:
-                    # every k-minor is a Z-combination of (k-1)-minors, so
-                    # the gcd can never drop below d_{k-1}: stop early
-                    done = True
-                    break
-            if done:
-                break
-        out.append(0 if g == 0 else g // d_prev)
-        d_prev = g
-    return tuple(out)
 
 
 def diagonal_model_snf(sizes: Sequence[int], low: int, high: int) -> tuple[int, ...]:

@@ -29,15 +29,18 @@ def validated_calls(monkeypatch):
 
 @pytest.fixture
 def no_schubert_table(monkeypatch):
-    """Building the Schubert polynomial table fails from here on, and the
-    operators and CLI read S_u(1) from a fresh, empty cache, so that no
-    value computed before the test can hide a use of the table."""
+    """Building the Schubert polynomial table fails from here on, through
+    each package module's own binding, and the operators and CLI read S_u(1)
+    from a fresh, empty cache, so that no value computed before the test can
+    hide a use of the table."""
     schubert_module = importlib.import_module("bruhatops.schubert")
 
     def refuse(n):
         raise AssertionError(f"the Schubert polynomial table of S_{n} was built")
 
-    monkeypatch.setattr(schubert_module, "_schubert_table", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bruhatops" and hasattr(module, "_schubert_table"):
+            monkeypatch.setattr(module, "_schubert_table", refuse)
     fresh = functools.lru_cache(maxsize=None)(schubert_module._specialization_table.__wrapped__)
     for name in ("operators", "cli"):
         monkeypatch.setattr(importlib.import_module(f"bruhatops.{name}"), "_specialization_table", fresh)

@@ -347,6 +347,12 @@ class TestSchubertCommand:
             assert code == 0
             assert json.loads(out)["value"] == "9"
 
+    def test_polynomial_builds_no_table(self, capsys, no_schubert_table):
+        # one chain of divided differences, not the table of all of S_9
+        code, out, _ = run(capsys, "schubert", "--perm", "213456789", "--format", "table")
+        assert code == 0
+        assert out == "x1\n"
+
 
 class TestConsoleScript:
     def test_module_entry_help(self):

@@ -96,3 +96,21 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exports_are_consistent():
+    # each submodule's __all__ names what it defines, and the package
+    # re-exports only names that its submodules declare public
+    src = REPO / "src" / "bruhatops"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"bruhatops.{path.stem}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{path.name}: __all__ names undefined {missing}"
+    tree = ast.parse((src / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            declared = importlib.import_module(f"bruhatops.{node.module}").__all__
+            undeclared = [alias.name for alias in node.names if alias.name not in declared]
+            assert undeclared == [], f"bruhatops re-exports {undeclared} outside {node.module}.__all__"

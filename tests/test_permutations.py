@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruhatops.permutations import (
-    _inversions,
     _rank_index,
     identity,
     inverse,
@@ -24,6 +23,8 @@ from bruhatops.permutations import (
     w0_times,
     weak_covers_up,
 )
+
+from oracles import reference_ranks
 
 
 def bfs_word_length(w):
@@ -167,14 +168,6 @@ class TestCovers:
                         if length(v) == length(w) + 1:
                             want.add((v, i + 1, j + 1))
                 assert strong_covers_up(w) == want
-
-
-def reference_ranks(n):
-    """Oracle: S_n grouped by inversion count, each stratum in lex order."""
-    ranks = [[] for _ in range(num_inversions_max(n) + 1)]
-    for w in sorted(iter_permutations(range(1, n + 1))):
-        ranks[_inversions(w)].append(w)
-    return tuple(map(tuple, ranks))
 
 
 class TestStratification:

@@ -16,13 +16,12 @@ from bruhatops.snf import (
     determinant,
     diagonal_model_snf,
     divisibility_normalize,
-    identity_matrix,
-    matmul,
     push_rows,
     snf,
-    snf_via_minor_gcd,
     transpose,
 )
+
+from oracles import identity_matrix, matmul, snf_via_minor_gcd
 
 
 def fraction_determinant(mat):
