@@ -23,6 +23,31 @@ of the diagonal (h-l)! Pi and, on a square window, |det| = |det (h-l)! Pi|;
 no composite is built.  The proof trusts neither the generators nor a closed
 form: any rows that pass are a certificate, and a window they do not prove
 falls back to exact elimination of its composite.
+
+Above the middle the determinants of the basis come from the sl2 relation
+instead.  Let U_k and D_k be the raising and lowering steps out of rank k
+(rows = rank k) and N = |M|.  Suppose two facts hold.  First, the relation
+D_{k-1}^T U_{k-1} - U_k D_k^T = (2k - N) I holds on every rank k, the form
+the sl2 suite checks for S_n.  Second, the box mirror alpha -> M - alpha
+carries U onto D.  Then the box is a finite-dimensional sl2-module (Stanley,
+"Weyl groups, the hard Lefschetz theorem, and the Sperner property", SIAM
+J. Algebraic Discrete Methods 1, 1980; Proctor, "Representations of
+sl(2, C) on posets and the Sperner property", ibid. 3, 1982).  Its lowest
+weight vectors at rank m number |P_m| - |P_{m-1}|.  On rank k <= N/2, with
+j = N - 2k, D^j U^j acts on the part they generate by ((N-k-m)!/(k-m)!)^2.
+The mirror gives |det D^j| = |det U^j|, so
+
+    |det U_[k,N-k]|  =  prod_m ((N-k-m)!/(k-m)!)^(|P_m| - |P_{m-1}|),
+
+which is :func:`um_determinant_formula`: every square window is proved.
+If the walk's divisions on the ranks k+1 .. N-k were exact for the
+generators of B_k, then B_k U_[k,N-k] = Lambda B_{N-k}, with
+Lambda = diag (N-k-m)!/(k-m)! over those generators.  If also they number
+|P_m| - |P_{m-1}| at each rank m, then |det Lambda| = |det U_[k,N-k]|, and
+hence |det B_{N-k}| = |det B_k|.  The code checks each hypothesis of this
+theorem exactly: both scans of :func:`_sl2_certificate`, the divisions, the
+born counts and det B_k.  Any rank they do not prove is reduced by Bareiss
+as before, so no determinant is taken above the middle on working code.
 """
 
 from __future__ import annotations
@@ -30,13 +55,14 @@ from __future__ import annotations
 import marshal
 import math
 from functools import cache, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, product, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .snf import (
     IntMatrix,
     SparseStep,
     _dense,
+    _sl2_scan,
     compose_steps,
     determinant,
     diagonal_model_snf,
@@ -324,6 +350,8 @@ def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict |
     for k in range(1, n + 1):
         if walk.inexact[k] and walk.inexact[k][0] < walk.live[n]:
             return False, {"divided_power": f"a divided power into rank {k} of {prof} is not integral"}
+    if _proved_from_below(prof, step, n):
+        return True, None
     vectors, det = _rank_det(prof, step, determinant, n)
     if vectors != sizes[n]:
         return False, {"vectors": str(vectors), "rank_size": str(sizes[n])}
@@ -387,8 +415,97 @@ def dm_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
     return _layer(M, low, high, _dm_step)
 
 
+def _mirror_scan(
+    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int]
+) -> tuple[bool, dict | None]:
+    """The box mirror alpha -> M - alpha on the steps out of every rank.
+
+    The monomials of a rank are lex-descending, so the mirror lays rank k
+    onto rank N - k backwards (as :func:`hasse._w0_flip` does for S_n), and
+    it must carry each triple (r, c, w) of the raising step ``up[k]`` onto
+    the triple (sizes[k+1]-1-c, sizes[k]-1-r, w) of the lowering step
+    ``down[N-1-k]``.  Returns (True, None) or (False, witness) naming the
+    first raising step whose mirrored triples, sorted, differ from the
+    lowering step's, and the first pair that differs ("missing" past the
+    end of the shorter step).
+    """
+    total = len(sizes) - 1
+    for k, step in enumerate(up):
+        mirrored = sorted((sizes[k + 1] - 1 - c, sizes[k] - 1 - r, w) for r, c, w in step)
+        lowering = sorted(down[total - 1 - k])
+        if mirrored != lowering:
+            a, b = next(pair for pair in zip_longest(mirrored, lowering) if pair[0] != pair[1])
+            return False, {
+                "rank": k,
+                "mirrored": "missing" if a is None else list(a),
+                "lowering": "missing" if b is None else list(b),
+            }
+    return True, None
+
+
+@lru_cache(maxsize=None)
+def _sl2_certificate(M: ChainProfile, um, dm) -> tuple[tuple[bool, dict | None], tuple[bool, dict | None]]:
+    """(sl2 scan, mirror scan) of the box M with the raising steps ``um``
+    and the lowering steps ``dm``: the two hypotheses of the sl2 half of
+    the module docstring, each as (True, None) or (False, witness).
+
+    The steps are part of the key, as in :func:`_walk`, so a rebound one (a
+    tracer, a test double) gets its own verdict.  Once the mirror holds, the
+    sl2 scan stops at the middle rank.  Write C_j = D_{j-1}^T U_{j-1} -
+    U_j D_j^T for the commutator on rank j and J for the reversal of a rank.
+    The mirror says U_k = J D_{N-1-k}^T J for every k, and so also
+    D_k^T = J U_{N-1-k} J.  Then
+
+        J C_{N-j} J = (J D_{N-j-1}^T J)(J U_{N-j-1} J) - (J U_{N-j} J)(J D_{N-j}^T J)
+                    = U_j D_j^T - D_{j-1}^T U_{j-1}  =  -C_j,
+
+    so C_{N-j} = (N - 2j) I gives C_j = (2j - N) I, and the ranks above the
+    middle hold when those at or below it do (the zero steps that pad
+    either end are their own mirrors).  When the mirror fails, every rank
+    is scanned.
+    """
+    total = sum(M)
+    sizes = profile_rank_sizes(M)
+    up = [um(M, k) for k in range(total)]
+    down = [dm(M, k) for k in range(total)]
+    mirror = _mirror_scan(up, down, sizes)
+    return _sl2_scan(down, up, sizes, total // 2 if mirror[0] else None), mirror
+
+
+def _sl2_holds(M: ChainProfile, step) -> bool:
+    """Whether both scans of :func:`_sl2_certificate` hold for the raising
+    steps ``step`` and the module's lowering steps."""
+    return all(ok for ok, _ in _sl2_certificate(M, step, _dm_step))
+
+
+def _proved_from_below(M: ChainProfile, step, high: int) -> bool:
+    """Whether the rows of B_high, for a rank above the middle, are square
+    with det +-1 by the sl2 half of the module docstring, read from rank
+    low = |M| - high: the rows of B_low are square with det +-1, every
+    generator of B_low was divided exactly on the ranks low + 1 .. high,
+    the generators born at each rank m <= low number |P_m| - |P_{m-1}|, and
+    both scans of :func:`_sl2_certificate` hold.  The scans run only here
+    and in :func:`um_determinant_check`, so a window that asks for no rank
+    above the middle never runs them.
+    """
+    low = sum(M) - high
+    if low >= high:
+        return False
+    walk = _walk(M, step).reach(high)
+    sizes = profile_rank_sizes(M)
+    return (
+        all(walk.born[m] == sizes[m] - (sizes[m - 1] if m else 0) for m in range(low + 1))
+        and all(not bad or bad[0] >= walk.live[low] for bad in walk.inexact[low + 1 : high + 1])
+        and _unimodular(M, step, low)
+        and _sl2_holds(M, step)
+    )
+
+
 def _unimodular(M: ChainProfile, step, k: int) -> bool:
-    """Whether the rows of B_k are square with det +-1."""
+    """Whether the rows of B_k are square with det +-1: proved from the rank
+    below when :func:`_proved_from_below` can, else by the determinant."""
+    if _proved_from_below(M, step, k):
+        return True
     det = _rank_det(M, step, determinant, k)[1]
     return det is not None and abs(det) == 1
 
@@ -399,8 +516,9 @@ def _proved_sizes(M: ChainProfile, low: int, high: int) -> list[int] | None:
     diagonal (h-l)! Pi of the module docstring is read; else None.
 
     A window is proved when every division on the ranks low + 1 .. high was
-    exact and its two end ranks are unimodular; only those two ranks'
-    determinants are taken.
+    exact and its two end ranks are unimodular.  Only the determinants of
+    the two end ranks are taken, or, for an end above the middle that
+    :func:`_proved_from_below` proves, that of the rank it is read from.
     """
     step = _um_step
     walk = _walk(M, step).reach(high)
@@ -489,11 +607,14 @@ def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
 
 def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, dict | None]:
     """|det| of the complementary-rank raising composite against the closed
-    formula: proved by the certificate, or else by exact elimination.
-    Returns (True, None) or (False, witness) with the expected and the
-    actual |det|."""
+    formula: proved with no determinant when both scans of
+    :func:`_sl2_certificate` hold, else by the pushed basis, or else by
+    exact elimination.  Returns (True, None) or (False, witness) with the
+    expected and the actual |det|."""
     prof = _as_profile(M)
     expected = um_determinant_formula(prof, low, high)
+    if _sl2_holds(prof, _um_step):
+        return True, None
     sizes = _proved_sizes(prof, low, high)
     if sizes is not None and _diagonal_det(sizes, low, high) == expected:
         return True, None

@@ -35,7 +35,7 @@ from .schubert import (
     monomials_of_rank,
     staircase,
 )
-from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows
+from .snf import IntMatrix, SparseStep, _flipped, _sl2_scan, compose_steps, push_rows
 
 __all__ = [
     "differential_layer_matrix",
@@ -177,23 +177,9 @@ def commutator_check(n: int) -> tuple[bool, dict | None]:
     the entry (row, column) in lex order of its permutations, and the
     expected and actual values.
     """
-    top = num_inversions_max(n)
-    # raising[k] is D_{k-1}; an empty step, the zero map, pads either end
-    raising = ((), *build_hasse(n, "strong", "code")._steps, ())
-    lowering = ((), *build_hasse(n, "weak", "nabla")._steps, ())
-    for k in range(top + 1):
-        units = [{i: 1} for i in range(rank_size(n, k))]
-        below = push_rows(units, [_flipped(raising[k]), lowering[k]])
-        above = push_rows(units, [lowering[k + 1], _flipped(raising[k + 1])])
-        for i, (down_up, up_down) in enumerate(zip(below, above)):
-            for j in sorted({i, *down_up, *up_down}):
-                want = 2 * k - top if i == j else 0
-                got = down_up.get(j, 0) - up_down.get(j, 0)
-                if got != want:
-                    return False, {
-                        "rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)
-                    }
-    return True, None
+    strong = build_hasse(n, "strong", "code")
+    weak = build_hasse(n, "weak", "nabla")
+    return _sl2_scan(strong._steps, weak._steps, [len(stratum) for stratum in strong.ranks])
 
 
 def verify_sl2(n: int) -> dict:

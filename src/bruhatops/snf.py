@@ -18,6 +18,7 @@ modulo a nonzero maximal minor found by the Bareiss pass behind
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -64,6 +65,48 @@ def push_rows(rows: list[dict[int, int]], steps: Iterable[SparseStep]) -> list[d
             pushed.append(nxt)
         rows = pushed
     return rows
+
+
+def _sl2_scan(
+    down: Sequence[SparseStep], up: Sequence[SparseStep], sizes: Sequence[int], last: int | None = None
+) -> tuple[bool, dict | None]:
+    """The sl2 relation D_{k-1}^T U_{k-1} - U_k D_k^T = (2k - N) I on the
+    ranks k = 0..``last`` (default N = len(sizes) - 1) of a graded space,
+    with D_k = ``down[k]`` and U_k = ``up[k]`` the steps out of rank k (rows
+    = rank k); the steps below rank 0 and out of rank N are zero.
+
+    Each row of the commutator is summed in one sparse row: through D_{k-1}
+    read by column and U_{k-1} by row, then less U_k by row and D_k by
+    column, each step indexed once.  Returns (True, None) or (False, witness)
+    naming the first failing rank, the entry (row, column) within it, and
+    the expected and actual values.
+    """
+    top = len(sizes) - 1
+    below_down: dict[int, list[tuple[int, int]]] = {}  # D_{k-1}: column -> (row, weight)
+    below_up: dict[int, list[tuple[int, int]]] = {}  # U_{k-1}: row -> (column, weight)
+    for k in range((top if last is None else last) + 1):
+        above_down: dict[int, list[tuple[int, int]]] = {}
+        above_up: dict[int, list[tuple[int, int]]] = {}
+        if k < top:
+            for r, c, w in down[k]:
+                above_down.setdefault(c, []).append((r, w))
+            for r, c, w in up[k]:
+                above_up.setdefault(r, []).append((c, w))
+        want = 2 * k - top
+        for i in range(sizes[k]):
+            row = {i: 0}
+            for r, w in below_down.get(i, ()):
+                for c, v in below_up.get(r, ()):
+                    row[c] = row.get(c, 0) + w * v
+            for c, w in above_up.get(i, ()):
+                for r, v in above_down.get(c, ()):
+                    row[r] = row.get(r, 0) - w * v
+            for j in sorted(row):
+                expected = want if i == j else 0
+                if row[j] != expected:
+                    return False, {"rank": k, "entry": [i, j], "expected": str(expected), "actual": str(row[j])}
+        below_down, below_up = above_down, above_up
+    return True, None
 
 
 def _dense(rows: list[dict[int, int]], cols: int) -> IntMatrix:
@@ -138,22 +181,25 @@ def determinant(mat: IntMatrix) -> int:
 def divisibility_normalize(diag: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Smith invariants of a diagonal matrix.
 
-    Repeatedly replaces adjacent pairs (a, b) violating a | b with
-    (gcd, lcm); both operations are realizable by unimodular row/column
-    moves, and the sweep converges to the unique divisibility chain.
+    For each prime p the k-th invariant carries the k-th smallest valuation
+    v_p of the entries, with 0 above everything (v_p(0) infinite).  The k-th
+    smallest of two merged increasing lists a and b is the least, over
+    i + j = k, of max(a_i, b_j).  So merging m copies of c into a chain
+    A_1 | A_2 | ... gives at position k the gcd of A_k and of the terms
+    lcm(A_{k-j}, c) for j = 1..m, the least of which is the one at j = m:
+
+        gcd(A_k, lcm(A_{k-m}, c)),   A_j = 1 for j <= 0, A_j = 0 past the end.
+
+    The distinct entries are merged one after another, each with its count.
     """
-    d = [abs(x) for x in diag]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d) - 1):
-            x, y = d[i], d[i + 1]
-            if y == 0 or (x != 0 and y % x == 0):
-                continue
-            g = math.gcd(x, y)
-            d[i], d[i + 1] = g, 0 if g == 0 else x * y // g
-            changed = True
-    return tuple(d)
+    chain: list[int] = []
+    for c, m in Counter(abs(x) for x in diag).items():
+        n = len(chain)
+        chain = [
+            math.gcd(chain[k] if k < n else 0, math.lcm(chain[k - m] if k >= m else 1, c))
+            for k in range(n + m)
+        ]
+    return tuple(chain)
 
 
 def snf(mat: IntMatrix) -> tuple[int, ...]:

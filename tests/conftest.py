@@ -63,3 +63,26 @@ def bump_raising_step(monkeypatch):
         )
 
     return bump
+
+
+@pytest.fixture
+def split_lowering_triple(monkeypatch):
+    """``split(at)`` writes the first triple (r, c, w) of the chain lowering
+    step out of rank ``at`` as the two triples (r, c, w - 1) and (r, c, 1),
+    which ``chains._dm_step`` returns from then on.  The step is the same
+    map, so the sl2 relation still holds, but its triples are no longer the
+    mirror of the raising step's, so only the mirror scan fails."""
+    chains = importlib.import_module("bruhatops.chains")
+    real = chains._dm_step
+
+    def split(at):
+        def perturbed(M, k):
+            step = real(M, k)
+            if k == at:
+                (r, c, w), *rest = step
+                step = ((r, c, w - 1), (r, c, 1), *rest)
+            return step
+
+        monkeypatch.setattr(chains, "_dm_step", perturbed)
+
+    return split

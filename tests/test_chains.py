@@ -31,7 +31,7 @@ from bruhatops.cli import main
 from bruhatops.hasse import predicted_snf
 from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
-from bruhatops.snf import _dense, determinant, diagonal_model_snf, snf, transpose
+from bruhatops.snf import _dense, _sl2_scan, determinant, diagonal_model_snf, snf, transpose
 
 from oracles import matmul
 
@@ -81,6 +81,41 @@ def brute_um_layer(M, low, high):
             vec = nxt
         out.append([vec.get(beta, 0) for beta in highs])
     return out
+
+
+def dense_commutators(M):
+    """Oracle: D_{k-1}^T U_{k-1} - U_k D_k^T on every rank k, from dense
+    layer matrices (which read the steps through the module)."""
+    total = sum(M)
+    sizes = profile_rank_sizes(M)
+    out = []
+    for k in range(total + 1):
+        acc = [[0] * sizes[k] for _ in range(sizes[k])]
+        if k > 0:
+            down_then_up = matmul(transpose(dm_layer_matrix(M, k - 1, k)), um_layer_matrix(M, k - 1, k))
+            for i, row in enumerate(down_then_up):
+                for j, v in enumerate(row):
+                    acc[i][j] += v
+        if k < total:
+            up_then_down = matmul(um_layer_matrix(M, k, k + 1), transpose(dm_layer_matrix(M, k, k + 1)))
+            for i, row in enumerate(up_then_down):
+                for j, v in enumerate(row):
+                    acc[i][j] -= v
+        out.append(acc)
+    return out
+
+
+def dense_sl2_check(M):
+    """Oracle: (True, None), or (False, witness) at the first entry, rank by
+    rank and row by row, where a dense commutator differs from (2k - N) I."""
+    total = sum(M)
+    for k, acc in enumerate(dense_commutators(M)):
+        for i, row in enumerate(acc):
+            for j, got in enumerate(row):
+                want = 2 * k - total if i == j else 0
+                if got != want:
+                    return False, {"rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)}
+    return True, None
 
 
 class TestProfiles:
@@ -260,29 +295,43 @@ class TestLayerMatrices:
                         assert um[r][c] == dm[co_lo[comp(beta)]][co_hi[comp(alpha)]]
 
     def test_sl2_commutator_on_the_box(self):
-        for M in ((2, 1), (2, 2), (3, 2, 1), (2, 2, 2)):
+        # the sparse scan, over every rank and as the certificate runs it (to
+        # the middle, once the mirror holds), agrees with the dense products
+        for M in ((2, 1), (2, 2), (3, 2, 1), (2, 2, 2), (2, 0, 1)):
             total = sum(M)
-            sizes = profile_rank_sizes(M)
-            for k in range(total + 1):
-                acc = [[0] * sizes[k] for _ in range(sizes[k])]
-                if k > 0:
-                    down_then_up = matmul(
-                        transpose(dm_layer_matrix(M, k - 1, k)), um_layer_matrix(M, k - 1, k)
-                    )
-                    for i, row in enumerate(down_then_up):
-                        for j, v in enumerate(row):
-                            acc[i][j] += v
-                if k < total:
-                    up_then_down = matmul(
-                        um_layer_matrix(M, k, k + 1), transpose(dm_layer_matrix(M, k, k + 1))
-                    )
-                    for i, row in enumerate(up_then_down):
-                        for j, v in enumerate(row):
-                            acc[i][j] -= v
-                want = 2 * k - total
-                for i in range(sizes[k]):
-                    for j in range(sizes[k]):
-                        assert acc[i][j] == (want if i == j else 0), (M, k)
+            up, down = [_um_step(M, k) for k in range(total)], [_dm_step(M, k) for k in range(total)]
+            assert dense_sl2_check(M) == (True, None), M
+            assert _sl2_scan(down, up, profile_rank_sizes(M)) == (True, None), M
+            assert chains._sl2_certificate(M, _um_step, _dm_step) == ((True, None), (True, None)), M
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_sl2_witness_of_a_raised_weight(self, monkeypatch, at):
+        # only the raising step moves, so the mirror fails, every rank is
+        # scanned, and the first failure is on the rank the step leaves
+        M = (3, 2, 1)
+        raise_one_weight(monkeypatch, at)
+        sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+        assert mirror[0] is False
+        assert sl2 == dense_sl2_check(M)
+        assert sl2[0] is False and sl2[1]["rank"] == at
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_mirror_carries_each_commutator_onto_its_complement(self, monkeypatch, at):
+        # C_j = -J C_{N-j} J for the commutator C_j on rank j and the rank
+        # reversal J, as _sl2_certificate proves from the mirror; here on a
+        # perturbation that keeps the mirror, so the scan to the middle meets
+        # the first failure of the dense scan over every rank
+        M = (3, 2, 1)
+        total = sum(M)
+        raise_mirrored_weights(monkeypatch, M, at)
+        sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+        assert mirror == (True, None)
+        commutators = dense_commutators(M)
+        for j in range(total + 1):
+            flipped = [[-v for v in row[::-1]] for row in commutators[total - j][::-1]]
+            assert commutators[j] == flipped, j
+        assert sl2 == dense_sl2_check(M)
+        assert sl2[0] is False and sl2[1]["rank"] <= total // 2
 
 
 class TestSmithPredictions:
@@ -345,9 +394,11 @@ class TestDeterminants:
 
 
 class TestWitnesses:
-    def test_failures_name_their_witness(self, monkeypatch):
-        import bruhatops.chains as chains
-
+    def test_failures_name_their_witness(self, monkeypatch, split_lowering_triple):
+        # chains-det takes no determinant while the sl2 certificate holds, so
+        # its mirror scan is made to fail and the windows fall back to the
+        # determinant, which lies
+        split_lowering_triple(0)
         monkeypatch.setattr(chains, "determinant", lambda mat: -3)
         assert base_change_unimodular_check((2, 1), 1) == (False, {"determinant": "-3"})
         assert um_determinant_check((2, 1), 1, 2) == (False, {"expected": "2", "actual": "3"})
@@ -377,6 +428,7 @@ CERTIFIED_PROFILES = [
     (2, 2),
     (5, 1),
     (0, 2, 1),
+    (2, 0, 1),
     (1, 2, 3),
     (2, 3, 1),
     (3, 2, 1),
@@ -384,6 +436,9 @@ CERTIFIED_PROFILES = [
     (2, 2, 2),
     (4, 3, 2, 1),
 ]
+
+
+STAIRCASES = [staircase(n) for n in range(3, 7)]  # (2, 1) .. (5, 4, 3, 2, 1)
 
 
 def snf_windows(M):
@@ -405,9 +460,10 @@ def chain_reports(M):
 
 
 def exact_route(monkeypatch):
-    """From here on the certificate proves no window, so every window is
-    eliminated."""
+    """From here on neither the pushed basis nor the sl2 certificate proves
+    anything, so every window is eliminated and every basis rank reduced."""
     monkeypatch.setattr(chains, "_proved_sizes", lambda M, low, high: None)
+    monkeypatch.setattr(chains, "_sl2_holds", lambda M, step: False)
 
 
 def short_basis(monkeypatch):
@@ -445,6 +501,33 @@ def raise_one_weight(monkeypatch, at, by=1):
     monkeypatch.setattr(chains, "_um_step", perturbed)
 
 
+def raise_mirrored_weights(monkeypatch, M, at):
+    """From here on the first triple of the raising step out of rank ``at``
+    and its mirror in the lowering step out of rank |M| - 1 - at both weigh
+    one more, so the mirror scan still holds."""
+    sizes, total = profile_rank_sizes(M), sum(M)
+    r, c, _ = _um_step(M, at)[0]
+    mirror = (sizes[at + 1] - 1 - c, sizes[at] - 1 - r)
+    real = chains._dm_step
+    raise_one_weight(monkeypatch, at)
+
+    def perturbed(P, k):
+        step = real(P, k)
+        if (P, k) == (M, total - 1 - at):
+            step = tuple((i, j, w + ((i, j) == mirror)) for i, j, w in step)
+        return step
+
+    monkeypatch.setattr(chains, "_dm_step", perturbed)
+
+
+def assert_sl2_fails_at(M, at):
+    """The sl2 scan of the box under the module's steps fails first on rank
+    ``at``, where a raised weight leaves."""
+    sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+    assert mirror[0] is False
+    assert sl2[0] is False and sl2[1]["rank"] == at, sl2
+
+
 class TestCertificate:
     @pytest.mark.parametrize("M", CERTIFIED_PROFILES)
     def test_every_window_is_proved(self, M):
@@ -457,6 +540,58 @@ class TestCertificate:
         proved = chain_reports(M)
         exact_route(monkeypatch)
         assert chain_reports(M) == proved
+
+    @pytest.mark.parametrize("M", CERTIFIED_PROFILES + STAIRCASES)
+    def test_certificate_verdicts_equal_elimination(self, M, monkeypatch):
+        # every basis rank and every square window, proved with the sl2
+        # certificate, against each rank reduced and each composite
+        # eliminated on its own
+        assert chains._sl2_certificate(M, _um_step, _dm_step) == ((True, None), (True, None))
+        bases = basis_reports(M, base_change_report)
+        dets = [um_determinant_check(M, low, high) for low, high in det_windows(M)]
+        exact_route(monkeypatch)
+        assert bases == basis_reports(M, reference_basis_report)
+        assert dets == [um_determinant_check(M, low, high) for low, high in det_windows(M)]
+        assert all(report["failures"] == [] for report in bases)
+        assert dets == [(True, None)] * len(dets)
+
+    @pytest.mark.parametrize("at", range(1, 11))
+    def test_inexact_division_between_keeps_the_rank_above_unproved(self, monkeypatch, at):
+        # a division into rank ``at`` flagged inexact for a generator of B_low
+        # stops every rank high with low < at <= high from being read from
+        # low = |M| - high; one flagged for a generator born after low does not
+        M = (3, 3, 2, 2)
+        total = sum(M)
+        walk = chains._Walk(M, _um_step).reach(total)
+        monkeypatch.setattr(chains, "_walk", lambda P, step: walk)
+        for high in range(total // 2 + 1, total + 1):
+            low = total - high
+            walk.inexact[at] = (0,)
+            assert chains._proved_from_below(M, _um_step, high) == (not low < at <= high), high
+            walk.inexact[at] = (walk.live[low],)
+            assert chains._proved_from_below(M, _um_step, high), high
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_born_count_off_keeps_the_ranks_above_unproved(self, monkeypatch, m):
+        M = (3, 3, 2, 2)
+        total = sum(M)
+        walk = chains._Walk(M, _um_step).reach(total)
+        walk.born[m] += 1
+        monkeypatch.setattr(chains, "_walk", lambda P, step: walk)
+        for high in range(total // 2 + 1, total + 1):
+            assert chains._proved_from_below(M, _um_step, high) == (total - high < m), high
+
+    @pytest.mark.parametrize("at", range(10))
+    def test_mirror_failure_alone_falls_back(self, monkeypatch, split_lowering_triple, at):
+        M = (3, 3, 2, 2)
+        split_lowering_triple(at)
+        sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+        assert sl2 == (True, None)
+        assert mirror[0] is False and mirror[1]["rank"] == sum(M) - 1 - at
+        reports = chain_reports(M) + basis_reports(M, base_change_report)
+        exact_route(monkeypatch)
+        assert reports == chain_reports(M) + basis_reports(M, reference_basis_report)
+        assert all(report["failures"] == [] for report in reports)
 
     @pytest.mark.parametrize("at", range(14))
     def test_raised_weight_proves_no_window_through_it(self, monkeypatch, at):
@@ -474,6 +609,7 @@ class TestCertificate:
         # before, which passes; one it reaches gets what elimination says
         M = (4, 3, 3, 2, 2)
         raise_one_weight(monkeypatch, at)
+        assert_sl2_fails_at(M, at)
         reports = [um_determinant_report(M, low, high) for low, high in det_windows(M)]
         exact_route(monkeypatch)
         for (low, high), report in zip(det_windows(M), reports):
@@ -486,6 +622,7 @@ class TestCertificate:
     def test_raised_weight_reports_match_the_exact_route(self, monkeypatch, at):
         M = (3, 3, 2, 2)
         raise_one_weight(monkeypatch, at)
+        assert_sl2_fails_at(M, at)
         reports = chain_reports(M)
         assert any(report["failures"] for report in reports)
         exact_route(monkeypatch)
@@ -505,37 +642,46 @@ class TestCertificate:
         ]
 
     def test_chains_det_eliminates_nothing(self, monkeypatch, capsys):
-        calls = []
-        real = chains.determinant
-
-        def spy(mat):
-            calls.append(len(mat))
-            return real(mat)
-
+        # the sl2 certificate proves every square window: no walk, no
+        # determinant, no composite, where the walk took one per rank
         def refuse(M, low, high):
             raise AssertionError(f"raising[{low},{high}] was composed")
 
-        monkeypatch.setattr(chains, "determinant", spy)
+        chains._walk.cache_clear()
+        chains._sl2_certificate.cache_clear()
+        walks, pushes = count_calls(monkeypatch, "_walk"), count_calls(monkeypatch, "push_rows")
+        dets = count_calls(monkeypatch, "determinant")
         monkeypatch.setattr(chains, "um_layer_matrix", refuse)
         assert main(["verify", "--suite", "chains-det", "--M", "4,4,3,3,2"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
-        assert sorted(calls) == sorted(profile_rank_sizes((4, 4, 3, 3, 2)))
+        assert (walks, pushes, dets) == ([], [], [])
 
     def test_chains_basis_walks_once(self, monkeypatch, capsys):
-        # one push per step and one determinant per rank, where a walk per
-        # rank made 136 pushes
+        # one push per step and one determinant per rank at or below the
+        # middle (ranks 0..8), where a walk per rank made 136 pushes and every
+        # rank took a determinant
         pushes, dets = count_calls(monkeypatch, "push_rows"), count_calls(monkeypatch, "determinant")
         chains._walk.cache_clear()
         assert main(["verify", "--suite", "chains-basis", "--M", "4,4,3,3,2"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
-        assert (len(pushes), len(dets)) == (16, 17)
+        assert (len(pushes), len(dets)) == (16, 9)
 
     def test_single_window_takes_its_end_determinants(self, monkeypatch):
+        # rank 9 is above the middle of |M| = 14, so it is read from rank 5;
+        # sizes[5] == sizes[9], so only the ranks asked tell them apart
         M = (4, 3, 3, 2, 2)
-        sizes = profile_rank_sizes(M)
-        dets = count_calls(monkeypatch, "determinant")
+        ranks, dets = count_calls(monkeypatch, "_rank_det"), count_calls(monkeypatch, "determinant")
         assert um_snf_check(M, 2, 9)["failures"] == []
-        assert [len(mat) for (mat,) in dets] == [sizes[2], sizes[9]]
+        assert [k for (_, _, _, k) in ranks] == [2, 5]
+        assert len(dets) == 2
+
+    def test_window_at_or_below_the_middle_runs_no_scan(self, monkeypatch, capsys):
+        chains._sl2_certificate.cache_clear()
+        mirrors, scans = count_calls(monkeypatch, "_mirror_scan"), count_calls(monkeypatch, "_sl2_scan")
+        argv = ["verify", "--suite", "chains-snf", "--M", "4,3,3,2,2", "--from", "3", "--to", "7"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert (mirrors, scans) == ([], [])
 
     @pytest.mark.parametrize("order", [(3, 0, 6, 3, 2), (6, 5, 4, 3, 2, 1, 0), (0, 0, 6, 6)])
     def test_walk_hands_out_the_rows_of_construct_B(self, order):
@@ -587,6 +733,7 @@ class TestBasisWitnesses:
     )
     def test_raised_weight(self, monkeypatch, M, at):
         raise_one_weight(monkeypatch, at)
+        assert_sl2_fails_at(M, at)
         reports = basis_reports(M, base_change_report)
         assert reports == basis_reports(M, reference_basis_report)
         assert any(report["failures"] for report in reports)

@@ -75,9 +75,13 @@ class TestExitCodes:
             {"witness": "commutator", "rank": 1, "entry": [1, 0], "expected": "0", "actual": "-2"}
         ]
 
-    def test_chains_failures_name_their_witness(self, capsys, monkeypatch):
+    def test_chains_failures_name_their_witness(self, capsys, monkeypatch, split_lowering_triple):
         import bruhatops.chains as chains
 
+        # chains-det takes no determinant while the sl2 certificate holds, so
+        # its mirror scan is made to fail and the windows fall back to the
+        # determinant, which lies
+        split_lowering_triple(0)
         monkeypatch.setattr(chains, "determinant", lambda mat: -3)
         code, out, _ = run(capsys, "verify", "--suite", "chains-det", "--M", "2,1")
         assert code == 1
@@ -205,10 +209,15 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_force_overrides_cap_with_warning(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "sl2", "--n", "6", "--force")
+        code, out, err = run(capsys, "verify", "--suite", "nabla-action", "--n", "6", "--force")
         assert code == 0
         assert "beyond the default cap" in err
         assert json.loads(out)["ok"] is True
+
+    def test_sl2_has_its_own_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "sl2", "--n", "9")
+        assert (code, out) == (2, "")
+        assert "capped at n = 8" in err
 
     def test_all_differential_suites_pass_n3(self, capsys):
         for suite in ("nabla-action", "delta-action", "sl2"):

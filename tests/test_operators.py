@@ -41,7 +41,7 @@ from bruhatops.schubert import (
     schubert,
     staircase,
 )
-from bruhatops.snf import _flipped, push_rows, transpose
+from bruhatops.snf import _sl2_scan, transpose
 
 from oracles import basis_matrix, identity_matrix, matmul
 
@@ -124,20 +124,8 @@ def padded_commutator_check(n):
     back.  It checks [delta, nabla] = 2k - N in the padded basis itself."""
     top = num_inversions_max(n)
     step = operators._padded_step
-    prev = None  # (D_{k-1}, V_{k-1})
-    for k in range(top + 1):
-        units = [{i: 1} for i in range(len(permutations_of_rank(n, k)))]
-        cur = (step("delta", n, k), step("nabla", n, k)) if k < top else None
-        below = push_rows(units, [_flipped(prev[0]), prev[1]]) if prev else [{} for _ in units]
-        above = push_rows(units, [cur[1], _flipped(cur[0])]) if cur else [{} for _ in units]
-        prev = cur
-        for i, (down_up, up_down) in enumerate(zip(below, above)):
-            for j in sorted({i, *down_up, *up_down}):
-                want = 2 * k - top if i == j else 0
-                got = down_up.get(j, 0) - up_down.get(j, 0)
-                if got != want:
-                    return False, {"rank": k, "entry": [i, j], "expected": str(want), "actual": str(got)}
-    return True, None
+    sizes = [len(permutations_of_rank(n, k)) for k in range(top + 1)]
+    return _sl2_scan([step("delta", n, k) for k in range(top)], [step("nabla", n, k) for k in range(top)], sizes)
 
 
 def bump_padded_raising_step(monkeypatch, k, triple):
