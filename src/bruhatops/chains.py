@@ -572,27 +572,19 @@ def um_snf_check(M: Iterable[int], low: int, high: int) -> dict:
     Only the window below the middle (low + high <= |M|) is covered; the
     complementary window belongs to the lowering operator, whose composite
     is the transpose of this one and therefore adds nothing new.  A window
-    the certificate proves is not eliminated; any other goes to :func:`snf`.
+    the certificate proves with the box's own generator counts has the
+    predicted diagonal and is not eliminated; any other goes to
+    :func:`snf`, which agrees with the certificate's diagonal whenever the
+    certificate holds.
     """
     prof = _as_profile(M)
     expected = predicted_um_snf(prof, low, high)
-    sizes = _proved_sizes(prof, low, high)
-    if sizes is not None and diagonal_model_snf(sizes, low, high) == expected:
+    if _proved_sizes(prof, low, high) == list(profile_rank_sizes(prof)[: low + 1]):
         got = expected
     else:
         got = snf(um_layer_matrix(prof, low, high))
     head = {"suite": "chains-snf", "M": list(prof)}
     return _smith_window_report(head, low, high, expected, [(f"raising[{low},{high}]", got)])
-
-
-def _diagonal_det(sizes: Sequence[int], low: int, high: int) -> int:
-    """|det| of the diagonal model on a square window: prod over m = 0..low
-    of ((high-m)!/(low-m)!)^(sizes[m] - sizes[m-1])."""
-    out = 1
-    for m in range(low + 1):
-        count = sizes[m] - (sizes[m - 1] if m > 0 else 0)
-        out *= (math.factorial(high - m) // math.factorial(low - m)) ** count
-    return out
 
 
 def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
@@ -602,21 +594,23 @@ def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
     total = sum(prof)
     if high != total - low or low > high:
         raise ValueError(f"need l' = |M| - l with l <= l', got ({low}, {high})")
-    return _diagonal_det(profile_rank_sizes(prof), low, high)
+    sizes = profile_rank_sizes(prof)
+    out = 1
+    for m in range(low + 1):
+        count = sizes[m] - (sizes[m - 1] if m > 0 else 0)
+        out *= (math.factorial(high - m) // math.factorial(low - m)) ** count
+    return out
 
 
 def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, dict | None]:
     """|det| of the complementary-rank raising composite against the closed
     formula: proved with no determinant when both scans of
-    :func:`_sl2_certificate` hold, else by the pushed basis, or else by
-    exact elimination.  Returns (True, None) or (False, witness) with the
-    expected and the actual |det|."""
+    :func:`_sl2_certificate` hold, else by exact elimination.  Returns
+    (True, None) or (False, witness) with the expected and the actual
+    |det|."""
     prof = _as_profile(M)
     expected = um_determinant_formula(prof, low, high)
     if _sl2_holds(prof, _um_step):
-        return True, None
-    sizes = _proved_sizes(prof, low, high)
-    if sizes is not None and _diagonal_det(sizes, low, high) == expected:
         return True, None
     got = abs(determinant(um_layer_matrix(prof, low, high)))
     if got != expected:

@@ -18,7 +18,6 @@ modulo a nonzero maximal minor found by the Bareiss pass behind
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -181,25 +180,22 @@ def determinant(mat: IntMatrix) -> int:
 def divisibility_normalize(diag: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Smith invariants of a diagonal matrix.
 
-    For each prime p the k-th invariant carries the k-th smallest valuation
-    v_p of the entries, with 0 above everything (v_p(0) infinite).  The k-th
-    smallest of two merged increasing lists a and b is the least, over
-    i + j = k, of max(a_i, b_j).  So merging m copies of c into a chain
-    A_1 | A_2 | ... gives at position k the gcd of A_k and of the terms
-    lcm(A_{k-j}, c) for j = 1..m, the least of which is the one at j = m:
-
-        gcd(A_k, lcm(A_{k-m}, c)),   A_j = 1 for j <= 0, A_j = 0 past the end.
-
-    The distinct entries are merged one after another, each with its count.
+    Repeatedly replaces adjacent pairs (a, b) violating a | b with
+    (gcd, lcm); both operations are realizable by unimodular row/column
+    moves, and the sweep converges to the unique divisibility chain.
     """
-    chain: list[int] = []
-    for c, m in Counter(abs(x) for x in diag).items():
-        n = len(chain)
-        chain = [
-            math.gcd(chain[k] if k < n else 0, math.lcm(chain[k - m] if k >= m else 1, c))
-            for k in range(n + m)
-        ]
-    return tuple(chain)
+    d = [abs(x) for x in diag]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(d) - 1):
+            x, y = d[i], d[i + 1]
+            if y == 0 or (x != 0 and y % x == 0):
+                continue
+            g = math.gcd(x, y)
+            d[i], d[i + 1] = g, 0 if g == 0 else x * y // g
+            changed = True
+    return tuple(d)
 
 
 def snf(mat: IntMatrix) -> tuple[int, ...]:

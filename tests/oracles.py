@@ -1,7 +1,6 @@
 """Independent oracles shared by several test modules: the ranks of S_n by
 brute force, dense integer matrix products, Smith invariants from gcds of
-minors and of diagonals by pairwise swaps, and the dense change of basis
-into padded Schubert polynomials.  The
+minors, and the dense change of basis into padded Schubert polynomials.  The
 package never calls them; the tests compare its fast routes against them at
 small sizes."""
 
@@ -83,24 +82,6 @@ def snf_via_minor_gcd(mat: IntMatrix) -> tuple[int, ...]:
         out.append(0 if g == 0 else g // d_prev)
         d_prev = g
     return tuple(out)
-
-
-def bubble_divisibility_normalize(diag):
-    """Smith invariants of a diagonal matrix by repeated (gcd, lcm) swaps:
-    every adjacent pair (a, b) with a not dividing b becomes (gcd, lcm),
-    a unimodular move, until the diagonal is a divisibility chain."""
-    d = [abs(x) for x in diag]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d) - 1):
-            x, y = d[i], d[i + 1]
-            if y == 0 or (x != 0 and y % x == 0):
-                continue
-            g = math.gcd(x, y)
-            d[i], d[i + 1] = g, 0 if g == 0 else x * y // g
-            changed = True
-    return tuple(d)
 
 
 @lru_cache(maxsize=None)

@@ -683,6 +683,14 @@ class TestCertificate:
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert (mirrors, scans) == ([], [])
 
+    def test_chains_snf_reduces_one_diagonal_per_window(self, monkeypatch, capsys):
+        # the predicted diagonal only: a proved window compares generator
+        # counts and reduces no second diagonal, and nothing is eliminated
+        diagonals, smiths = count_calls(monkeypatch, "diagonal_model_snf"), count_calls(monkeypatch, "snf")
+        assert main(["verify", "--suite", "chains-snf", "--M", "4,3,3,2,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert (len(diagonals), smiths) == (len(snf_windows((4, 3, 3, 2, 2))), [])
+
     @pytest.mark.parametrize("order", [(3, 0, 6, 3, 2), (6, 5, 4, 3, 2, 1, 0), (0, 0, 6, 6)])
     def test_walk_hands_out_the_rows_of_construct_B(self, order):
         # ranks passed, taken at the walk's own rank, and walked to afresh,

@@ -21,7 +21,7 @@ from bruhatops.snf import (
     transpose,
 )
 
-from oracles import bubble_divisibility_normalize, identity_matrix, matmul, snf_via_minor_gcd
+from oracles import identity_matrix, matmul, snf_via_minor_gcd
 
 
 def fraction_determinant(mat):
@@ -255,15 +255,6 @@ class TestSmithForm:
         assert divisibility_normalize([2, 3]) == (1, 6)
         assert divisibility_normalize([4, 6, 0]) == (2, 12, 0)
         assert divisibility_normalize([]) == ()
-
-    def test_divisibility_normalize_equals_pairwise_swaps(self):
-        # signs, zeros, units and repeated entries, as the diagonal model and
-        # the gcds of snf's pivots with the modulus bring them
-        rng = random.Random(11)
-        pool = [0, 1, -1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 36, 45, 120, 252, 2**20, 3**13, 720720]
-        for _ in range(2000):
-            diag = [rng.choice(pool) for _ in range(rng.randrange(0, 30))]
-            assert divisibility_normalize(diag) == bubble_divisibility_normalize(diag), diag
 
 
 class TestRankStatistics:
