@@ -132,16 +132,20 @@ def profile_rank_size(M: Iterable[int], k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _monomials_by_rank(M: ChainProfile) -> tuple[tuple[Exponent, ...], ...]:
+    """The box bucketed by rank in one lex-descending pass over it."""
+    ranks: list[list[Exponent]] = [[] for _ in range(sum(M) + 1)]
+    for alpha in product(*[range(m, -1, -1) for m in M]):
+        ranks[sum(alpha)].append(alpha)
+    return tuple(map(tuple, ranks))
+
+
 def monomials_of_profile_rank(M: ChainProfile, k: int) -> tuple[Exponent, ...]:
     """Exponent vectors alpha <= M with |alpha| = k, lex-descending."""
     prof = _as_profile(M)
     if not 0 <= k <= sum(prof):
         raise ValueError(f"rank out of range for the box {prof}: {k}")
-    return tuple(
-        alpha
-        for alpha in product(*[range(m, -1, -1) for m in prof])
-        if sum(alpha) == k
-    )
+    return _monomials_by_rank(prof)[k]
 
 
 @cache
@@ -195,9 +199,7 @@ def construct_A(M: Iterable[int], n: int) -> list[Exponent]:
     return sorted(out, reverse=True)
 
 
-def _pushed_bases(
-    M: ChainProfile, step, keep: int
-) -> Iterator[tuple[list[dict[int, int]], list[int], tuple[int, ...]]]:
+def _pushed_bases(M: ChainProfile, keep: int) -> Iterator[tuple[list[dict[int, int]], list[int], tuple[int, ...]]]:
     """The rows of the bases B_0, ..., B_|M| as sparse rows over the
     monomials of each rank, built by one walk up the ranks; only the
     generators of rank at most ``keep`` (at most |M|/2) take part.
@@ -205,13 +207,13 @@ def _pushed_bases(
     Yields, per rank k, (rows, born, inexact): the row of every live
     generator, the rank each generator was born at, and the positions of
     the rows whose division on the step into rank k was not exact.  The
-    rows of rank k - 1 are pushed through ``step(M, k - 1)`` together, each
-    entry is divided by k - m for its generator's rank m, the generators
-    with m > |M| - k are dropped, and for k <= keep the unit rows of
-    :func:`construct_A` are appended.  Generators are born in order of rank
-    and die in the reverse order, so the live ones are always the first in
-    order of birth, and a row's position names its generator.  Only two
-    ranks of rows are alive at once.
+    rows of rank k - 1 are pushed through ``_um_step(M, k - 1)`` together,
+    each entry is divided by k - m for its generator's rank m, the
+    generators with m > |M| - k are dropped, and for k <= keep the unit
+    rows of :func:`construct_A` are appended.  Generators are born in order
+    of rank and die in the reverse order, so the live ones are always the
+    first in order of birth, and a row's position names its generator.
+    Only two ranks of rows are alive at once.
     """
     total = sum(M)
     rows: list[dict[int, int]] = []
@@ -221,7 +223,7 @@ def _pushed_bases(
         if k:
             live = [i for i, m in enumerate(born) if m <= total - k]
             born = [born[i] for i in live]
-            pushed = push_rows([rows[i] for i in live], [step(M, k - 1)])
+            pushed = push_rows([rows[i] for i in live], [_um_step(M, k - 1)])
             rows = []
             for i, (row, m) in enumerate(zip(pushed, born)):
                 divided, exact = {}, True
@@ -257,7 +259,7 @@ def construct_B(M: Iterable[int], n: int) -> list[list[int]]:
     if not 0 <= n < len(sizes):
         raise ValueError(f"rank out of range for the box {prof}: {n}")
     keep = min(n, len(sizes) - 1 - n)
-    for k, (rows, _, inexact) in zip(range(n + 1), _pushed_bases(prof, _um_step, keep)):
+    for k, (rows, _, inexact) in zip(range(n + 1), _pushed_bases(prof, keep)):
         if inexact:
             raise ArithmeticError(f"a divided power into rank {k} of {prof} is not integral")
     return _dense(rows, sizes[n])
@@ -273,18 +275,14 @@ class _Walk:
     was not exact (``inexact[k]``).  The rows of a rank are kept until
     :meth:`take` hands them out, marshalled once the walk has passed the
     rank (the rows of every rank of (4,4,3,3,2) take 0.33 MB so, against
-    1.9 MB as dicts); a rank asked for again after that is walked to afresh.
+    1.9 MB as dicts).  Each rank is taken at most once, by :func:`_rank_det`.
     """
 
-    def __init__(self, M: ChainProfile, step):
-        self.M, self.step = M, step
+    def __init__(self, M: ChainProfile):
         self.born: list[int] = []
         self.live: list[int] = []
         self.inexact: list[tuple[int, ...]] = []
-        self._restart()
-
-    def _restart(self) -> None:
-        self._ranks = enumerate(_pushed_bases(self.M, self.step, sum(self.M) // 2))
+        self._ranks = enumerate(_pushed_bases(M, sum(M) // 2))
         self._at = -1
         self._rows: dict[int, list[dict[int, int]] | bytes] = {}
 
@@ -294,42 +292,33 @@ class _Walk:
             if self._at in self._rows:
                 self._rows[self._at] = marshal.dumps(self._rows[self._at])
             self._at, (rows, born, inexact) = next(self._ranks)
-            if self._at == len(self.live):
-                self.born.append(born.count(self._at))
-                self.live.append(len(rows))
-                self.inexact.append(inexact)
+            self.born.append(born.count(self._at))
+            self.live.append(len(rows))
+            self.inexact.append(inexact)
             self._rows[self._at] = rows
         return self
 
     def take(self, k: int) -> list[dict[int, int]]:
         """The rows of B_k, in order of birth of their generators, which the
         walk then forgets."""
-        if k not in self._rows:
-            if k <= self._at:
-                self._restart()
-            self.reach(k)
+        self.reach(k)
         rows = self._rows.pop(k)
         return rows if k == self._at else marshal.loads(rows)
 
 
 @lru_cache(maxsize=None)
-def _walk(M: ChainProfile, step) -> _Walk:
-    return _Walk(M, step)
+def _walk(M: ChainProfile) -> _Walk:
+    return _Walk(M)
 
 
 @lru_cache(maxsize=None)
-def _rank_det(M: ChainProfile, step, det, k: int) -> tuple[int, int | None]:
-    """(vector count, determinant) of the basis B_k walked over ``step``:
-    ``det`` of its rows in order of birth of their generators, or None when
-    they are not square.
-
-    Taken on first request and cached without the rows.  The step and the
-    determinant are part of the key, so a rebound one (a tracer, a test
-    double) gets its own values.
-    """
-    rows = _walk(M, step).take(k)
+def _rank_det(M: ChainProfile, k: int) -> tuple[int, int | None]:
+    """(vector count, determinant) of the basis B_k: :func:`determinant` of
+    its rows in order of birth of their generators, or None when they are
+    not square.  Taken on first request and cached without the rows."""
+    rows = _walk(M).take(k)
     size = profile_rank_sizes(M)[k]
-    return len(rows), (det(_dense(rows, size)) if len(rows) == size else None)
+    return len(rows), (determinant(_dense(rows, size)) if len(rows) == size else None)
 
 
 def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict | None]:
@@ -345,14 +334,13 @@ def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict |
     sizes = profile_rank_sizes(prof)
     if not 0 <= n < len(sizes):
         raise ValueError(f"rank out of range for the box {prof}: {n}")
-    step = _um_step
-    walk = _walk(prof, step).reach(n)
+    walk = _walk(prof).reach(n)
     for k in range(1, n + 1):
         if walk.inexact[k] and walk.inexact[k][0] < walk.live[n]:
             return False, {"divided_power": f"a divided power into rank {k} of {prof} is not integral"}
-    if _proved_from_below(prof, step, n):
+    if _proved_from_below(prof, n):
         return True, None
-    vectors, det = _rank_det(prof, step, determinant, n)
+    vectors, det = _rank_det(prof, n)
     if vectors != sizes[n]:
         return False, {"vectors": str(vectors), "rank_size": str(sizes[n])}
     if abs(det) != 1:
@@ -444,15 +432,15 @@ def _mirror_scan(
 
 
 @lru_cache(maxsize=None)
-def _sl2_certificate(M: ChainProfile, um, dm) -> tuple[tuple[bool, dict | None], tuple[bool, dict | None]]:
-    """(sl2 scan, mirror scan) of the box M with the raising steps ``um``
-    and the lowering steps ``dm``: the two hypotheses of the sl2 half of
-    the module docstring, each as (True, None) or (False, witness).
+def _sl2_certificate(M: ChainProfile) -> tuple[tuple[bool, dict | None], tuple[bool, dict | None]]:
+    """(sl2 scan, mirror scan) of the box M with the raising steps
+    :func:`_um_step` and the lowering steps :func:`_dm_step`: the two
+    hypotheses of the sl2 half of the module docstring, each as (True, None)
+    or (False, witness).
 
-    The steps are part of the key, as in :func:`_walk`, so a rebound one (a
-    tracer, a test double) gets its own verdict.  Once the mirror holds, the
-    sl2 scan stops at the middle rank.  Write C_j = D_{j-1}^T U_{j-1} -
-    U_j D_j^T for the commutator on rank j and J for the reversal of a rank.
+    Once the mirror holds, the sl2 scan stops at the middle rank.  Write
+    C_j = D_{j-1}^T U_{j-1} - U_j D_j^T for the commutator on rank j and J
+    for the reversal of a rank.
     The mirror says U_k = J D_{N-1-k}^T J for every k, and so also
     D_k^T = J U_{N-1-k} J.  Then
 
@@ -466,19 +454,18 @@ def _sl2_certificate(M: ChainProfile, um, dm) -> tuple[tuple[bool, dict | None],
     """
     total = sum(M)
     sizes = profile_rank_sizes(M)
-    up = [um(M, k) for k in range(total)]
-    down = [dm(M, k) for k in range(total)]
+    up = [_um_step(M, k) for k in range(total)]
+    down = [_dm_step(M, k) for k in range(total)]
     mirror = _mirror_scan(up, down, sizes)
     return _sl2_scan(down, up, sizes, total // 2 if mirror[0] else None), mirror
 
 
-def _sl2_holds(M: ChainProfile, step) -> bool:
-    """Whether both scans of :func:`_sl2_certificate` hold for the raising
-    steps ``step`` and the module's lowering steps."""
-    return all(ok for ok, _ in _sl2_certificate(M, step, _dm_step))
+def _sl2_holds(M: ChainProfile) -> bool:
+    """Whether both scans of :func:`_sl2_certificate` hold on the box M."""
+    return all(ok for ok, _ in _sl2_certificate(M))
 
 
-def _proved_from_below(M: ChainProfile, step, high: int) -> bool:
+def _proved_from_below(M: ChainProfile, high: int) -> bool:
     """Whether the rows of B_high, for a rank above the middle, are square
     with det +-1 by the sl2 half of the module docstring, read from rank
     low = |M| - high: the rows of B_low are square with det +-1, every
@@ -491,22 +478,22 @@ def _proved_from_below(M: ChainProfile, step, high: int) -> bool:
     low = sum(M) - high
     if low >= high:
         return False
-    walk = _walk(M, step).reach(high)
+    walk = _walk(M).reach(high)
     sizes = profile_rank_sizes(M)
     return (
         all(walk.born[m] == sizes[m] - (sizes[m - 1] if m else 0) for m in range(low + 1))
         and all(not bad or bad[0] >= walk.live[low] for bad in walk.inexact[low + 1 : high + 1])
-        and _unimodular(M, step, low)
-        and _sl2_holds(M, step)
+        and _unimodular(M, low)
+        and _sl2_holds(M)
     )
 
 
-def _unimodular(M: ChainProfile, step, k: int) -> bool:
+def _unimodular(M: ChainProfile, k: int) -> bool:
     """Whether the rows of B_k are square with det +-1: proved from the rank
     below when :func:`_proved_from_below` can, else by the determinant."""
-    if _proved_from_below(M, step, k):
+    if _proved_from_below(M, k):
         return True
-    det = _rank_det(M, step, determinant, k)[1]
+    det = _rank_det(M, k)[1]
     return det is not None and abs(det) == 1
 
 
@@ -520,11 +507,10 @@ def _proved_sizes(M: ChainProfile, low: int, high: int) -> list[int] | None:
     the two end ranks are taken, or, for an end above the middle that
     :func:`_proved_from_below` proves, that of the rank it is read from.
     """
-    step = _um_step
-    walk = _walk(M, step).reach(high)
+    walk = _walk(M).reach(high)
     if any(walk.inexact[low + 1 : high + 1]):
         return None
-    if not (_unimodular(M, step, low) and _unimodular(M, step, high)):
+    if not (_unimodular(M, low) and _unimodular(M, high)):
         return None
     return list(accumulate(walk.born[: low + 1]))
 
@@ -610,7 +596,7 @@ def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, d
     |det|."""
     prof = _as_profile(M)
     expected = um_determinant_formula(prof, low, high)
-    if _sl2_holds(prof, _um_step):
+    if _sl2_holds(prof):
         return True, None
     got = abs(determinant(um_layer_matrix(prof, low, high)))
     if got != expected:

@@ -6,8 +6,28 @@ import sys
 
 import pytest
 
+import bruhatops.chains as chains
 import bruhatops.permutations as permutations
 from bruhatops.hasse import WeightedHasseDiagram
+
+# the chain certificate's caches, keyed by the profile (and the rank) alone
+_CHAIN_CACHES = (chains._walk, chains._rank_det, chains._sl2_certificate)
+
+
+def clear_chain_caches():
+    """Forget the walk, the basis determinants and the sl2 certificate of
+    every box; a test calls it after rebinding ``chains._um_step``,
+    ``chains._dm_step`` or ``chains.determinant``, which those caches read."""
+    for cached in _CHAIN_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_chain_caches():
+    """Each test starts and ends with no chain certificate cached."""
+    clear_chain_caches()
+    yield
+    clear_chain_caches()
 
 
 @pytest.fixture
@@ -72,7 +92,6 @@ def split_lowering_triple(monkeypatch):
     which ``chains._dm_step`` returns from then on.  The step is the same
     map, so the sl2 relation still holds, but its triples are no longer the
     mirror of the raising step's, so only the mirror scan fails."""
-    chains = importlib.import_module("bruhatops.chains")
     real = chains._dm_step
 
     def split(at):
@@ -84,5 +103,6 @@ def split_lowering_triple(monkeypatch):
             return step
 
         monkeypatch.setattr(chains, "_dm_step", perturbed)
+        clear_chain_caches()
 
     return split

@@ -33,6 +33,7 @@ from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
 from bruhatops.snf import _dense, _sl2_scan, determinant, diagonal_model_snf, snf, transpose
 
+from conftest import clear_chain_caches
 from oracles import matmul
 
 
@@ -168,6 +169,12 @@ class TestProfiles:
         with pytest.raises(ValueError):
             monomials_of_profile_rank((2, 1), 9)
 
+    @pytest.mark.parametrize("M", [(3, 0, 2), (2, 2, 1), (4, 4, 3, 3, 2), (5, 4, 3, 2, 1)])
+    def test_monomials_equal_the_per_rank_filter(self, M):
+        box = list(iter_product(*[range(m, -1, -1) for m in M]))
+        for k in range(sum(M) + 1):
+            assert monomials_of_profile_rank(M, k) == tuple(alpha for alpha in box if sum(alpha) == k), k
+
 
 class TestBasisConstruction:
     def test_a_sets_frozen_21(self):
@@ -302,7 +309,7 @@ class TestLayerMatrices:
             up, down = [_um_step(M, k) for k in range(total)], [_dm_step(M, k) for k in range(total)]
             assert dense_sl2_check(M) == (True, None), M
             assert _sl2_scan(down, up, profile_rank_sizes(M)) == (True, None), M
-            assert chains._sl2_certificate(M, _um_step, _dm_step) == ((True, None), (True, None)), M
+            assert chains._sl2_certificate(M) == ((True, None), (True, None)), M
 
     @pytest.mark.parametrize("at", range(6))
     def test_sl2_witness_of_a_raised_weight(self, monkeypatch, at):
@@ -310,7 +317,7 @@ class TestLayerMatrices:
         # scanned, and the first failure is on the rank the step leaves
         M = (3, 2, 1)
         raise_one_weight(monkeypatch, at)
-        sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+        sl2, mirror = chains._sl2_certificate(M)
         assert mirror[0] is False
         assert sl2 == dense_sl2_check(M)
         assert sl2[0] is False and sl2[1]["rank"] == at
@@ -324,7 +331,7 @@ class TestLayerMatrices:
         M = (3, 2, 1)
         total = sum(M)
         raise_mirrored_weights(monkeypatch, M, at)
-        sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+        sl2, mirror = chains._sl2_certificate(M)
         assert mirror == (True, None)
         commutators = dense_commutators(M)
         for j in range(total + 1):
@@ -400,6 +407,7 @@ class TestWitnesses:
         # determinant, which lies
         split_lowering_triple(0)
         monkeypatch.setattr(chains, "determinant", lambda mat: -3)
+        clear_chain_caches()
         assert base_change_unimodular_check((2, 1), 1) == (False, {"determinant": "-3"})
         assert um_determinant_check((2, 1), 1, 2) == (False, {"expected": "2", "actual": "3"})
         assert base_change_report((2, 1), 1)["failures"] == [
@@ -463,14 +471,14 @@ def exact_route(monkeypatch):
     """From here on neither the pushed basis nor the sl2 certificate proves
     anything, so every window is eliminated and every basis rank reduced."""
     monkeypatch.setattr(chains, "_proved_sizes", lambda M, low, high: None)
-    monkeypatch.setattr(chains, "_sl2_holds", lambda M, step: False)
+    monkeypatch.setattr(chains, "_sl2_holds", lambda M: False)
 
 
 def short_basis(monkeypatch):
     """From here on every basis B_k of the shared walk reports one vector
     fewer than it has, and no determinant."""
     real = chains._rank_det
-    monkeypatch.setattr(chains, "_rank_det", lambda M, step, det, k: (real(M, step, det, k)[0] - 1, None))
+    monkeypatch.setattr(chains, "_rank_det", lambda M, k: (real(M, k)[0] - 1, None))
 
 
 def count_calls(monkeypatch, name):
@@ -499,6 +507,7 @@ def raise_one_weight(monkeypatch, at, by=1):
         return step
 
     monkeypatch.setattr(chains, "_um_step", perturbed)
+    clear_chain_caches()
 
 
 def raise_mirrored_weights(monkeypatch, M, at):
@@ -518,12 +527,13 @@ def raise_mirrored_weights(monkeypatch, M, at):
         return step
 
     monkeypatch.setattr(chains, "_dm_step", perturbed)
+    clear_chain_caches()
 
 
 def assert_sl2_fails_at(M, at):
     """The sl2 scan of the box under the module's steps fails first on rank
     ``at``, where a raised weight leaves."""
-    sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+    sl2, mirror = chains._sl2_certificate(M)
     assert mirror[0] is False
     assert sl2[0] is False and sl2[1]["rank"] == at, sl2
 
@@ -546,7 +556,7 @@ class TestCertificate:
         # every basis rank and every square window, proved with the sl2
         # certificate, against each rank reduced and each composite
         # eliminated on its own
-        assert chains._sl2_certificate(M, _um_step, _dm_step) == ((True, None), (True, None))
+        assert chains._sl2_certificate(M) == ((True, None), (True, None))
         bases = basis_reports(M, base_change_report)
         dets = [um_determinant_check(M, low, high) for low, high in det_windows(M)]
         exact_route(monkeypatch)
@@ -562,30 +572,30 @@ class TestCertificate:
         # low = |M| - high; one flagged for a generator born after low does not
         M = (3, 3, 2, 2)
         total = sum(M)
-        walk = chains._Walk(M, _um_step).reach(total)
-        monkeypatch.setattr(chains, "_walk", lambda P, step: walk)
+        walk = chains._Walk(M).reach(total)
+        monkeypatch.setattr(chains, "_walk", lambda P: walk)
         for high in range(total // 2 + 1, total + 1):
             low = total - high
             walk.inexact[at] = (0,)
-            assert chains._proved_from_below(M, _um_step, high) == (not low < at <= high), high
+            assert chains._proved_from_below(M, high) == (not low < at <= high), high
             walk.inexact[at] = (walk.live[low],)
-            assert chains._proved_from_below(M, _um_step, high), high
+            assert chains._proved_from_below(M, high), high
 
     @pytest.mark.parametrize("m", range(6))
     def test_born_count_off_keeps_the_ranks_above_unproved(self, monkeypatch, m):
         M = (3, 3, 2, 2)
         total = sum(M)
-        walk = chains._Walk(M, _um_step).reach(total)
+        walk = chains._Walk(M).reach(total)
         walk.born[m] += 1
-        monkeypatch.setattr(chains, "_walk", lambda P, step: walk)
+        monkeypatch.setattr(chains, "_walk", lambda P: walk)
         for high in range(total // 2 + 1, total + 1):
-            assert chains._proved_from_below(M, _um_step, high) == (total - high < m), high
+            assert chains._proved_from_below(M, high) == (total - high < m), high
 
     @pytest.mark.parametrize("at", range(10))
     def test_mirror_failure_alone_falls_back(self, monkeypatch, split_lowering_triple, at):
         M = (3, 3, 2, 2)
         split_lowering_triple(at)
-        sl2, mirror = chains._sl2_certificate(M, chains._um_step, chains._dm_step)
+        sl2, mirror = chains._sl2_certificate(M)
         assert sl2 == (True, None)
         assert mirror[0] is False and mirror[1]["rank"] == sum(M) - 1 - at
         reports = chain_reports(M) + basis_reports(M, base_change_report)
@@ -672,7 +682,7 @@ class TestCertificate:
         M = (4, 3, 3, 2, 2)
         ranks, dets = count_calls(monkeypatch, "_rank_det"), count_calls(monkeypatch, "determinant")
         assert um_snf_check(M, 2, 9)["failures"] == []
-        assert [k for (_, _, _, k) in ranks] == [2, 5]
+        assert [k for (_, k) in ranks] == [2, 5]
         assert len(dets) == 2
 
     def test_window_at_or_below_the_middle_runs_no_scan(self, monkeypatch, capsys):
@@ -691,12 +701,36 @@ class TestCertificate:
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert (len(diagonals), smiths) == (len(snf_windows((4, 3, 3, 2, 2))), [])
 
-    @pytest.mark.parametrize("order", [(3, 0, 6, 3, 2), (6, 5, 4, 3, 2, 1, 0), (0, 0, 6, 6)])
+    def test_no_rank_is_taken_twice(self, monkeypatch, capsys):
+        # the three chain suites in one process share one walk per profile,
+        # and each rank's rows leave it once, for the cached determinant
+        taken, real = [], chains._Walk.take
+
+        def spy(walk, k):
+            taken.append((walk, k))
+            return real(walk, k)
+
+        monkeypatch.setattr(chains._Walk, "take", spy)
+        for suite in ("chains-basis", "chains-snf", "chains-det"):
+            assert main(["verify", "--suite", suite, "--M", "4,4,3,3,2"]) == 0
+            assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert {walk for walk, _ in taken} == {chains._walk((4, 4, 3, 3, 2))}
+        assert sorted(k for _, k in taken) == list(range(9))
+
+    def test_rebinding_a_step_forgets_the_certificate(self, monkeypatch):
+        # the caches are keyed by the profile alone, so a helper that rebinds
+        # a step clears them; a stale certificate would prove every window
+        M = (3, 3, 2, 2)
+        assert not any(report["failures"] for report in chain_reports(M))
+        raise_one_weight(monkeypatch, 3)
+        assert any(report["failures"] for report in chain_reports(M))
+
+    @pytest.mark.parametrize("order", [(3, 0, 6, 2), (6, 5, 4, 3, 2, 1, 0), (0, 6)])
     def test_walk_hands_out_the_rows_of_construct_B(self, order):
-        # ranks passed, taken at the walk's own rank, and walked to afresh,
-        # after a walk to the top that took nothing
+        # ranks passed and taken at the walk's own rank, after a walk to the
+        # top that took nothing
         M = (3, 2, 1)
-        walk = chains._Walk(M, _um_step).reach(sum(M))
+        walk = chains._Walk(M).reach(sum(M))
         for k in order:
             assert _dense(walk.take(k), profile_rank_size(M, k)) == construct_B(M, k), k
         assert walk.born == [1, 2, 2, 1, 0, 0, 0]
@@ -762,6 +796,7 @@ class TestBasisWitnesses:
     def test_patched_determinant_keeps_its_sign(self, monkeypatch, M):
         real = chains.determinant
         monkeypatch.setattr(chains, "determinant", lambda mat: 3 * real(mat))
+        clear_chain_caches()
         reports = basis_reports(M, base_change_report)
         assert reports == basis_reports(M, reference_basis_report)
         signs = {report["failures"][0]["determinant"] for report in reports}

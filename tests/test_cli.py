@@ -12,6 +12,8 @@ import pytest
 import bruhatops.cli as cli
 from bruhatops.cli import SUITES, main
 
+from conftest import clear_chain_caches
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -83,6 +85,7 @@ class TestExitCodes:
         # determinant, which lies
         split_lowering_triple(0)
         monkeypatch.setattr(chains, "determinant", lambda mat: -3)
+        clear_chain_caches()
         code, out, _ = run(capsys, "verify", "--suite", "chains-det", "--M", "2,1")
         assert code == 1
         assert json.loads(out)["reports"][0]["failures"] == [
