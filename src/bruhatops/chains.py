@@ -74,6 +74,7 @@ ChainProfile = tuple[int, ...]
 Exponent = tuple[int, ...]
 
 __all__ = [
+    "staircase",
     "normalize_profile",
     "profile_rank_sizes",
     "profile_rank_size",
@@ -97,6 +98,14 @@ def _as_profile(M: Iterable[int]) -> ChainProfile:
     if any(m < 0 for m in prof):
         raise ValueError(f"chain lengths must be nonnegative: {prof}")
     return prof
+
+
+def staircase(n: int) -> ChainProfile:
+    """The componentwise exponent ceiling (n-1, n-2, ..., 1); empty for n=1.
+    As a profile, the box whose ranks have the sizes of the ranks of S_n."""
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
+    return tuple(range(n - 1, 0, -1))
 
 
 def normalize_profile(M: Iterable[int]) -> tuple[ChainProfile, tuple[int, ...]]:

@@ -13,6 +13,9 @@ Three subcommands:
 
 Exit codes: 0 success / verified, 1 counterexample found, 2 usage error.
 Potentially large integers in JSON output are always decimal strings.
+
+Each command imports the layer modules it runs when it runs, so ``--help``
+loads none and the chain suites load only ``chains`` and ``snf``.
 """
 
 from __future__ import annotations
@@ -22,36 +25,6 @@ import json
 import os
 import sys
 from typing import Callable, Sequence
-
-from .chains import base_change_report, um_determinant_report, um_snf_check
-from .hasse import (
-    _json_chunks,
-    _vertex_names,
-    build_hasse,
-    diagram_to_dot,
-    verify_snf_theorem,
-    verify_w0_symmetry,
-)
-from .operators import (
-    delta_action_chunk,
-    macdonald_chunk,
-    nabla_action_chunk,
-    path_identities_chunk,
-    verify_sl2,
-)
-from .permutations import (
-    inverse,
-    num_inversions_max,
-    parse as parse_permutation,
-    permutations_by_rank,
-    to_string,
-)
-from .schubert import (
-    _specialization_table,
-    pad,
-    schubert,
-    schubert_standard,
-)
 
 __all__ = ["main", "entrypoint"]
 
@@ -166,34 +139,43 @@ def _suite_jobs(args) -> list[tuple]:
     """The suite's jobs as ``(function, *args)`` tuples, one per unit of
     independent work: a rank for the action suites, whose ranks read
     disjoint padded steps, and all of S_n for the path suites, whose every
-    permutation reads the same sweeps.  The functions are read from this
-    module's bindings at call time, so that rebinding one of them (a
-    tracer, a test spy) reaches every job."""
+    permutation reads the same sweeps.  The suite's layer module is imported
+    here, before any pool forks, and the functions are read from it when the
+    jobs are made, so that rebinding one of them there (a tracer, a test
+    spy) reaches every job."""
     suite, n, M, low, high = args.suite, args.n, args.M, args.from_rank, args.to_rank
-    if suite in ("nabla-action", "delta-action"):
-        chunk = nabla_action_chunk if suite == "nabla-action" else delta_action_chunk
-        return [(chunk, n, list(stratum)) for stratum in permutations_by_rank(n)]
-    if suite in ("path-identities", "macdonald"):
-        chunk = path_identities_chunk if suite == "path-identities" else macdonald_chunk
+    if suite in ("nabla-action", "delta-action", "path-identities", "macdonald", "sl2"):
+        from . import operators as ops
+        from .permutations import permutations_by_rank
+
+        if suite == "sl2":
+            return [(ops.verify_sl2, n)]
+        if suite in ("nabla-action", "delta-action"):
+            chunk = ops.nabla_action_chunk if suite == "nabla-action" else ops.delta_action_chunk
+            return [(chunk, n, list(stratum)) for stratum in permutations_by_rank(n)]
+        chunk = ops.path_identities_chunk if suite == "path-identities" else ops.macdonald_chunk
         return [(chunk, n, [w for stratum in permutations_by_rank(n) for w in stratum])]
-    if suite == "sl2":
-        return [(verify_sl2, n)]
-    if suite == "w0-symmetry":
-        return [(verify_w0_symmetry, n)]
-    if suite == "snf":
+    if suite in ("w0-symmetry", "snf"):
+        from . import hasse
+        from .permutations import num_inversions_max
+
+        if suite == "w0-symmetry":
+            return [(hasse.verify_w0_symmetry, n)]
         windows = _windows(num_inversions_max(n), low, high)
         if n == 5 and low is None:
             windows = SNF_SAMPLE_PAIRS_N5
-        return [(verify_snf_theorem, n, a, b) for a, b in windows]
+        return [(hasse.verify_snf_theorem, n, a, b) for a, b in windows]
     if M is None:
         raise ValueError(f"suite {suite!r} needs --M")
+    from . import chains
+
     total = sum(M)
     if suite == "chains-basis":
-        return [(base_change_report, M, rank) for rank in range(total + 1)]
+        return [(chains.base_change_report, M, rank) for rank in range(total + 1)]
     if suite == "chains-det":
-        return [(um_determinant_report, M, k, total - k) for k in range(total // 2 + 1)]
+        return [(chains.um_determinant_report, M, k, total - k) for k in range(total // 2 + 1)]
     if suite == "chains-snf":
-        return [(um_snf_check, M, a, b) for a, b in _windows(total, low, high)]
+        return [(chains.um_snf_check, M, a, b) for a, b in _windows(total, low, high)]
     raise ValueError(f"unknown suite: {suite!r}")  # pragma: no cover - argparse choices guard this
 
 
@@ -232,23 +214,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    diagram = build_hasse(args.n, args.order, args.weights)
+    from . import hasse
+
+    diagram = hasse.build_hasse(args.n, args.order, args.weights)
     if args.format == "dot":
-        print(diagram_to_dot(diagram), end="")
+        print(hasse.diagram_to_dot(diagram), end="")
     elif args.format == "table":
         print(f"# S_{args.n}, {args.order} order, {args.weights} weights")
-        name = _vertex_names(diagram)
+        name = hasse._vertex_names(diagram)
         for src, dst, wt in diagram.edges:
             print(f"{name[src]} -> {name[dst]}  weight {wt}")
     else:
-        for chunk in _json_chunks(diagram):
+        for chunk in hasse._json_chunks(diagram):
             sys.stdout.write(chunk)
         sys.stdout.write("\n")
     return 0
 
 
 def cmd_schubert(args) -> int:
-    w = parse_permutation(args.perm)
+    from . import schubert
+    from .permutations import inverse, parse, to_string
+
+    w = parse(args.perm)
     payload: dict = {
         "perm": to_string(w),
         "n": len(w),
@@ -256,11 +243,12 @@ def cmd_schubert(args) -> int:
     }
     if args.specialize:
         # S_w(1) from the integer recursion; the polynomial is never built
-        rendered = _specialization_table(len(w))[inverse(w) if args.standard_convention else w]
+        u = inverse(w) if args.standard_convention else w
+        rendered = schubert._specialization_table(len(w))[u]
         payload["value"] = str(rendered)
     else:
-        poly = schubert_standard(w) if args.standard_convention else schubert(w)
-        rendered = pad(poly) if args.padded else poly
+        poly = schubert.schubert_standard(w) if args.standard_convention else schubert.schubert(w)
+        rendered = schubert.pad(poly) if args.padded else poly
         payload["padded"] = bool(args.padded)
         payload["polynomial"] = str(rendered)
         payload["terms"] = [
@@ -330,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the parser is freed before the command compiles its layer modules
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 from typing import Iterator
 
-from .chains import _smith_window_report, predicted_um_snf, profile_rank_sizes
+from .chains import _smith_window_report, predicted_um_snf, profile_rank_sizes, staircase
 from .permutations import (
     Permutation,
     _lex_codes,
@@ -39,7 +39,6 @@ from .permutations import (
     validated,
     w0_times,
 )
-from .schubert import staircase
 from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows, snf
 
 __all__ = [

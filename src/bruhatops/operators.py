@@ -17,7 +17,7 @@ import math
 from itertools import groupby
 from typing import Iterator
 
-from .chains import _dm_step, _um_step
+from .chains import _dm_step, _um_step, staircase
 from .hasse import _sweep, build_hasse, rank_size
 from .permutations import (
     Permutation,
@@ -33,7 +33,6 @@ from .schubert import (
     _schubert_table,
     _specialization_table,
     monomials_of_rank,
-    staircase,
 )
 from .snf import IntMatrix, SparseStep, _flipped, _sl2_scan, compose_steps, push_rows
 

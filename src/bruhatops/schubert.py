@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
-from .chains import monomials_of_profile_rank
+from .chains import monomials_of_profile_rank, staircase
 from .permutations import (
     Permutation,
     inverse,
@@ -64,13 +64,6 @@ __all__ = [
     "monomials_of_rank",
     "basis_matrix_inverse",
 ]
-
-
-def staircase(n: int) -> Exponent:
-    """The componentwise exponent ceiling (n-1, n-2, ..., 1); empty for n=1."""
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
-    return tuple(range(n - 1, 0, -1))
 
 
 def _clean(n: int, items: Iterable[tuple[Exponent, int]]) -> dict[Exponent, int]:

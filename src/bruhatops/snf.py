@@ -18,6 +18,7 @@ modulo a nonzero maximal minor found by the Bareiss pass behind
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -180,22 +181,21 @@ def determinant(mat: IntMatrix) -> int:
 def divisibility_normalize(diag: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Smith invariants of a diagonal matrix.
 
-    Repeatedly replaces adjacent pairs (a, b) violating a | b with
-    (gcd, lcm); both operations are realizable by unimodular row/column
-    moves, and the sweep converges to the unique divisibility chain.
+    Prime by prime, the invariants carry the sorted exponents of the
+    entries.  So each distinct nonzero |entry| c, with its count m, is merged
+    into the chain A_1 | A_2 | ... of the entries before it in one pass:
+    position k becomes gcd(A_k, lcm(A_{k-m}, c)), reading A_j as 1 for
+    j < 1 and as 0 past the end.  Zeros come last.
+
+    >>> divisibility_normalize([4, 0, -6, 4])
+    (2, 4, 12, 0)
     """
-    d = [abs(x) for x in diag]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d) - 1):
-            x, y = d[i], d[i + 1]
-            if y == 0 or (x != 0 and y % x == 0):
-                continue
-            g = math.gcd(x, y)
-            d[i], d[i + 1] = g, 0 if g == 0 else x * y // g
-            changed = True
-    return tuple(d)
+    counts = Counter(map(abs, diag))
+    zeros = counts.pop(0, 0)
+    chain: list[int] = []
+    for c, m in counts.items():
+        chain = [math.gcd(a, math.lcm(b, c)) for a, b in zip(chain + [0] * m, [1] * m + chain)]
+    return tuple(chain) + (0,) * zeros
 
 
 def snf(mat: IntMatrix) -> tuple[int, ...]:

@@ -51,8 +51,8 @@ def validated_calls(monkeypatch):
 def no_schubert_table(monkeypatch):
     """Building the Schubert polynomial table fails from here on, through
     each package module's own binding, and the operators and CLI read S_u(1)
-    from a fresh, empty cache, so that no value computed before the test can
-    hide a use of the table."""
+    from a fresh, empty cache (the CLI through the schubert module), so that
+    no value computed before the test can hide a use of the table."""
     schubert_module = importlib.import_module("bruhatops.schubert")
 
     def refuse(n):
@@ -62,7 +62,7 @@ def no_schubert_table(monkeypatch):
         if name.split(".")[0] == "bruhatops" and hasattr(module, "_schubert_table"):
             monkeypatch.setattr(module, "_schubert_table", refuse)
     fresh = functools.lru_cache(maxsize=None)(schubert_module._specialization_table.__wrapped__)
-    for name in ("operators", "cli"):
+    for name in ("operators", "schubert"):
         monkeypatch.setattr(importlib.import_module(f"bruhatops.{name}"), "_specialization_table", fresh)
 
 

@@ -1,6 +1,7 @@
 """Independent oracles shared by several test modules: the ranks of S_n by
 brute force, dense integer matrix products, Smith invariants from gcds of
-minors, and the dense change of basis into padded Schubert polynomials.  The
+minors or by pairwise (gcd, lcm) swaps on a diagonal, and the dense change
+of basis into padded Schubert polynomials.  The
 package never calls them; the tests compare its fast routes against them at
 small sizes."""
 
@@ -43,6 +44,27 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 for j in range(cols):
                     out_i[j] += aik * b_k[j]
     return out
+
+
+def divisibility_normalize_by_swaps(diag) -> tuple[int, ...]:
+    """Smith invariants of a diagonal matrix.
+
+    Repeatedly replaces adjacent pairs (a, b) violating a | b with
+    (gcd, lcm); both operations are realizable by unimodular row/column
+    moves, and the sweep converges to the unique divisibility chain.
+    """
+    d = [abs(x) for x in diag]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(d) - 1):
+            x, y = d[i], d[i + 1]
+            if y == 0 or (x != 0 and y % x == 0):
+                continue
+            g = math.gcd(x, y)
+            d[i], d[i + 1] = g, 0 if g == 0 else x * y // g
+            changed = True
+    return tuple(d)
 
 
 def snf_via_minor_gcd(mat: IntMatrix) -> tuple[int, ...]:

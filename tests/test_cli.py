@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bruhatops.cli as cli
+import bruhatops.operators as operators
 from bruhatops.cli import SUITES, main
 
 from conftest import clear_chain_caches
@@ -280,17 +281,18 @@ class TestDispatch:
 
     @pytest.mark.parametrize("suite", sorted(PERM_SUITE_CHUNKS))
     def test_chunks_are_read_through_the_cli_binding(self, capsys, monkeypatch, suite):
-        # rebinding the name in bruhatops.cli must reach the jobs, as a
+        # the CLI reads each chunk from bruhatops.operators when it makes the
+        # jobs, so rebinding the name there must reach every job, as a
         # wrapper installed by a tracer would
         name = PERM_SUITE_CHUNKS[suite]
-        real = getattr(cli, name)
+        real = getattr(operators, name)
         calls = []
 
         def spy(n, perms):
             calls.append(len(perms))
             return real(n, perms)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(operators, name, spy)
         code, _, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
         assert code == 0
         assert calls == JOB_SIZES_N3[suite]

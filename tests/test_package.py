@@ -9,7 +9,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import bruhatops
+
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _run_probe(probe, *argv):
+    """Run ``python -c probe argv...`` on this checkout's package."""
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_submodules_are_not_shadowed():
@@ -69,7 +87,8 @@ def _imported_modules(node):
 
 def test_import_layering():
     # snf is the linear-algebra core beneath every other module, and every
-    # package import sits at module level, where the import graph is visible
+    # layer module imports the package at module level, where the import
+    # graph is visible; the CLI imports per command (next test)
     src = REPO / "src" / "bruhatops"
     for path in sorted(src.glob("*.py")):
         imports = _package_imports(ast.parse(path.read_text(), str(path)))
@@ -79,28 +98,53 @@ def test_import_layering():
             # the chain suites run on snf alone: no diagram, table or CLI
             for node, _ in imports:
                 assert _imported_modules(node) == {"snf"}, f"chains.py:{node.lineno} imports past snf"
+        if path.name == "cli.py":
+            continue
         for node, func in imports:
             assert func is None, f"{path.name}:{node.lineno}: package import inside {func}()"
 
 
+# the layer modules a fresh process holds after ``import bruhatops.cli`` and
+# one CLI run: no command compiles a module it does not run
+DIAGRAM_LAYERS = ["chains", "hasse", "permutations", "snf"]
+COMMAND_LAYERS = [
+    ((), []),
+    (("--help",), []),
+    (("verify", "--suite", "chains-basis", "--M", "2,1"), ["chains", "snf"]),
+    (("verify", "--suite", "chains-snf", "--M", "2,1"), ["chains", "snf"]),
+    (("verify", "--suite", "chains-det", "--M", "2,1"), ["chains", "snf"]),
+    (("verify", "--suite", "snf", "--n", "3"), DIAGRAM_LAYERS),
+    (("verify", "--suite", "w0-symmetry", "--n", "3"), DIAGRAM_LAYERS),
+    (("hasse", "--n", "3", "--order", "strong", "--weights", "code"), DIAGRAM_LAYERS),
+    (("verify", "--suite", "sl2", "--n", "3"), sorted([*DIAGRAM_LAYERS, "operators", "schubert"])),
+    (("schubert", "--perm", "312"), ["chains", "permutations", "schubert", "snf"]),
+]
+LAYER_PROBE = """
+import contextlib, io, sys
+import bruhatops.cli as cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(sys.argv[1:])
+loaded = {name.split(".")[1] for name in sys.modules if name.startswith("bruhatops.")}
+print(" ".join(sorted(loaded - {"cli"})))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS, ids=[" ".join(a) or "import" for a, _ in COMMAND_LAYERS])
+def test_each_command_loads_only_its_layers(argv, layers):
+    assert _run_probe(LAYER_PROBE, *argv).split() == layers
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # both cost every CLI start about 12-15 ms of imports
-    src = str(REPO / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, bruhatops.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_probe(probe) == "[]"
 
 
 def test_exports_are_consistent():
-    # each submodule's __all__ names what it defines, and the package
-    # re-exports only names that its submodules declare public
+    # each submodule's __all__ names what it defines, and the package's lazy
+    # table re-exports only names that its submodules declare public, each
+    # resolving to the submodule's own object
     src = REPO / "src" / "bruhatops"
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
@@ -108,9 +152,13 @@ def test_exports_are_consistent():
         module = importlib.import_module(f"bruhatops.{path.stem}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{path.name}: __all__ names undefined {missing}"
-    tree = ast.parse((src / "__init__.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            declared = importlib.import_module(f"bruhatops.{node.module}").__all__
-            undeclared = [alias.name for alias in node.names if alias.name not in declared]
-            assert undeclared == [], f"bruhatops re-exports {undeclared} outside {node.module}.__all__"
+    for stem, names in bruhatops._EXPORTS.items():
+        module = importlib.import_module(f"bruhatops.{stem}")
+        assert getattr(bruhatops, stem) is module
+        undeclared = [name for name in names if name not in module.__all__]
+        assert undeclared == [], f"bruhatops re-exports {undeclared} outside {stem}.__all__"
+        for name in names:
+            assert getattr(bruhatops, name) is getattr(module, name), name
+    # no name is exported by two submodules
+    assert sorted(bruhatops.__all__) == sorted(n for names in bruhatops._EXPORTS.values() for n in names)
+    assert {"schubert", "snf"}.isdisjoint(bruhatops.__all__)

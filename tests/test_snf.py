@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruhatops.snf as snf_module
+from bruhatops.chains import profile_rank_sizes
 from bruhatops.hasse import mahonian_numbers, predicted_snf, rank_size, verify_snf_theorem
 from bruhatops.permutations import length
 from bruhatops.snf import (
@@ -21,7 +22,7 @@ from bruhatops.snf import (
     transpose,
 )
 
-from oracles import identity_matrix, matmul, snf_via_minor_gcd
+from oracles import divisibility_normalize_by_swaps, identity_matrix, matmul, snf_via_minor_gcd
 
 
 def fraction_determinant(mat):
@@ -255,6 +256,28 @@ class TestSmithForm:
         assert divisibility_normalize([2, 3]) == (1, 6)
         assert divisibility_normalize([4, 6, 0]) == (2, 12, 0)
         assert divisibility_normalize([]) == ()
+
+    def test_merge_equals_pairwise_swaps_on_random_diagonals(self):
+        # few distinct values, so that repeats are common, with zeros and signs
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            values = [rng.choice([0, 1, 2, 3, 4, 6, 12, 18, 35, 2**40 * 3]) for _ in range(4)]
+            diag = [rng.choice(values) * rng.choice([1, -1]) for _ in range(rng.randrange(12))]
+            assert divisibility_normalize(diag) == divisibility_normalize_by_swaps(diag), diag
+
+    @pytest.mark.parametrize("M", [(1,), (2, 1), (3, 2, 1), (4, 3, 2, 1), (5, 4, 3, 2, 1)])
+    def test_merge_equals_pairwise_swaps_on_chain_windows(self, M):
+        # the unscaled entries that diagonal_model_snf reduces, on every window
+        sizes = profile_rank_sizes(M)
+        total = sum(M)
+        for low in range(total + 1):
+            for high in range(low + 1, total - low + 1):
+                entries = [
+                    math.comb(high - i, low - i)
+                    for i in range(low + 1)
+                    for _ in range(sizes[i] - (sizes[i - 1] if i else 0))
+                ]
+                assert divisibility_normalize(entries) == divisibility_normalize_by_swaps(entries)
 
 
 class TestRankStatistics:
