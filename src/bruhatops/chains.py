@@ -55,13 +55,14 @@ from __future__ import annotations
 import marshal
 import math
 from functools import cache, lru_cache
-from itertools import accumulate, product, zip_longest
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, product
+from typing import Iterable, Iterator
 
 from .snf import (
     IntMatrix,
     SparseStep,
     _dense,
+    _mirror_scan,
     _sl2_scan,
     compose_steps,
     determinant,
@@ -412,40 +413,18 @@ def dm_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
     return _layer(M, low, high, _dm_step)
 
 
-def _mirror_scan(
-    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int]
-) -> tuple[bool, dict | None]:
-    """The box mirror alpha -> M - alpha on the steps out of every rank.
-
-    The monomials of a rank are lex-descending, so the mirror lays rank k
-    onto rank N - k backwards (as :func:`hasse._w0_flip` does for S_n), and
-    it must carry each triple (r, c, w) of the raising step ``up[k]`` onto
-    the triple (sizes[k+1]-1-c, sizes[k]-1-r, w) of the lowering step
-    ``down[N-1-k]``.  Returns (True, None) or (False, witness) naming the
-    first raising step whose mirrored triples, sorted, differ from the
-    lowering step's, and the first pair that differs ("missing" past the
-    end of the shorter step).
-    """
-    total = len(sizes) - 1
-    for k, step in enumerate(up):
-        mirrored = sorted((sizes[k + 1] - 1 - c, sizes[k] - 1 - r, w) for r, c, w in step)
-        lowering = sorted(down[total - 1 - k])
-        if mirrored != lowering:
-            a, b = next(pair for pair in zip_longest(mirrored, lowering) if pair[0] != pair[1])
-            return False, {
-                "rank": k,
-                "mirrored": "missing" if a is None else list(a),
-                "lowering": "missing" if b is None else list(b),
-            }
-    return True, None
-
-
 @lru_cache(maxsize=None)
 def _sl2_certificate(M: ChainProfile) -> tuple[tuple[bool, dict | None], tuple[bool, dict | None]]:
     """(sl2 scan, mirror scan) of the box M with the raising steps
     :func:`_um_step` and the lowering steps :func:`_dm_step`: the two
     hypotheses of the sl2 half of the module docstring, each as (True, None)
     or (False, witness).
+
+    The monomials of a rank are lex-descending, so alpha -> M - alpha lays
+    rank k onto rank N - k backwards, and the mirror is the scan
+    :func:`snf._mirror_scan` that the w0 check of S_n runs.  Its witness
+    names the raising step's rank k and a place of the lowering step out of
+    rank N-1-k, with the mirrored raising triple and the lowering one there.
 
     Once the mirror holds, the sl2 scan stops at the middle rank.  Write
     C_j = D_{j-1}^T U_{j-1} - U_j D_j^T for the commutator on rank j and J
@@ -465,8 +444,13 @@ def _sl2_certificate(M: ChainProfile) -> tuple[tuple[bool, dict | None], tuple[b
     sizes = profile_rank_sizes(M)
     up = [_um_step(M, k) for k in range(total)]
     down = [_dm_step(M, k) for k in range(total)]
-    mirror = _mirror_scan(up, down, sizes)
-    return _sl2_scan(down, up, sizes, total // 2 if mirror[0] else None), mirror
+    failure = _mirror_scan(up, down, sizes)
+    if failure is None:
+        return _sl2_scan(down, up, sizes, total // 2), (True, None)
+    k, (r, c, w), got = failure
+    at = [sizes[k + 1] - 1 - c, sizes[k] - 1 - r]
+    mirrored, lowering = ("missing" if v is None else [*at, v] for v in (w, got))
+    return _sl2_scan(down, up, sizes), (False, {"rank": k, "mirrored": mirrored, "lowering": lowering})
 
 
 def _sl2_holds(M: ChainProfile) -> bool:

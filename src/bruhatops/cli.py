@@ -89,12 +89,12 @@ def _call(job: tuple):
 
 def _merge(reports: list[dict]) -> dict:
     """One report from the reports of one suite on disjoint parts: ``checked``
-    and ``permutations`` add up, ``failures`` concatenate in job order and
-    boolean flags AND together."""
+    adds up, ``failures`` concatenate in job order and boolean flags AND
+    together."""
     out = dict(reports[0])
     for report in reports[1:]:
         for key, value in report.items():
-            if key in ("checked", "permutations", "failures"):
+            if key in ("checked", "failures"):
                 out[key] = out[key] + value
             elif isinstance(value, bool):
                 out[key] = out[key] and value
@@ -137,24 +137,24 @@ def _windows(top: int, low, high) -> list[tuple[int, int]]:
 
 def _suite_jobs(args) -> list[tuple]:
     """The suite's jobs as ``(function, *args)`` tuples, one per unit of
-    independent work: a rank for the action suites, whose ranks read
-    disjoint padded steps, and all of S_n for the path suites, whose every
-    permutation reads the same sweeps.  The suite's layer module is imported
-    here, before any pool forks, and the functions are read from it when the
-    jobs are made, so that rebinding one of them there (a tracer, a test
-    spy) reaches every job."""
+    independent work: ``(chunk, n, (k,))`` for each rank k of the action
+    suites, whose ranks read disjoint padded steps, and ``(chunk, n)`` for
+    the path suites, whose every permutation reads the same sweeps.  The
+    suite's layer module is imported here, before any pool forks, and the
+    functions are read from it when the jobs are made, so that rebinding one
+    of them there (a tracer, a test spy) reaches every job."""
     suite, n, M, low, high = args.suite, args.n, args.M, args.from_rank, args.to_rank
     if suite in ("nabla-action", "delta-action", "path-identities", "macdonald", "sl2"):
         from . import operators as ops
-        from .permutations import permutations_by_rank
+        from .permutations import num_inversions_max
 
         if suite == "sl2":
             return [(ops.verify_sl2, n)]
         if suite in ("nabla-action", "delta-action"):
             chunk = ops.nabla_action_chunk if suite == "nabla-action" else ops.delta_action_chunk
-            return [(chunk, n, list(stratum)) for stratum in permutations_by_rank(n)]
+            return [(chunk, n, (k,)) for k in range(num_inversions_max(n) + 1)]
         chunk = ops.path_identities_chunk if suite == "path-identities" else ops.macdonald_chunk
-        return [(chunk, n, [w for stratum in permutations_by_rank(n) for w in stratum])]
+        return [(chunk, n)]
     if suite in ("w0-symmetry", "snf"):
         from . import hasse
         from .permutations import num_inversions_max
@@ -242,9 +242,10 @@ def cmd_schubert(args) -> int:
         "convention": "standard" if args.standard_convention else "left-multiplication",
     }
     if args.specialize:
-        # S_w(1) from the integer recursion; the polynomial is never built
+        # S_u(1) from the integer recursion on u alone; neither the polynomial
+        # nor the table of S_n is built
         u = inverse(w) if args.standard_convention else w
-        rendered = schubert._specialization_table(len(w))[u]
+        rendered = schubert._specialization(u)
         payload["value"] = str(rendered)
     else:
         poly = schubert.schubert_standard(w) if args.standard_convention else schubert.schubert(w)

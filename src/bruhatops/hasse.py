@@ -39,7 +39,7 @@ from .permutations import (
     validated,
     w0_times,
 )
-from .snf import IntMatrix, SparseStep, _flipped, compose_steps, push_rows, snf
+from .snf import IntMatrix, SparseStep, _flipped, _mirror_scan, compose_steps, push_rows, snf
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -106,7 +106,8 @@ class WeightedHasseDiagram:
     ``ranks[k]`` lists the permutations of length k in lex order; ``_steps[k]``
     holds the covers out of rank k as (lower index, upper index, weight)
     triples, sorted; ``_pos`` maps each permutation to (rank, index), built
-    on first use (the sweeps and the w0 check never read it).
+    on first use by :meth:`_index`, which only :func:`weighted_path_count`
+    calls (the suites and the w0 check work on indices alone).
     """
 
     __slots__ = ("n", "order", "weights", "ranks", "_steps", "_positions")
@@ -292,37 +293,26 @@ def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
 def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
     """Check the flip symmetry: (u -> w, c) is an edge iff (w0*w -> w0*u, c) is.
 
-    On indices, with flip[k][i] that of w0 * ranks[k][i] in rank top - k
-    (see :func:`_w0_flip`), the triple (r, c, wt) of step k must be
-    (flip[k+1][c], flip[k][r], wt) in step top - 1 - k.  Returns (True,
-    None) or (False, first counterexample) with the edge whose mirror is
-    missing or differs.  Raises ValueError unless ``g.ranks`` are the lex
-    strata of :func:`permutations_by_rank`, which the flip relies on.
+    The code of w0*w is (n-1-c_1, ..., 0), so w0*w has lex index n! - 1 - g
+    and lays rank k onto rank top - k backwards: this is
+    :func:`snf._mirror_scan` of the steps onto themselves, named by
+    permutations.  Returns (True, None) or (False, first counterexample).
+    Raises ValueError unless ``g.ranks`` are the lex strata of
+    :func:`permutations_by_rank`, which the flip relies on.
     """
     if g.ranks != permutations_by_rank(g.n):
         raise ValueError("the w0 check needs the diagram's ranks to be the lex strata of S_n")
-    flip = _w0_flip(g.ranks)
-    for k, step in enumerate(g._steps):
-        mirror_step = {(r, c): wt for r, c, wt in g._steps[g.top_rank - 1 - k]}
-        for r, c, wt in step:
-            got = mirror_step.get((flip[k + 1][c], flip[k][r]))
-            if got != wt:
-                src, dst = g.ranks[k][r], g.ranks[k + 1][c]
-                return False, {
-                    "edge": f"{to_string(src)}->{to_string(dst)}",
-                    "weight": str(wt),
-                    "mirror": f"{to_string(w0_times(dst))}->{to_string(w0_times(src))}",
-                    "mirror_weight": "missing" if got is None else str(got),
-                }
-    return True, None
-
-
-def _w0_flip(ranks: tuple[tuple[Permutation, ...], ...]) -> list[range]:
-    """flip[k][i]: the index of w0 * ranks[k][i] in rank top - k, for the
-    lex strata of S_n.  The code of w0*w is (n-1-c_1, ..., 0), so w0*w has
-    lex index n! - 1 - g: w -> w0*w reverses lex order and lays rank k onto
-    rank top - k backwards."""
-    return [range(len(stratum) - 1, -1, -1) for stratum in ranks]
+    failure = _mirror_scan(g._steps, g._steps, [len(stratum) for stratum in g.ranks])
+    if failure is None:
+        return True, None
+    k, (r, c, wt), got = failure
+    src, dst = g.ranks[k][r], g.ranks[k + 1][c]
+    return False, {
+        "edge": f"{to_string(src)}->{to_string(dst)}",
+        "weight": "missing" if wt is None else str(wt),
+        "mirror": f"{to_string(w0_times(dst))}->{to_string(w0_times(src))}",
+        "mirror_weight": "missing" if got is None else str(got),
+    }
 
 
 def verify_w0_symmetry(n: int) -> dict:

@@ -14,19 +14,15 @@ index-weighted weak-order steps; sl2 checks those two diagrams' duality.
 from __future__ import annotations
 
 import math
-from itertools import groupby
-from typing import Iterator
+from typing import Iterable
 
 from .chains import _dm_step, _um_step, staircase
 from .hasse import _sweep, build_hasse, rank_size
 from .permutations import (
-    Permutation,
-    _inversions,
     num_inversions_max,
     permutations_by_rank,
     permutations_of_rank,
     to_string,
-    validated,
 )
 from .schubert import (
     _peel,
@@ -93,27 +89,18 @@ def _padded_step(operator: str, n: int, k: int) -> SparseStep:
     return tuple(out)
 
 
-def _all_permutations(n: int) -> list[Permutation]:
-    return [w for stratum in permutations_by_rank(n) for w in stratum]
-
-
-def _action_failure(w: Permutation, expected: dict, actual: dict) -> dict:
-    return {
-        "witness": to_string(w),
-        "expected": {to_string(u): str(c) for u, c in sorted(expected.items())},
-        "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
-    }
-
-
-def _action_report(operator: str, n: int, perms: list[Permutation]) -> dict:
-    """The action suite's report on ``perms``, as one equality of single
-    steps per rank: the row of w in the padded delta step k against its row
-    in step k of strong/code, or its column in the padded nabla step k - 1
-    against its column in that of weak/nabla.  Failures follow ``perms``."""
+def _action_report(operator: str, n: int, ranks: Iterable[int]) -> dict:
+    """The action suite's report on the given ranks, as one equality of
+    single steps per rank k: the row of each w of rank k in the padded
+    delta step k against its row in step k of strong/code, or its column in
+    the padded nabla step k - 1 against its column in that of weak/nabla.
+    Failures follow the ranks, each in lex order."""
     up = operator == "delta"
     g = build_hasse(n, "strong", "code") if up else build_hasse(n, "weak", "nabla")
     checked, unit_reading_ok, failures = 0, True, []
-    for k, group in groupby(perms, key=lambda w: g._pos[w][0]):
+    for k in ranks:
+        if not 0 <= k <= g.top_rank:
+            raise ValueError(f"rank out of range for S_{n}: {k}")
         s = k if up else k - 1
         want, got = {}, {}  # index of w in rank k -> {cover of w: weight}
         if 0 <= s < g.top_rank:
@@ -121,12 +108,18 @@ def _action_report(operator: str, n: int, perms: list[Permutation]) -> dict:
             for reading, step in ((want, g._steps[s]), (got, _padded_step(operator, n, s))):
                 for i, j, wt in step if up else _flipped(step):
                     reading.setdefault(i, {})[other[j]] = wt
-        for w in group:
-            expected, actual = want.get(g._pos[w][1], {}), got.get(g._pos[w][1], {})
+        for i, w in enumerate(g.ranks[k]):
+            expected, actual = want.get(i, {}), got.get(i, {})
             checked += len(expected)
             unit_reading_ok = unit_reading_ok and all(c == 1 for c in actual.values())
             if actual != expected:
-                failures.append(_action_failure(w, expected, actual))
+                failures.append(
+                    {
+                        "witness": to_string(w),
+                        "expected": {to_string(u): str(c) for u, c in sorted(expected.items())},
+                        "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
+                    }
+                )
     report: dict = {"suite": f"{operator}-action", "n": n}
     if not up:
         report["weight_convention"] = "cover by s_i carries coefficient i"
@@ -135,13 +128,14 @@ def _action_report(operator: str, n: int, perms: list[Permutation]) -> dict:
 
 
 # The four *_chunk functions return the finished report of their suite on
-# the given permutations.  Reports of a split of S_n merge into the report
-# on all of S_n by summing "checked" and "permutations", concatenating
-# "failures" in order and AND-ing boolean flags.
+# the unit of work the CLI sends as one job: the action chunks on the given
+# ranks of S_n, the path chunks on all of S_n.  Reports of disjoint sets of
+# ranks merge into the report on all of S_n by summing "checked",
+# concatenating "failures" in rank order and AND-ing boolean flags.
 
-def nabla_action_chunk(n: int, perms: list[Permutation]) -> dict:
-    """The :func:`verify_nabla_theorem` report restricted to ``perms``."""
-    return _action_report("nabla", n, perms)
+def nabla_action_chunk(n: int, ranks: Iterable[int]) -> dict:
+    """The :func:`verify_nabla_theorem` report restricted to ``ranks``."""
+    return _action_report("nabla", n, ranks)
 
 
 def verify_nabla_theorem(n: int) -> dict:
@@ -151,18 +145,18 @@ def verify_nabla_theorem(n: int) -> dict:
     Also records whether the weight-free reading (all coefficients 1) would
     survive; it fails as soon as a cover by s_i with i >= 2 appears.
     """
-    return nabla_action_chunk(n, _all_permutations(n))
+    return nabla_action_chunk(n, range(num_inversions_max(n) + 1))
 
 
-def delta_action_chunk(n: int, perms: list[Permutation]) -> dict:
-    """The :func:`verify_delta_theorem` report restricted to ``perms``."""
-    return _action_report("delta", n, perms)
+def delta_action_chunk(n: int, ranks: Iterable[int]) -> dict:
+    """The :func:`verify_delta_theorem` report restricted to ``ranks``."""
+    return _action_report("delta", n, ranks)
 
 
 def verify_delta_theorem(n: int) -> dict:
     """Expand delta of every padded Schubert polynomial and compare with the
     code-weighted strong-order covers going up."""
-    return delta_action_chunk(n, _all_permutations(n))
+    return delta_action_chunk(n, range(num_inversions_max(n) + 1))
 
 
 def commutator_check(n: int) -> tuple[bool, dict | None]:
@@ -192,63 +186,44 @@ def verify_sl2(n: int) -> dict:
     }
 
 
-def _validated_perms(n: int, perms: list[Permutation]) -> Iterator[Permutation]:
-    """Each of ``perms`` validated once, as a permutation of S_n; the path
-    chunks then read it with trusted arithmetic only."""
-    for u in perms:
-        word = validated(u)
-        if len(word) != n:
-            raise ValueError(f"not a permutation of S_{n}: {word}")
-        yield word
-
-
-def _five_way_failures(n: int, u: Permutation, strong, weak) -> list[dict]:
-    """Exact comparisons for one validated permutation u of S_n; divisions
-    are cross-multiplied.  ``strong`` and ``weak`` hold each diagram's
-    counts from the identity and to the longest element, as
-    :func:`hasse._sweep` returns them.  Each count is compared with a
-    factorial times S_u(1), read from the integer transition recursion
+def path_identities_chunk(n: int) -> dict:
+    """The :func:`verify_path_identities` report, walking the strata of S_n.
+    The four counts of u of length l are read from the sweeps of
+    :func:`hasse._sweep` and compared, divisions cross-multiplied, with
+    (N-l)! or l! times S_u(1) from the integer transition recursion
     :func:`schubert._specialization_table`; no polynomial is built."""
     top = num_inversions_max(n)
-    lu = _inversions(u)
-    spec = _specialization_table(n)[u]
-    co_fact = math.factorial(top - lu)
-    fact = math.factorial(lu)
-    (strong_from, strong_to), (weak_from, weak_to) = strong, weak
-    mirror = tuple(n + 1 - v for v in u)  # w0 * u
-    values = {
-        "raising count u to top over (N-l)!": (strong_to[u], co_fact),
-        "lowering count bottom to u over l!": (weak_from[u], fact),
-        "raising count bottom to w0*u over (N-l)!": (strong_from[mirror], co_fact),
-        "lowering count w0*u to top over l!": (weak_to[mirror], fact),
-    }
+    spec = _specialization_table(n)
+    (strong_from, strong_to), (weak_from, weak_to) = (
+        (_sweep(g, up=True), _sweep(g, up=False))
+        for g in (build_hasse(n, "strong", "code"), build_hasse(n, "weak", "nabla"))
+    )
     failures = []
-    for label, (count, denom) in values.items():
-        if count != spec * denom:
-            failures.append(
-                {
-                    "witness": f"{to_string(u)}: {label}",
-                    "expected": str(spec * denom),
-                    "actual": str(count),
-                }
-            )
-    return failures
-
-
-def path_identities_chunk(n: int, perms: list[Permutation]) -> dict:
-    """The :func:`verify_path_identities` report restricted to ``perms``;
-    each permutation is validated once, on entry."""
-    strong = build_hasse(n, "strong", "code")
-    weak = build_hasse(n, "weak", "nabla")
-    sweeps = [(_sweep(g, up=True), _sweep(g, up=False)) for g in (strong, weak)]
-    failures = []
-    for u in _validated_perms(n, perms):
-        failures.extend(_five_way_failures(n, u, *sweeps))
+    for lu, stratum in enumerate(permutations_by_rank(n)):
+        co_fact, fact = math.factorial(top - lu), math.factorial(lu)
+        for u in stratum:
+            mirror = tuple(n + 1 - v for v in u)  # w0 * u
+            values = {
+                "raising count u to top over (N-l)!": (strong_to[u], co_fact),
+                "lowering count bottom to u over l!": (weak_from[u], fact),
+                "raising count bottom to w0*u over (N-l)!": (strong_from[mirror], co_fact),
+                "lowering count w0*u to top over l!": (weak_to[mirror], fact),
+            }
+            for label, (count, denom) in values.items():
+                if count != spec[u] * denom:
+                    failures.append(
+                        {
+                            "witness": f"{to_string(u)}: {label}",
+                            "expected": str(spec[u] * denom),
+                            "actual": str(count),
+                        }
+                    )
+    total = math.factorial(n)
     return {
         "suite": "path-identities",
         "n": n,
-        "permutations": len(perms),
-        "checked": 4 * len(perms),
+        "permutations": total,
+        "checked": 4 * total,
         "failures": failures,
     }
 
@@ -256,29 +231,29 @@ def path_identities_chunk(n: int, perms: list[Permutation]) -> dict:
 def verify_path_identities(n: int) -> dict:
     """All four weighted path counts against the principal specialization,
     for every permutation of S_n."""
-    return path_identities_chunk(n, _all_permutations(n))
+    return path_identities_chunk(n)
 
 
-def macdonald_chunk(n: int, perms: list[Permutation]) -> dict:
-    """The :func:`verify_macdonald` report restricted to ``perms``.  Each
-    permutation is validated once, on entry, and its count is compared with
-    l(u)! times S_u(1) from the integer transition recursion
-    :func:`schubert._specialization_table`; no polynomial is built."""
+def macdonald_chunk(n: int) -> dict:
+    """The :func:`verify_macdonald` report, walking the strata of S_n.  Each
+    count is compared with l(u)! times S_u(1) from the integer transition
+    recursion :func:`schubert._specialization_table`; no polynomial is
+    built."""
     counts = _sweep(build_hasse(n, "weak", "nabla"), up=True)
     spec = _specialization_table(n)
     failures = []
-    for u in _validated_perms(n, perms):
-        expected = math.factorial(_inversions(u)) * spec[u]
-        got = counts[u]
-        if got != expected:
-            failures.append(
-                {"witness": to_string(u), "expected": str(expected), "actual": str(got)}
-            )
-    return {"suite": "macdonald", "n": n, "checked": len(perms), "failures": failures}
+    for lu, stratum in enumerate(permutations_by_rank(n)):
+        fact = math.factorial(lu)
+        for u in stratum:
+            expected = fact * spec[u]
+            if counts[u] != expected:
+                failures.append(
+                    {"witness": to_string(u), "expected": str(expected), "actual": str(counts[u])}
+                )
+    return {"suite": "macdonald", "n": n, "checked": math.factorial(n), "failures": failures}
 
 
 def verify_macdonald(n: int) -> dict:
     """Weighted chain count from the identity equals l(u)! times the
     principal specialization of the Schubert polynomial, for every u."""
-    return macdonald_chunk(n, _all_permutations(n))
-
+    return macdonald_chunk(n)

@@ -93,12 +93,7 @@ def length(w: Iterable[int]) -> int:
     >>> length((3, 2, 1))
     3
     """
-    return _inversions(validated(w))
-
-
-def _inversions(word: Permutation) -> int:
-    """The inversion count of a tuple that is a permutation by construction."""
-    return sum(a > b for a, b in itertools.combinations(word, 2))
+    return sum(a > b for a, b in itertools.combinations(validated(w), 2))
 
 
 def lehmer_code(w: Iterable[int]) -> tuple[int, ...]:

@@ -287,40 +287,61 @@ def _schubert_table(n: int) -> dict[Permutation, IntPolynomial]:
     return table
 
 
+def _transition_terms(w: Permutation) -> list[Permutation]:
+    """The permutations whose S(1) add up to S_w(1) by the transition
+    recursion (Lascoux-Schuetzenberger 1985; Macdonald, *Notes on Schubert
+    polynomials*, 1991), none for the identity (S(1) = 1).  With r the last
+    descent of w, s the largest position after r with w_s < w_r and
+    v = w * t_rs, they are v, which is shorter, and the v * t_ir over the
+    i < r for which v * t_ir covers v, of the length of w and lex-larger.
+    """
+    n = len(w)
+    r = next((p for p in range(n - 2, -1, -1) if w[p] > w[p + 1]), None)
+    if r is None:
+        return []
+    s = max(p for p in range(r + 1, n) if w[p] < w[r])
+    v = list(w)
+    v[r], v[s] = v[s], v[r]
+    top = v[r]
+    terms = [tuple(v)]
+    # v * t_ir covers v when v_i < v_r and no value between them sits in
+    # between: scanning i downward, v_i must beat every such value
+    ceiling = 0
+    for i in range(r - 1, -1, -1):
+        if ceiling < v[i] < top:
+            ceiling = v[i]
+            terms.append((*v[:i], top, *v[i + 1 : r], ceiling, *v[r + 1 :]))
+    return terms
+
+
 @lru_cache(maxsize=None)
 def _specialization_table(n: int) -> dict[Permutation, int]:
-    """S_w(1) for every w of S_n, in integers alone, by the transition
-    recursion (Lascoux-Schuetzenberger 1985; Macdonald, *Notes on Schubert
-    polynomials*, 1991); no polynomial is built.
-
-    S_id(1) = 1.  Otherwise let r be the last descent of w, s the largest
-    position after r with w_s < w_r, and v = w * t_rs; then S_w(1) is S_v(1)
-    plus S_{v*t_ir}(1) over the i < r for which v * t_ir covers v.  Those
-    covers have the length of w and are lex-larger, so the strata are filled
-    upward, each from its lex-largest permutation down.  S_w(1) = S_{w^-1}(1),
-    so the values hold in both conventions.
+    """S_w(1) for every w of S_n by :func:`_transition_terms`, filling the
+    strata upward, each from its lex-largest permutation down; no polynomial
+    is built.  S_w(1) = S_{w^-1}(1), so the values hold in both conventions.
     """
     table: dict[Permutation, int] = {}
     for stratum in permutations_by_rank(n):
         for w in reversed(stratum):
-            r = next((p for p in range(n - 2, -1, -1) if w[p] > w[p + 1]), None)
-            if r is None:
-                table[w] = 1
-                continue
-            s = max(p for p in range(r + 1, n) if w[p] < w[r])
-            v = list(w)
-            v[r], v[s] = v[s], v[r]
-            top = v[r]
-            total = table[tuple(v)]
-            # v * t_ir covers v when v_i < v_r and no value between them sits
-            # in between: scanning i downward, v_i must beat every such value
-            ceiling = 0
-            for i in range(r - 1, -1, -1):
-                if ceiling < v[i] < top:
-                    ceiling = v[i]
-                    total += table[(*v[:i], top, *v[i + 1 : r], ceiling, *v[r + 1 :])]
-            table[w] = total
+            terms = _transition_terms(w)
+            table[w] = sum(table[v] for v in terms) if terms else 1
     return table
+
+
+def _specialization(w: Permutation) -> int:
+    """S_w(1) from the :func:`_transition_terms` reachable from w alone,
+    depth first on an explicit stack with a memo, so no recursion limit
+    applies and neither the table of S_n nor a polynomial is built."""
+    memo: dict[Permutation, int] = {}
+    stack = [w]
+    while stack:
+        terms = _transition_terms(stack[-1])
+        todo = [t for t in terms if t not in memo]
+        if todo:
+            stack += todo
+        else:
+            memo[stack.pop()] = sum(memo[t] for t in terms) if terms else 1
+    return memo[w]
 
 
 def schubert(w: Permutation) -> IntPolynomial:

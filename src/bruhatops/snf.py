@@ -109,6 +109,37 @@ def _sl2_scan(
     return True, None
 
 
+def _mirror_scan(
+    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int]
+) -> tuple[int, tuple[int, int, int | None], int | None] | None:
+    """The mirror that lays rank k of a graded space onto rank N - k
+    backwards (N = len(sizes) - 1) must carry each triple (r, c, w) of
+    ``up[k]`` onto the triple (sizes[k+1]-1-c, sizes[k]-1-r, w) of
+    ``down[N-1-k]``, one to one.
+
+    Each lowering step is read into one dict by place, so a step with an
+    extra or repeated triple fails.  Returns None when the mirror holds,
+    else (k, (r, c, w), found) for the first failing rank k: the first
+    raising triple whose mirror is missing (found None) or weighs ``found``;
+    failing that, the first lowering triple that repeats a place or that no
+    raising triple mirrors, as its preimage (r, c, None) with its weight.
+    """
+    total = len(sizes) - 1
+    for k, step in enumerate(up):
+        hi, lo = sizes[k + 1] - 1, sizes[k] - 1
+        lowering = down[total - 1 - k]
+        found = {(r, c): w for r, c, w in lowering}
+        for r, c, w in step:
+            got = found.pop((hi - c, lo - r), None)
+            if got != w:
+                return k, (r, c, w), got
+        if len(lowering) != len(step):
+            repeats = Counter((r, c) for r, c, _ in lowering)
+            r, c, w = next(t for t in lowering if t[:2] in found or repeats[t[:2]] > 1)
+            return k, (lo - c, hi - r, None), w
+    return None
+
+
 def _dense(rows: list[dict[int, int]], cols: int) -> IntMatrix:
     """Sparse rows (index -> value) as a dense matrix with ``cols`` columns."""
     out = [[0] * cols for _ in rows]

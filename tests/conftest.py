@@ -50,9 +50,10 @@ def validated_calls(monkeypatch):
 @pytest.fixture
 def no_schubert_table(monkeypatch):
     """Building the Schubert polynomial table fails from here on, through
-    each package module's own binding, and the operators and CLI read S_u(1)
-    from a fresh, empty cache (the CLI through the schubert module), so that
-    no value computed before the test can hide a use of the table."""
+    each package module's own binding, and the operators read the table of
+    S_u(1) from a fresh, empty cache, so that no value computed before the
+    test can hide a use of the polynomial table.  The CLI reads S_u(1) of
+    one permutation, which has no cache."""
     schubert_module = importlib.import_module("bruhatops.schubert")
 
     def refuse(n):
@@ -62,8 +63,7 @@ def no_schubert_table(monkeypatch):
         if name.split(".")[0] == "bruhatops" and hasattr(module, "_schubert_table"):
             monkeypatch.setattr(module, "_schubert_table", refuse)
     fresh = functools.lru_cache(maxsize=None)(schubert_module._specialization_table.__wrapped__)
-    for name in ("operators", "schubert"):
-        monkeypatch.setattr(importlib.import_module(f"bruhatops.{name}"), "_specialization_table", fresh)
+    monkeypatch.setattr(importlib.import_module("bruhatops.operators"), "_specialization_table", fresh)
 
 
 @pytest.fixture

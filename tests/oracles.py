@@ -9,7 +9,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from bruhatops.permutations import _inversions, num_inversions_max, permutations_of_rank
+from bruhatops.permutations import length, num_inversions_max, permutations_of_rank
 from bruhatops.schubert import monomials_of_rank, schubert
 from bruhatops.snf import IntMatrix, determinant
 
@@ -22,7 +22,7 @@ def reference_ranks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """S_n grouped by inversion count, each stratum in lex order."""
     ranks = [[] for _ in range(num_inversions_max(n) + 1)]
     for w in sorted(itertools.permutations(range(1, n + 1))):
-        ranks[_inversions(w)].append(w)
+        ranks[length(w)].append(w)
     return tuple(map(tuple, ranks))
 
 

@@ -341,6 +341,36 @@ class TestLayerMatrices:
         assert sl2[0] is False and sl2[1]["rank"] <= total // 2
 
 
+    @pytest.mark.parametrize("at", range(6))
+    def test_mirror_fails_on_a_repeated_raising_triple(self, monkeypatch, at):
+        # a second copy of the first raising triple out of rank ``at`` finds
+        # its mirror in the lowering step out of rank N-1-at already used
+        M = (3, 2, 1)
+        sizes = profile_rank_sizes(M)
+        real = chains._um_step
+        (r, c, w), *_ = real(M, at)
+        monkeypatch.setattr(chains, "_um_step", lambda P, k: real(P, k)[:1] * (k == at) + real(P, k))
+        clear_chain_caches()
+        place = [sizes[at + 1] - 1 - c, sizes[at] - 1 - r]
+        witness = {"rank": at, "mirrored": [*place, w], "lowering": "missing"}
+        assert chains._sl2_certificate(M)[1] == (False, witness)
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_mirror_fails_on_a_repeated_lowering_triple(self, monkeypatch, at):
+        # a second copy of the first lowering triple out of rank ``at``:
+        # every raising triple finds its mirror, and the copy is left over
+        M = (3, 2, 1)
+        sizes = profile_rank_sizes(M)
+        k = sum(M) - 1 - at
+        real = chains._dm_step
+        (r, c, w), *_ = real(M, at)
+        monkeypatch.setattr(chains, "_dm_step", lambda P, j: real(P, j)[:1] * (j == at) + real(P, j))
+        clear_chain_caches()
+        witness = {"rank": k, "mirrored": "missing", "lowering": [r, c, w]}
+        assert chains._sl2_certificate(M)[1] == (False, witness)
+        assert (sizes[k] - 1 - c, sizes[k + 1] - 1 - r) in {t[:2] for t in chains._um_step(M, k)}
+
+
 class TestSmithPredictions:
     def test_predicted_frozen(self):
         assert predicted_um_snf((2, 1), 1, 2) == (1, 2)

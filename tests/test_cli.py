@@ -11,6 +11,7 @@ import pytest
 
 import bruhatops.cli as cli
 import bruhatops.operators as operators
+import bruhatops.schubert as schubert_module
 from bruhatops.cli import SUITES, main
 
 from conftest import clear_chain_caches
@@ -259,13 +260,13 @@ PERM_SUITE_CHUNKS = {
     "path-identities": "path_identities_chunk",
     "macdonald": "macdonald_chunk",
 }
-# the permutation count of each job at n = 3: the action suites run one job
+# the arguments after n of each job at n = 3: the action suites run one job
 # per rank, the path suites one job on all of S_3
-JOB_SIZES_N3 = {
-    "nabla-action": [1, 2, 2, 1],
-    "delta-action": [1, 2, 2, 1],
-    "path-identities": [6],
-    "macdonald": [6],
+JOB_ARGS_N3 = {
+    "nabla-action": [((0,),), ((1,),), ((2,),), ((3,),)],
+    "delta-action": [((0,),), ((1,),), ((2,),), ((3,),)],
+    "path-identities": [()],
+    "macdonald": [()],
 }
 
 
@@ -288,22 +289,21 @@ class TestDispatch:
         real = getattr(operators, name)
         calls = []
 
-        def spy(n, perms):
-            calls.append(len(perms))
-            return real(n, perms)
+        def spy(n, *ranks):
+            calls.append(ranks)
+            return real(n, *ranks)
 
         monkeypatch.setattr(operators, name, spy)
         code, _, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
         assert code == 0
-        assert calls == JOB_SIZES_N3[suite]
+        assert calls == JOB_ARGS_N3[suite]
 
     def test_merge_adds_concatenates_and_ands(self):
-        first = {"suite": "s", "flag": True, "permutations": 2, "checked": 1, "failures": ["a"]}
-        second = {"suite": "s", "flag": False, "permutations": 4, "checked": 5, "failures": ["b"]}
+        first = {"suite": "s", "flag": True, "checked": 1, "failures": ["a"]}
+        second = {"suite": "s", "flag": False, "checked": 5, "failures": ["b"]}
         assert cli._merge([first, second]) == {
             "suite": "s",
             "flag": False,
-            "permutations": 6,
             "checked": 6,
             "failures": ["a", "b"],
         }
@@ -360,6 +360,17 @@ class TestSchubertCommand:
             code, out, _ = run(capsys, "schubert", "--perm", "14532", "--specialize", *convention)
             assert code == 0
             assert json.loads(out)["value"] == "9"
+
+    def test_specialize_builds_no_table_of_sn(self, capsys, monkeypatch):
+        # S_u(1) of s_8 in S_10 from u's own transition steps: the table of
+        # all 10! permutations is never asked for
+        tables = []
+        monkeypatch.setattr(schubert_module, "_specialization_table", lambda n: tables.append(n))
+        for convention in ([], ["--standard-convention"]):
+            argv = ["--perm", "1,2,3,4,5,6,7,9,8,10", "--specialize", "--format", "table", *convention]
+            code, out, _ = run(capsys, "schubert", *argv)
+            assert (code, out) == (0, "8\n")
+        assert tables == []
 
     def test_polynomial_builds_no_table(self, capsys, no_schubert_table):
         # one chain of divided differences, not the table of all of S_9

@@ -10,7 +10,6 @@ from bruhatops.hasse import (
     WeightedHasseDiagram,
     _json_chunks,
     _sweep,
-    _w0_flip,
     build_hasse,
     chevalley_weight,
     code_weight,
@@ -367,17 +366,17 @@ class TestW0Symmetry:
             assert ok, witness
 
     def test_flip_is_lex_reversal(self):
-        # w0*w has lex index n! - 1 - g, so within the strata the flip sends
-        # index i of rank k to the index of w0*w found by lookup
+        # w0*w has lex index n! - 1 - g, so the flip sends index i of rank k
+        # to index len(rank k) - 1 - i of rank top - k, the index reversal
+        # the mirror scan applies
         for n in range(1, 7):
             words = list(itertools.permutations(range(1, n + 1)))
             lex = {w: g for g, w in enumerate(words)}
             assert all(lex[w0_times(w)] == math.factorial(n) - 1 - g for g, w in enumerate(words))
             g = build_hasse(n, "weak", "unit")
-            flip = _w0_flip(g.ranks)
             for k, stratum in enumerate(g.ranks):
                 for i, w in enumerate(stratum):
-                    assert g._pos[w0_times(w)] == (g.top_rank - k, flip[k][i])
+                    assert g._pos[w0_times(w)] == (g.top_rank - k, len(stratum) - 1 - i)
 
     def test_rejects_ranks_that_are_not_the_lex_strata(self):
         g = build_hasse(3, "weak", "nabla")
@@ -424,6 +423,32 @@ class TestW0Symmetry:
             "mirror": "312->321",
             "mirror_weight": "missing",
         }
+
+    def test_detects_repeated_triple(self):
+        # a second 123 -> 132 doubles its layer entry, [[2, 1]] -> [[4, 1]];
+        # its mirror 312 -> 321 is there once, so the second copy has none
+        g = build_hasse(3, "weak", "nabla")
+        assert g._steps[0] == ((0, 0, 2), (0, 1, 1))
+        steps = (((0, 0, 2), (0, 0, 2), (0, 1, 1)), *g._steps[1:])
+        doubled = WeightedHasseDiagram(3, "weak", "nabla", g.ranks, steps)
+        assert layer_matrix(g, 0, 1) == [[2, 1]]
+        assert layer_matrix(doubled, 0, 1) == [[4, 1]]
+        assert w0_symmetry_check(doubled) == (
+            False,
+            {"edge": "123->132", "weight": "2", "mirror": "312->321", "mirror_weight": "missing"},
+        )
+
+    def test_detects_repeated_mirror(self):
+        # a second 312 -> 321 in the top step: 123 -> 132 mirrors one copy,
+        # and the scan of step 0 reports the other against that place, with
+        # no edge of step 0 left for it
+        g = build_hasse(3, "weak", "nabla")
+        steps = (*g._steps[:2], ((0, 0, 1), (1, 0, 2), (1, 0, 2)))
+        doubled = WeightedHasseDiagram(3, "weak", "nabla", g.ranks, steps)
+        assert w0_symmetry_check(doubled) == (
+            False,
+            {"edge": "123->132", "weight": "missing", "mirror": "312->321", "mirror_weight": "2"},
+        )
 
 
 class TestExports:

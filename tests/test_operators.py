@@ -237,18 +237,31 @@ class TestActionStepsAgainstPerPermutationRoute:
 
     @pytest.mark.parametrize("operator", ["nabla", "delta"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_reports_match_on_all_of_sn_and_on_splits(self, operator, n):
+    def test_each_rank_equals_the_per_permutation_route(self, operator, n):
+        chunk = ACTION_CHUNKS[operator]
+        for k, stratum in enumerate(permutations_by_rank(n)):
+            assert chunk(n, (k,)) == per_permutation_report(operator, n, stratum), k
+
+    @pytest.mark.parametrize("operator", ["nabla", "delta"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_contiguous_rank_bands_merge_to_the_whole(self, operator, n):
+        chunk = ACTION_CHUNKS[operator]
+        ranks = range(num_inversions_max(n) + 1)
         perms = [w for stratum in permutations_by_rank(n) for w in stratum]
         want = per_permutation_report(operator, n, perms)
-        chunk = ACTION_CHUNKS[operator]
-        assert chunk(n, perms) == want
-        by_rank = [list(stratum) for stratum in permutations_by_rank(n)]
-        assert _merge([chunk(n, part) for part in by_rank]) == want
+        assert chunk(n, ranks) == want
+        assert _merge([chunk(n, (k,)) for k in ranks]) == want
         for pieces in (2, 3):
-            # contiguous pieces whose sizes differ by at most one
-            cuts = [len(perms) * i // pieces for i in range(pieces + 1)]
-            parts = [perms[a:b] for a, b in zip(cuts, cuts[1:])]
-            assert _merge([chunk(n, part) for part in parts]) == want
+            # contiguous bands whose rank counts differ by at most one
+            cuts = [len(ranks) * i // pieces for i in range(pieces + 1)]
+            bands = [ranks[a:b] for a, b in zip(cuts, cuts[1:])]
+            assert _merge([chunk(n, band) for band in bands if band]) == want
+
+    @pytest.mark.parametrize("operator", ["nabla", "delta"])
+    def test_chunk_rejects_a_rank_out_of_range(self, operator):
+        for k in (-1, num_inversions_max(4) + 1):
+            with pytest.raises(ValueError, match=f"rank out of range for S_4: {k}"):
+                ACTION_CHUNKS[operator](4, (k,))
 
     @pytest.mark.parametrize(
         "operator,order,weights", [("nabla", "weak", "nabla"), ("delta", "strong", "code")]
@@ -261,7 +274,7 @@ class TestActionStepsAgainstPerPermutationRoute:
         broken = WeightedHasseDiagram(4, order, weights, g.ranks, tuple(map(tuple, steps)))
         monkeypatch.setattr(operators, "build_hasse", lambda n, o, w: broken)
         perms = [w for stratum in permutations_by_rank(4) for w in stratum]
-        got = ACTION_CHUNKS[operator](4, perms)
+        got = ACTION_CHUNKS[operator](4, range(num_inversions_max(4) + 1))
         assert len(got["failures"]) == 1
         assert got == per_permutation_report(operator, 4, perms)
 
@@ -373,17 +386,12 @@ class TestPathIdentities:
         assert verify_macdonald(4)["failures"] == [{"witness": "1324", "expected": "3", "actual": "2"}]
 
     @pytest.mark.parametrize("chunk", [path_identities_chunk, macdonald_chunk])
-    def test_chunk_validates_each_permutation_once(self, chunk, validated_calls):
-        perms = [list(w) for stratum in permutations_by_rank(5) for w in stratum]
-        chunk(5, perms)  # fills the caches of the diagrams and S_u(1)
+    def test_chunk_walks_the_strata_and_validates_nothing(self, chunk, validated_calls):
+        # the permutations come from the enumeration, so none is checked again
+        chunk(5)  # fills the caches of the diagrams and S_u(1)
         validated_calls.clear()
-        assert chunk(5, perms)["failures"] == []
-        assert len(set(validated_calls)) == len(validated_calls) <= len(perms)
-
-    @pytest.mark.parametrize("chunk", [path_identities_chunk, macdonald_chunk])
-    def test_chunk_rejects_a_permutation_of_another_size(self, chunk):
-        with pytest.raises(ValueError, match=r"not a permutation of S_4: \(2, 1, 3\)"):
-            chunk(4, [(1, 2, 3, 4), (2, 1, 3)])
+        assert chunk(5)["failures"] == []
+        assert validated_calls == []
 
     @pytest.mark.parametrize("order,weights", [("strong", "code"), ("strong", "chevalley"), ("weak", "nabla")])
     def test_total_count_is_factorial_of_top(self, order, weights):

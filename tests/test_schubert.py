@@ -1,6 +1,7 @@
 """Schubert polynomials, padding, operator actions, and the basis change."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 
@@ -305,6 +306,28 @@ class TestSchubert:
         table = schubert_module._specialization_table(n)
         assert table.keys() == schubert_module._schubert_table(n).keys()
         assert all(v == principal_specialization(schubert(w)) for w, v in table.items())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_specialization_equals_the_table(self, n):
+        # S_u(1) from the transition steps of u alone, in both conventions
+        table = schubert_module._specialization_table(n)
+        for u, value in table.items():
+            assert schubert_module._specialization(u) == value, u
+            assert schubert_module._specialization(inverse(u)) == value, u
+
+    def test_single_specialization_needs_no_recursion_limit(self):
+        # the walk keeps its own stack, 67 permutations deep for w0 of S_12,
+        # so it runs with only 15 frames to spare above the caller
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 15)
+        try:
+            value = schubert_module._specialization(tuple(range(12, 0, -1)))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == 1
 
     def test_table_validates_only_at_the_constructor(self, monkeypatch):
         # divided differences build trusted results: only the top monomial
