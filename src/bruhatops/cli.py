@@ -68,6 +68,15 @@ _SUITE_CAPS = {
 # cover disjoint parts of one check and merge into one report
 _WINDOW_SUITES = ("snf", "chains-snf")
 
+# the suites of bruhatops.operators, by the name of their function there
+_OPERATOR_SUITES = {
+    "nabla-action": "verify_nabla_theorem",
+    "delta-action": "verify_delta_theorem",
+    "sl2": "verify_sl2",
+    "path-identities": "verify_path_identities",
+    "macdonald": "verify_macdonald",
+}
+
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """Map preserving input order, optionally across processes."""
@@ -89,15 +98,10 @@ def _call(job: tuple):
 
 def _merge(reports: list[dict]) -> dict:
     """One report from the reports of one suite on disjoint parts: ``checked``
-    adds up, ``failures`` concatenate in job order and boolean flags AND
-    together."""
+    adds up and ``failures`` concatenate in job order."""
     out = dict(reports[0])
-    for report in reports[1:]:
-        for key, value in report.items():
-            if key in ("checked", "failures"):
-                out[key] = out[key] + value
-            elif isinstance(value, bool):
-                out[key] = out[key] and value
+    out["checked"] = sum(report["checked"] for report in reports)
+    out["failures"] = [failure for report in reports for failure in report["failures"]]
     return out
 
 
@@ -136,25 +140,18 @@ def _windows(top: int, low, high) -> list[tuple[int, int]]:
 
 
 def _suite_jobs(args) -> list[tuple]:
-    """The suite's jobs as ``(function, *args)`` tuples, one per unit of
-    independent work: ``(chunk, n, (k,))`` for each rank k of the action
-    suites, whose ranks read disjoint padded steps, and ``(chunk, n)`` for
-    the path suites, whose every permutation reads the same sweeps.  The
-    suite's layer module is imported here, before any pool forks, and the
-    functions are read from it when the jobs are made, so that rebinding one
-    of them there (a tracer, a test spy) reaches every job."""
+    """The suite's jobs as ``(function, *args)`` tuples.  Only the windows of
+    ``snf`` and ``chains-snf`` and the ranks of ``chains-basis`` and
+    ``chains-det`` are split, one job each; every other suite is one job
+    ``(function, n)`` on all of S_n, whose parts read the same diagrams.
+    The suite's layer module is imported here, before any pool forks, and
+    the functions are read from it when the jobs are made, so that
+    rebinding one of them there (a tracer, a test spy) reaches every job."""
     suite, n, M, low, high = args.suite, args.n, args.M, args.from_rank, args.to_rank
-    if suite in ("nabla-action", "delta-action", "path-identities", "macdonald", "sl2"):
-        from . import operators as ops
-        from .permutations import num_inversions_max
+    if suite in _OPERATOR_SUITES:
+        from . import operators
 
-        if suite == "sl2":
-            return [(ops.verify_sl2, n)]
-        if suite in ("nabla-action", "delta-action"):
-            chunk = ops.nabla_action_chunk if suite == "nabla-action" else ops.delta_action_chunk
-            return [(chunk, n, (k,)) for k in range(num_inversions_max(n) + 1)]
-        chunk = ops.path_identities_chunk if suite == "path-identities" else ops.macdonald_chunk
-        return [(chunk, n)]
+        return [(getattr(operators, _OPERATOR_SUITES[suite]), n)]
     if suite in ("w0-symmetry", "snf"):
         from . import hasse
         from .permutations import num_inversions_max

@@ -33,6 +33,7 @@ from .permutations import (
     Permutation,
     _lex_codes,
     _rank_index,
+    length,
     num_inversions_max,
     permutations_by_rank,
     to_string,
@@ -105,12 +106,10 @@ class WeightedHasseDiagram:
 
     ``ranks[k]`` lists the permutations of length k in lex order; ``_steps[k]``
     holds the covers out of rank k as (lower index, upper index, weight)
-    triples, sorted; ``_pos`` maps each permutation to (rank, index), built
-    on first use by :meth:`_index`, which only :func:`weighted_path_count`
-    calls (the suites and the w0 check work on indices alone).
+    triples, sorted.  The suites and the w0 check work on indices alone.
     """
 
-    __slots__ = ("n", "order", "weights", "ranks", "_steps", "_positions")
+    __slots__ = ("n", "order", "weights", "ranks", "_steps")
 
     def __init__(
         self,
@@ -125,15 +124,6 @@ class WeightedHasseDiagram:
         self.weights = weights
         self.ranks = ranks
         self._steps = steps
-        self._positions: dict[Permutation, tuple[int, int]] | None = None
-
-    @property
-    def _pos(self) -> dict[Permutation, tuple[int, int]]:
-        if self._positions is None:
-            self._positions = {
-                w: (k, idx) for k, stratum in enumerate(self.ranks) for idx, w in enumerate(stratum)
-            }
-        return self._positions
 
     @property
     def top_rank(self) -> int:
@@ -148,13 +138,6 @@ class WeightedHasseDiagram:
             for low, high, step in zip(self.ranks, self.ranks[1:], self._steps)
             for r, c, wt in step
         )
-
-    def _index(self, w: Permutation) -> tuple[int, int]:
-        """(rank, index in its rank) of a vertex given as any permutation."""
-        word = validated(w)
-        if word not in self._pos:
-            raise ValueError(f"not a vertex of this diagram: {to_string(word)}")
-        return self._pos[word]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -254,9 +237,17 @@ def _strong_covers(n: int, weights: str, at: list[int]) -> Iterator[tuple[int, l
 
 def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation) -> int:
     """Sum over saturated chains u = x_0 < x_1 < ... < x_m = v of the
-    product of edge weights; 0 when v is not reachable, 1 when u = v."""
-    ku, iu = g._index(u)
-    kv, iv = g._index(v)
+    product of edge weights; 0 when v is not reachable, 1 when u = v.  Each
+    endpoint is looked up in the stratum of its length; ValueError unless
+    both are permutations of S_n."""
+    at = []
+    for w in (u, v):
+        w = validated(w)
+        if len(w) != g.n:
+            raise ValueError(f"not a vertex of this diagram: {to_string(w)}")
+        k = length(w)
+        at.append((k, g.ranks[k].index(w)))
+    (ku, iu), (kv, iv) = at
     if ku > kv:
         return 0
     (row,) = push_rows([{iu: 1}], g._steps[ku:kv])

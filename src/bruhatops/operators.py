@@ -9,12 +9,15 @@ to y across the composite, regardless of the direction the operator moves.
 The action suites check that the raising and lowering operators' single
 steps in the padded Schubert basis are the code-weighted strong-order and
 index-weighted weak-order steps; sl2 checks those two diagrams' duality.
+Each ``verify_*`` suite returns its finished report on all of S_n, and the
+CLI runs it as one job: every rank of the action suites reads the same
+diagram and Schubert table, which a split across workers builds again in
+each.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from .chains import _dm_step, _um_step, staircase
 from .hasse import _sweep, build_hasse, rank_size
@@ -89,18 +92,16 @@ def _padded_step(operator: str, n: int, k: int) -> SparseStep:
     return tuple(out)
 
 
-def _action_report(operator: str, n: int, ranks: Iterable[int]) -> dict:
-    """The action suite's report on the given ranks, as one equality of
-    single steps per rank k: the row of each w of rank k in the padded
-    delta step k against its row in step k of strong/code, or its column in
-    the padded nabla step k - 1 against its column in that of weak/nabla.
-    Failures follow the ranks, each in lex order."""
+def _action_report(operator: str, n: int) -> dict:
+    """The action suite's report, as one equality of single steps per rank
+    k: the row of each w of rank k in the padded delta step k against its
+    row in step k of strong/code, or its column in the padded nabla step
+    k - 1 against its column in that of weak/nabla.  Failures follow the
+    ranks, each in lex order."""
     up = operator == "delta"
     g = build_hasse(n, "strong", "code") if up else build_hasse(n, "weak", "nabla")
     checked, unit_reading_ok, failures = 0, True, []
-    for k in ranks:
-        if not 0 <= k <= g.top_rank:
-            raise ValueError(f"rank out of range for S_{n}: {k}")
+    for k, stratum in enumerate(g.ranks):
         s = k if up else k - 1
         want, got = {}, {}  # index of w in rank k -> {cover of w: weight}
         if 0 <= s < g.top_rank:
@@ -108,7 +109,7 @@ def _action_report(operator: str, n: int, ranks: Iterable[int]) -> dict:
             for reading, step in ((want, g._steps[s]), (got, _padded_step(operator, n, s))):
                 for i, j, wt in step if up else _flipped(step):
                     reading.setdefault(i, {})[other[j]] = wt
-        for i, w in enumerate(g.ranks[k]):
+        for i, w in enumerate(stratum):
             expected, actual = want.get(i, {}), got.get(i, {})
             checked += len(expected)
             unit_reading_ok = unit_reading_ok and all(c == 1 for c in actual.values())
@@ -127,17 +128,6 @@ def _action_report(operator: str, n: int, ranks: Iterable[int]) -> dict:
     return {**report, "checked": checked, "failures": failures}
 
 
-# The four *_chunk functions return the finished report of their suite on
-# the unit of work the CLI sends as one job: the action chunks on the given
-# ranks of S_n, the path chunks on all of S_n.  Reports of disjoint sets of
-# ranks merge into the report on all of S_n by summing "checked",
-# concatenating "failures" in rank order and AND-ing boolean flags.
-
-def nabla_action_chunk(n: int, ranks: Iterable[int]) -> dict:
-    """The :func:`verify_nabla_theorem` report restricted to ``ranks``."""
-    return _action_report("nabla", n, ranks)
-
-
 def verify_nabla_theorem(n: int) -> dict:
     """Expand nabla of every padded Schubert polynomial and compare with the
     index-weighted weak-order covers going down.
@@ -145,18 +135,13 @@ def verify_nabla_theorem(n: int) -> dict:
     Also records whether the weight-free reading (all coefficients 1) would
     survive; it fails as soon as a cover by s_i with i >= 2 appears.
     """
-    return nabla_action_chunk(n, range(num_inversions_max(n) + 1))
-
-
-def delta_action_chunk(n: int, ranks: Iterable[int]) -> dict:
-    """The :func:`verify_delta_theorem` report restricted to ``ranks``."""
-    return _action_report("delta", n, ranks)
+    return _action_report("nabla", n)
 
 
 def verify_delta_theorem(n: int) -> dict:
     """Expand delta of every padded Schubert polynomial and compare with the
     code-weighted strong-order covers going up."""
-    return delta_action_chunk(n, range(num_inversions_max(n) + 1))
+    return _action_report("delta", n)
 
 
 def commutator_check(n: int) -> tuple[bool, dict | None]:
@@ -186,11 +171,12 @@ def verify_sl2(n: int) -> dict:
     }
 
 
-def path_identities_chunk(n: int) -> dict:
-    """The :func:`verify_path_identities` report, walking the strata of S_n.
-    The four counts of u of length l are read from the sweeps of
-    :func:`hasse._sweep` and compared, divisions cross-multiplied, with
-    (N-l)! or l! times S_u(1) from the integer transition recursion
+def verify_path_identities(n: int) -> dict:
+    """All four weighted path counts against the principal specialization,
+    for every permutation of S_n, walking its strata.  The four counts of u
+    of length l are read from the sweeps of :func:`hasse._sweep` and
+    compared, divisions cross-multiplied, with (N-l)! or l! times S_u(1)
+    from the integer transition recursion
     :func:`schubert._specialization_table`; no polynomial is built."""
     top = num_inversions_max(n)
     spec = _specialization_table(n)
@@ -228,15 +214,10 @@ def path_identities_chunk(n: int) -> dict:
     }
 
 
-def verify_path_identities(n: int) -> dict:
-    """All four weighted path counts against the principal specialization,
-    for every permutation of S_n."""
-    return path_identities_chunk(n)
-
-
-def macdonald_chunk(n: int) -> dict:
-    """The :func:`verify_macdonald` report, walking the strata of S_n.  Each
-    count is compared with l(u)! times S_u(1) from the integer transition
+def verify_macdonald(n: int) -> dict:
+    """Weighted chain count from the identity equals l(u)! times the
+    principal specialization of the Schubert polynomial, for every u,
+    walking the strata of S_n.  S_u(1) comes from the integer transition
     recursion :func:`schubert._specialization_table`; no polynomial is
     built."""
     counts = _sweep(build_hasse(n, "weak", "nabla"), up=True)
@@ -253,7 +234,9 @@ def macdonald_chunk(n: int) -> dict:
     return {"suite": "macdonald", "n": n, "checked": math.factorial(n), "failures": failures}
 
 
-def verify_macdonald(n: int) -> dict:
-    """Weighted chain count from the identity equals l(u)! times the
-    principal specialization of the Schubert polynomial, for every u."""
-    return macdonald_chunk(n)
+# perfbench/tracer.py spans the suites under these names; they are the same
+# function objects, so its wrapper replaces both bindings
+nabla_action_chunk = verify_nabla_theorem
+delta_action_chunk = verify_delta_theorem
+path_identities_chunk = verify_path_identities
+macdonald_chunk = verify_macdonald

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -254,20 +255,18 @@ SUITE_ARGS = {
     "chains-det": ["--M", "2,2,1"],
 }
 
-PERM_SUITE_CHUNKS = {
-    "nabla-action": "nabla_action_chunk",
-    "delta-action": "delta_action_chunk",
-    "path-identities": "path_identities_chunk",
-    "macdonald": "macdonald_chunk",
+OPERATOR_SUITE_FUNCTIONS = {
+    "nabla-action": "verify_nabla_theorem",
+    "delta-action": "verify_delta_theorem",
+    "sl2": "verify_sl2",
+    "path-identities": "verify_path_identities",
+    "macdonald": "verify_macdonald",
 }
-# the arguments after n of each job at n = 3: the action suites run one job
-# per rank, the path suites one job on all of S_3
-JOB_ARGS_N3 = {
-    "nabla-action": [((0,),), ((1,),), ((2,),), ((3,),)],
-    "delta-action": [((0,),), ((1,),), ((2,),), ((3,),)],
-    "path-identities": [()],
-    "macdonald": [()],
-}
+# the arguments after n of each job at n = 3: each suite runs one job on all
+# of S_3
+JOB_ARGS_N3 = {suite: [()] for suite in OPERATOR_SUITE_FUNCTIONS}
+# the suites whose windows or ranks --jobs fans out; every other suite is one job
+SPLIT_SUITES = ("snf", "chains-snf", "chains-basis", "chains-det")
 
 
 class TestDispatch:
@@ -280,30 +279,47 @@ class TestDispatch:
         assert serial[0] == 0
         assert run(capsys, *argv, "--jobs", "2") == serial
 
-    @pytest.mark.parametrize("suite", sorted(PERM_SUITE_CHUNKS))
-    def test_chunks_are_read_through_the_cli_binding(self, capsys, monkeypatch, suite):
-        # the CLI reads each chunk from bruhatops.operators when it makes the
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_only_windows_and_chain_ranks_are_split(self, suite):
+        args = cli._build_parser().parse_args(["verify", "--suite", suite, *SUITE_ARGS[suite]])
+        jobs = cli._suite_jobs(args)
+        assert (len(jobs) > 1) == (suite in SPLIT_SUITES), jobs
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s not in SPLIT_SUITES])
+    def test_jobs_start_no_pool_for_one_job_suites(self, capsys, monkeypatch, suite):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        argv = ["verify", "--suite", suite, *SUITE_ARGS[suite]]
+        serial = run(capsys, *argv)
+        assert serial[0] == 0
+        assert run(capsys, *argv, "--jobs", "2") == serial
+
+    @pytest.mark.parametrize("suite", sorted(OPERATOR_SUITE_FUNCTIONS))
+    def test_suites_are_read_through_the_cli_binding(self, capsys, monkeypatch, suite):
+        # the CLI reads each suite from bruhatops.operators when it makes the
         # jobs, so rebinding the name there must reach every job, as a
         # wrapper installed by a tracer would
-        name = PERM_SUITE_CHUNKS[suite]
+        name = OPERATOR_SUITE_FUNCTIONS[suite]
         real = getattr(operators, name)
         calls = []
 
-        def spy(n, *ranks):
-            calls.append(ranks)
-            return real(n, *ranks)
+        def spy(n, *rest):
+            calls.append(rest)
+            return real(n, *rest)
 
         monkeypatch.setattr(operators, name, spy)
         code, _, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
         assert code == 0
         assert calls == JOB_ARGS_N3[suite]
 
-    def test_merge_adds_concatenates_and_ands(self):
-        first = {"suite": "s", "flag": True, "checked": 1, "failures": ["a"]}
-        second = {"suite": "s", "flag": False, "checked": 5, "failures": ["b"]}
+    def test_merge_adds_and_concatenates(self):
+        first = {"suite": "s", "checked": 1, "failures": ["a"]}
+        second = {"suite": "s", "checked": 5, "failures": ["b"]}
         assert cli._merge([first, second]) == {
             "suite": "s",
-            "flag": False,
             "checked": 6,
             "failures": ["a", "b"],
         }

@@ -376,7 +376,7 @@ class TestW0Symmetry:
             g = build_hasse(n, "weak", "unit")
             for k, stratum in enumerate(g.ranks):
                 for i, w in enumerate(stratum):
-                    assert g._pos[w0_times(w)] == (g.top_rank - k, len(stratum) - 1 - i)
+                    assert g.ranks[g.top_rank - k][len(stratum) - 1 - i] == w0_times(w)
 
     def test_rejects_ranks_that_are_not_the_lex_strata(self):
         g = build_hasse(3, "weak", "nabla")
