@@ -17,7 +17,6 @@ import importlib
 # bruhatops.schubert and bruhatops.snf stay the submodules
 _EXPORTS = {
     "chains": (
-        "base_change_report",
         "base_change_unimodular_check",
         "construct_A",
         "construct_B",
@@ -30,9 +29,10 @@ _EXPORTS = {
         "staircase",
         "um_determinant_check",
         "um_determinant_formula",
-        "um_determinant_report",
         "um_layer_matrix",
         "um_snf_check",
+        "verify_chains_basis",
+        "verify_chains_det",
     ),
     "hasse": (
         "ORDERS",

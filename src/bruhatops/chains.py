@@ -83,14 +83,14 @@ __all__ = [
     "construct_A",
     "construct_B",
     "base_change_unimodular_check",
-    "base_change_report",
+    "verify_chains_basis",
     "um_layer_matrix",
     "dm_layer_matrix",
     "predicted_um_snf",
     "um_snf_check",
     "um_determinant_formula",
     "um_determinant_check",
-    "um_determinant_report",
+    "verify_chains_det",
 ]
 
 
@@ -358,13 +358,17 @@ def base_change_unimodular_check(M: Iterable[int], n: int) -> tuple[bool, dict |
     return True, None
 
 
-def base_change_report(M: Iterable[int], n: int) -> dict:
-    """The chains-basis report on rank n; reports of several ranks merge by
-    summing ``checked`` and concatenating ``failures``."""
+def verify_chains_basis(M: Iterable[int]) -> dict:
+    """The chains-basis report: :func:`base_change_unimodular_check` on every
+    rank 0..|M|, with a failure for each rank it refutes, in order of rank."""
     prof = _as_profile(M)
-    ok, witness = base_change_unimodular_check(prof, n)
-    failures = [] if ok else [{"witness": f"rank {n}", "expected": "unimodular", **witness}]
-    return {"suite": "chains-basis", "M": list(prof), "checked": 1, "failures": failures}
+    ranks = range(sum(prof) + 1)
+    failures = []
+    for n in ranks:
+        ok, witness = base_change_unimodular_check(prof, n)
+        if not ok:
+            failures.append({"witness": f"rank {n}", "expected": "unimodular", **witness})
+    return {"suite": "chains-basis", "M": list(prof), "checked": len(ranks), "failures": failures}
 
 
 def _cover_step(M: ChainProfile, k: int, weight) -> SparseStep:
@@ -597,10 +601,16 @@ def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, d
     return True, None
 
 
-def um_determinant_report(M: Iterable[int], low: int, high: int) -> dict:
-    """The chains-det report on the window [low, high]; reports of several
-    windows merge by summing ``checked`` and concatenating ``failures``."""
+def verify_chains_det(M: Iterable[int]) -> dict:
+    """The chains-det report: :func:`um_determinant_check` on every square
+    window [k, |M| - k], with a failure for each window it refutes, in order
+    of k."""
     prof = _as_profile(M)
-    ok, witness = um_determinant_check(prof, low, high)
-    failures = [] if ok else [{"witness": f"raising[{low},{high}]", **witness}]
-    return {"suite": "chains-det", "M": list(prof), "checked": 1, "failures": failures}
+    total = sum(prof)
+    lows = range(total // 2 + 1)
+    failures = []
+    for low in lows:
+        ok, witness = um_determinant_check(prof, low, total - low)
+        if not ok:
+            failures.append({"witness": f"raising[{low},{total - low}]", **witness})
+    return {"suite": "chains-det", "M": list(prof), "checked": len(lows), "failures": failures}

@@ -15,31 +15,21 @@ Exit codes: 0 success / verified, 1 counterexample found, 2 usage error.
 Potentially large integers in JSON output are always decimal strings.
 
 Each command imports the layer modules it runs when it runs, so ``--help``
-loads none and the chain suites load only ``chains`` and ``snf``.
+loads none and the chain suites load only ``chains`` and ``snf``.  Every
+report of ``verify`` comes from one job, and ``--jobs`` fans out only the
+windows of ``snf``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from typing import Callable, Sequence
 
 __all__ = ["main", "entrypoint"]
-
-SUITES = (
-    "nabla-action",
-    "delta-action",
-    "sl2",
-    "path-identities",
-    "macdonald",
-    "w0-symmetry",
-    "snf",
-    "chains-basis",
-    "chains-snf",
-    "chains-det",
-)
 
 # default size caps; --force overrides with a warning on stderr
 PATH_SUITE_CAP = 6
@@ -54,28 +44,24 @@ SNF_SUITE_CAP = 5
 # change that re-records the digest.
 SNF_SAMPLE_PAIRS_N5 = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10), (2, 8))
 
-_SUITE_CAPS = {
-    "nabla-action": DIFFERENTIAL_SUITE_CAP,
-    "delta-action": DIFFERENTIAL_SUITE_CAP,
-    "sl2": SL2_SUITE_CAP,
-    "path-identities": PATH_SUITE_CAP,
-    "macdonald": PATH_SUITE_CAP,
-    "w0-symmetry": PATH_SUITE_CAP,
-    "snf": SNF_SUITE_CAP,
+# each suite: (layer module, function, default cap on n), with the cap None
+# for a suite on a product of chains --M, which has no cap
+_SUITES = {
+    "nabla-action": ("operators", "verify_nabla_theorem", DIFFERENTIAL_SUITE_CAP),
+    "delta-action": ("operators", "verify_delta_theorem", DIFFERENTIAL_SUITE_CAP),
+    "sl2": ("operators", "verify_sl2", SL2_SUITE_CAP),
+    "path-identities": ("operators", "verify_path_identities", PATH_SUITE_CAP),
+    "macdonald": ("operators", "verify_macdonald", PATH_SUITE_CAP),
+    "w0-symmetry": ("hasse", "verify_w0_symmetry", PATH_SUITE_CAP),
+    "snf": ("hasse", "verify_snf_theorem", SNF_SUITE_CAP),
+    "chains-basis": ("chains", "verify_chains_basis", None),
+    "chains-snf": ("chains", "um_snf_check", None),
+    "chains-det": ("chains", "verify_chains_det", None),
 }
+SUITES = tuple(_SUITES)
 
-# suites reporting each window on its own; the jobs of every other suite
-# cover disjoint parts of one check and merge into one report
+# suites reporting each window on its own
 _WINDOW_SUITES = ("snf", "chains-snf")
-
-# the suites of bruhatops.operators, by the name of their function there
-_OPERATOR_SUITES = {
-    "nabla-action": "verify_nabla_theorem",
-    "delta-action": "verify_delta_theorem",
-    "sl2": "verify_sl2",
-    "path-identities": "verify_path_identities",
-    "macdonald": "verify_macdonald",
-}
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -94,15 +80,6 @@ def _call(job: tuple):
     processes can unpickle it."""
     fn, *args = job
     return fn(*args)
-
-
-def _merge(reports: list[dict]) -> dict:
-    """One report from the reports of one suite on disjoint parts: ``checked``
-    adds up and ``failures`` concatenate in job order."""
-    out = dict(reports[0])
-    out["checked"] = sum(report["checked"] for report in reports)
-    out["failures"] = [failure for report in reports for failure in report["failures"]]
-    return out
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -140,58 +117,46 @@ def _windows(top: int, low, high) -> list[tuple[int, int]]:
 
 
 def _suite_jobs(args) -> list[tuple]:
-    """The suite's jobs as ``(function, *args)`` tuples.  Only the windows of
-    ``snf`` and ``chains-snf`` and the ranks of ``chains-basis`` and
-    ``chains-det`` are split, one job each; every other suite is one job
-    ``(function, n)`` on all of S_n, whose parts read the same diagrams.
-    The suite's layer module is imported here, before any pool forks, and
-    the functions are read from it when the jobs are made, so that
-    rebinding one of them there (a tracer, a test spy) reaches every job."""
+    """The suite's jobs as ``(function, *args)`` tuples, one per report: one
+    per window of ``snf`` and ``chains-snf``, and one on all of S_n or the
+    whole box for every other suite.  The suite's layer module is imported
+    here, before any pool forks, and the function is read from it when the
+    jobs are made, so that rebinding it there (a tracer, a test spy) reaches
+    every job."""
     suite, n, M, low, high = args.suite, args.n, args.M, args.from_rank, args.to_rank
-    if suite in _OPERATOR_SUITES:
-        from . import operators
-
-        return [(getattr(operators, _OPERATOR_SUITES[suite]), n)]
-    if suite in ("w0-symmetry", "snf"):
-        from . import hasse
+    module, name, cap = _SUITES[suite]
+    fn = getattr(importlib.import_module(f".{module}", __package__), name)
+    if suite == "snf":
         from .permutations import num_inversions_max
 
-        if suite == "w0-symmetry":
-            return [(hasse.verify_w0_symmetry, n)]
         windows = _windows(num_inversions_max(n), low, high)
         if n == 5 and low is None:
             windows = SNF_SAMPLE_PAIRS_N5
-        return [(hasse.verify_snf_theorem, n, a, b) for a, b in windows]
-    if M is None:
-        raise ValueError(f"suite {suite!r} needs --M")
-    from . import chains
-
-    total = sum(M)
-    if suite == "chains-basis":
-        return [(chains.base_change_report, M, rank) for rank in range(total + 1)]
-    if suite == "chains-det":
-        return [(chains.um_determinant_report, M, k, total - k) for k in range(total // 2 + 1)]
+        return [(fn, n, a, b) for a, b in windows]
     if suite == "chains-snf":
-        return [(chains.um_snf_check, M, a, b) for a, b in _windows(total, low, high)]
-    raise ValueError(f"unknown suite: {suite!r}")  # pragma: no cover - argparse choices guard this
+        return [(fn, M, a, b) for a, b in _windows(sum(M), low, high)]
+    return [(fn, M if cap is None else n)]
 
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    cap = _SUITES[suite][2]
     if suite not in _WINDOW_SUITES and (args.from_rank is not None or args.to_rank is not None):
         raise ValueError(f"suite {suite!r} takes no --from or --to")
-    if suite not in _SUITE_CAPS and args.n is not None:
-        raise ValueError(f"suite {suite!r} takes --M, not --n")
-    if suite not in _SUITE_CAPS and args.force:
-        raise ValueError(f"suite {suite!r} takes no --force")
-    if suite in _SUITE_CAPS:
+    if cap is None:
+        if args.n is not None:
+            raise ValueError(f"suite {suite!r} takes --M, not --n")
+        if args.force:
+            raise ValueError(f"suite {suite!r} takes no --force")
+        if args.M is None:
+            raise ValueError(f"suite {suite!r} needs --M")
+    else:
         if args.M is not None:
             raise ValueError(f"suite {suite!r} takes --n, not --M")
         if args.n is None:
             raise ValueError(f"suite {suite!r} needs --n")
         if args.n < 1:
             raise ValueError(f"n must be positive: {args.n}")
-        cap = _SUITE_CAPS[suite]
         if args.n > cap:
             if not args.force:
                 raise ValueError(
@@ -202,9 +167,8 @@ def cmd_verify(args) -> int:
                 "expect a long run",
                 file=sys.stderr,
             )
-    reports = _pmap(_call, _suite_jobs(args), args.jobs)
-    if suite not in _WINDOW_SUITES:
-        reports = [_merge(reports)]
+    # only snf gains from a pool (n = 6: 11.5 s with --jobs 2, 19.9 s serially; BENCH_suites.json)
+    reports = _pmap(_call, _suite_jobs(args), args.jobs if suite == "snf" else 1)
     ok = all(not r["failures"] for r in reports)
     _emit({"ok": ok, "reports": reports}, args.format)
     return 0 if ok else 1

@@ -11,7 +11,6 @@ from bruhatops.chains import (
     _dm_step,
     _proved_sizes,
     _um_step,
-    base_change_report,
     base_change_unimodular_check,
     construct_A,
     construct_B,
@@ -23,9 +22,10 @@ from bruhatops.chains import (
     profile_rank_sizes,
     um_determinant_check,
     um_determinant_formula,
-    um_determinant_report,
     um_layer_matrix,
     um_snf_check,
+    verify_chains_basis,
+    verify_chains_det,
 )
 from bruhatops.cli import main
 from bruhatops.hasse import predicted_snf
@@ -440,11 +440,12 @@ class TestWitnesses:
         clear_chain_caches()
         assert base_change_unimodular_check((2, 1), 1) == (False, {"determinant": "-3"})
         assert um_determinant_check((2, 1), 1, 2) == (False, {"expected": "2", "actual": "3"})
-        assert base_change_report((2, 1), 1)["failures"] == [
-            {"witness": "rank 1", "expected": "unimodular", "determinant": "-3"}
+        assert verify_chains_basis((2, 1))["failures"] == [
+            {"witness": f"rank {k}", "expected": "unimodular", "determinant": "-3"} for k in range(4)
         ]
-        assert um_determinant_report((2, 1), 0, 3)["failures"] == [
-            {"witness": "raising[0,3]", "expected": "6", "actual": "3"}
+        assert verify_chains_det((2, 1))["failures"] == [
+            {"witness": "raising[0,3]", "expected": "6", "actual": "3"},
+            {"witness": "raising[1,2]", "expected": "2", "actual": "3"},
         ]
 
     def test_short_basis_names_its_vector_count(self, monkeypatch):
@@ -491,10 +492,8 @@ def det_windows(M):
 
 def chain_reports(M):
     """The chains-snf report of every window of M, then the chains-det
-    report of every square window."""
-    return [um_snf_check(M, a, b) for a, b in snf_windows(M)] + [
-        um_determinant_report(M, a, b) for a, b in det_windows(M)
-    ]
+    report."""
+    return [um_snf_check(M, a, b) for a, b in snf_windows(M)] + [verify_chains_det(M)]
 
 
 def exact_route(monkeypatch):
@@ -587,12 +586,12 @@ class TestCertificate:
         # certificate, against each rank reduced and each composite
         # eliminated on its own
         assert chains._sl2_certificate(M) == ((True, None), (True, None))
-        bases = basis_reports(M, base_change_report)
+        bases = verify_chains_basis(M)
         dets = [um_determinant_check(M, low, high) for low, high in det_windows(M)]
         exact_route(monkeypatch)
-        assert bases == basis_reports(M, reference_basis_report)
+        assert bases == reference_chains_basis(M)
         assert dets == [um_determinant_check(M, low, high) for low, high in det_windows(M)]
-        assert all(report["failures"] == [] for report in bases)
+        assert bases["failures"] == []
         assert dets == [(True, None)] * len(dets)
 
     @pytest.mark.parametrize("at", range(1, 11))
@@ -628,9 +627,9 @@ class TestCertificate:
         sl2, mirror = chains._sl2_certificate(M)
         assert sl2 == (True, None)
         assert mirror[0] is False and mirror[1]["rank"] == sum(M) - 1 - at
-        reports = chain_reports(M) + basis_reports(M, base_change_report)
+        reports = chain_reports(M) + [verify_chains_basis(M)]
         exact_route(monkeypatch)
-        assert reports == chain_reports(M) + basis_reports(M, reference_basis_report)
+        assert reports == chain_reports(M) + [reference_chains_basis(M)]
         assert all(report["failures"] == [] for report in reports)
 
     @pytest.mark.parametrize("at", range(14))
@@ -650,13 +649,19 @@ class TestCertificate:
         M = (4, 3, 3, 2, 2)
         raise_one_weight(monkeypatch, at)
         assert_sl2_fails_at(M, at)
-        reports = [um_determinant_report(M, low, high) for low, high in det_windows(M)]
+        report = verify_chains_det(M)
+        checks = [um_determinant_check(M, low, high) for low, high in det_windows(M)]
         exact_route(monkeypatch)
-        for (low, high), report in zip(det_windows(M), reports):
+        for (low, high), check in zip(det_windows(M), checks):
             if low <= at < high:
-                assert report == um_determinant_report(M, low, high), (low, high)
+                assert check == um_determinant_check(M, low, high), (low, high)
             else:
-                assert report["failures"] == [], (low, high)
+                assert check == (True, None), (low, high)
+        assert report["failures"] == [
+            {"witness": f"raising[{low},{high}]", **witness}
+            for (low, high), (ok, witness) in zip(det_windows(M), checks)
+            if not ok
+        ]
 
     @pytest.mark.parametrize("at", range(10))
     def test_raised_weight_reports_match_the_exact_route(self, monkeypatch, at):
@@ -671,15 +676,12 @@ class TestCertificate:
     def test_raised_weight_fails_the_pushed_basis(self, monkeypatch):
         M = (3, 3, 2, 2)
         raise_one_weight(monkeypatch, 3)
-        failures = [base_change_report(M, k)["failures"] for k in range(sum(M) + 1)]
-        assert failures[:4] == [[]] * 4
-        assert failures[4] == [
-            {
-                "witness": "rank 4",
-                "expected": "unimodular",
-                "divided_power": "a divided power into rank 4 of (3, 3, 2, 2) is not integral",
-            }
-        ]
+        # the first failing rank is 4
+        assert verify_chains_basis(M)["failures"][0] == {
+            "witness": "rank 4",
+            "expected": "unimodular",
+            "divided_power": "a divided power into rank 4 of (3, 3, 2, 2) is not integral",
+        }
 
     def test_chains_det_eliminates_nothing(self, monkeypatch, capsys):
         # the sl2 certificate proves every square window: no walk, no
@@ -767,38 +769,37 @@ class TestCertificate:
         assert walk.live == [1, 3, 5, 6, 5, 3, 1]
 
 
-def reference_basis_report(M, n):
-    """Oracle: the chains-basis report of rank n from B_n built on its own
-    by ``construct_B`` and reduced by ``determinant``, both read through the
-    module, so a patched one reaches it."""
-    try:
-        vectors = chains.construct_B(M, n)
-    except ArithmeticError as exc:
-        witness = {"divided_power": str(exc)}
-    else:
-        size = profile_rank_size(M, n)
-        if len(vectors) != size:
-            witness = {"vectors": str(len(vectors)), "rank_size": str(size)}
+def reference_chains_basis(M):
+    """Oracle: the chains-basis report with B_n of each rank n built on its
+    own by ``construct_B`` and reduced by ``determinant``, both read through
+    the module, so a patched one reaches it."""
+    failures = []
+    for n in range(sum(M) + 1):
+        try:
+            vectors = chains.construct_B(M, n)
+        except ArithmeticError as exc:
+            witness = {"divided_power": str(exc)}
         else:
-            det = chains.determinant(vectors)
-            witness = None if abs(det) == 1 else {"determinant": str(det)}
-    failures = [] if witness is None else [{"witness": f"rank {n}", "expected": "unimodular", **witness}]
-    return {"suite": "chains-basis", "M": list(M), "checked": 1, "failures": failures}
-
-
-def basis_reports(M, report):
-    return [report(M, n) for n in range(sum(M) + 1)]
+            size = profile_rank_size(M, n)
+            if len(vectors) != size:
+                witness = {"vectors": str(len(vectors)), "rank_size": str(size)}
+            else:
+                det = chains.determinant(vectors)
+                witness = None if abs(det) == 1 else {"determinant": str(det)}
+        if witness is not None:
+            failures.append({"witness": f"rank {n}", "expected": "unimodular", **witness})
+    return {"suite": "chains-basis", "M": list(M), "checked": sum(M) + 1, "failures": failures}
 
 
 class TestBasisWitnesses:
-    """Every chains-basis report, read from the shared walk, equals the one
-    its own construct_B and determinant give."""
+    """The chains-basis report, read from the shared walk, equals the one
+    each rank's own construct_B and determinant give."""
 
     @pytest.mark.parametrize("M", CERTIFIED_PROFILES)
     def test_every_rank(self, M):
-        reports = basis_reports(M, base_change_report)
-        assert reports == basis_reports(M, reference_basis_report)
-        assert all(report["failures"] == [] for report in reports)
+        report = verify_chains_basis(M)
+        assert report == reference_chains_basis(M)
+        assert report["failures"] == []
 
     @pytest.mark.parametrize(
         "M, at", [((3, 3, 2, 2), at) for at in range(10)] + [((4, 3, 3, 2, 2), at) for at in range(14)]
@@ -806,9 +807,9 @@ class TestBasisWitnesses:
     def test_raised_weight(self, monkeypatch, M, at):
         raise_one_weight(monkeypatch, at)
         assert_sl2_fails_at(M, at)
-        reports = basis_reports(M, base_change_report)
-        assert reports == basis_reports(M, reference_basis_report)
-        assert any(report["failures"] for report in reports)
+        report = verify_chains_basis(M)
+        assert report == reference_chains_basis(M)
+        assert report["failures"]
 
     @pytest.mark.parametrize("at", range(10))
     def test_weight_raised_by_the_divisor(self, monkeypatch, at):
@@ -817,19 +818,23 @@ class TestBasisWitnesses:
         # holds only that generator, so its first inexact rank comes later
         M = (3, 3, 2, 2)
         raise_one_weight(monkeypatch, at, by=at + 1)
-        reports = basis_reports(M, base_change_report)
-        assert reports == basis_reports(M, reference_basis_report)
+        report = verify_chains_basis(M)
+        assert report == reference_chains_basis(M)
         if 4 <= at < 9:
-            assert reports[-1]["failures"][0]["divided_power"].startswith(f"a divided power into rank {at + 2} ")
+            top = report["failures"][-1]
+            assert top["witness"] == f"rank {sum(M)}"
+            assert top["divided_power"].startswith(f"a divided power into rank {at + 2} ")
 
     @pytest.mark.parametrize("M", [(2, 1), (3, 2, 1), (3, 3, 2, 2)])
     def test_patched_determinant_keeps_its_sign(self, monkeypatch, M):
         real = chains.determinant
         monkeypatch.setattr(chains, "determinant", lambda mat: 3 * real(mat))
         clear_chain_caches()
-        reports = basis_reports(M, base_change_report)
-        assert reports == basis_reports(M, reference_basis_report)
-        signs = {report["failures"][0]["determinant"] for report in reports}
+        report = verify_chains_basis(M)
+        assert report == reference_chains_basis(M)
+        failures = report["failures"]
+        assert [failure["witness"] for failure in failures] == [f"rank {k}" for k in range(sum(M) + 1)]
+        signs = {failure["determinant"] for failure in failures}
         assert signs == ({"3"} if M == (2, 1) else {"3", "-3"})
 
     @pytest.mark.parametrize("M", [(2, 1), (3, 2, 1)])
@@ -837,6 +842,7 @@ class TestBasisWitnesses:
         real = chains.construct_B
         monkeypatch.setattr(chains, "construct_B", lambda M, n: real(M, n)[:-1])
         short_basis(monkeypatch)
-        reports = basis_reports(M, base_change_report)
-        assert reports == basis_reports(M, reference_basis_report)
-        assert reports[1]["failures"][0]["vectors"] == str(profile_rank_size(M, 1) - 1)
+        report = verify_chains_basis(M)
+        assert report == reference_chains_basis(M)
+        by_rank = {failure["witness"]: failure for failure in report["failures"]}
+        assert by_rank["rank 1"]["vectors"] == str(profile_rank_size(M, 1) - 1)

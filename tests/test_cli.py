@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, parallel runs."""
 
+import importlib
 import itertools
 import json
 import multiprocessing
@@ -11,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import bruhatops.cli as cli
-import bruhatops.operators as operators
 import bruhatops.schubert as schubert_module
 from bruhatops.cli import SUITES, main
 
@@ -102,7 +102,7 @@ class TestExitCodes:
             {"witness": "rank 1", "expected": "unimodular", "determinant": "-3"},
         ]
 
-    @pytest.mark.parametrize("suite", sorted(cli._SUITE_CAPS))
+    @pytest.mark.parametrize("suite", sorted(s for s, (_, _, cap) in cli._SUITES.items() if cap is not None))
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_n_below_one_is_usage_error(self, capsys, suite, n):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
@@ -255,24 +255,20 @@ SUITE_ARGS = {
     "chains-det": ["--M", "2,2,1"],
 }
 
-OPERATOR_SUITE_FUNCTIONS = {
-    "nabla-action": "verify_nabla_theorem",
-    "delta-action": "verify_delta_theorem",
-    "sl2": "verify_sl2",
-    "path-identities": "verify_path_identities",
-    "macdonald": "verify_macdonald",
-}
-# the arguments after n of each job at n = 3: each suite runs one job on all
-# of S_3
-JOB_ARGS_N3 = {suite: [()] for suite in OPERATOR_SUITE_FUNCTIONS}
-# the suites whose windows or ranks --jobs fans out; every other suite is one job
-SPLIT_SUITES = ("snf", "chains-snf", "chains-basis", "chains-det")
+# the arguments after n or M of each job of each suite with SUITE_ARGS, as
+# the spy on the suite's function sees them: every suite runs one job, but
+# for the windows of snf and chains-snf
+JOB_ARGS = {suite: [()] for suite in SUITE_ARGS}
+JOB_ARGS["snf"] = [(a, b) for a in range(7) for b in range(a + 1, 7) if a + b <= 6]
+JOB_ARGS["chains-snf"] = [(a, b) for a in range(6) for b in range(a + 1, 6) if a + b <= 5]
+# the suites with a job per window; every other suite is one job
+WINDOW_SUITES = ("snf", "chains-snf")
 
 
 class TestDispatch:
     @pytest.mark.parametrize("suite", SUITES)
     def test_two_jobs_agree_with_serial(self, capsys, monkeypatch, suite):
-        # two CPUs as far as --jobs can tell, so the merge runs on any machine
+        # two CPUs as far as --jobs can tell, so the snf pool runs on any machine
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["verify", "--suite", suite, *SUITE_ARGS[suite]]
         serial = run(capsys, *argv)
@@ -281,11 +277,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_only_windows_and_chain_ranks_are_split(self, suite):
+        # only the windows of snf and chains-snf are jobs of their own; the
+        # ranks and square windows of the other chain suites are not
         args = cli._build_parser().parse_args(["verify", "--suite", suite, *SUITE_ARGS[suite]])
         jobs = cli._suite_jobs(args)
-        assert (len(jobs) > 1) == (suite in SPLIT_SUITES), jobs
+        assert (len(jobs) > 1) == (suite in WINDOW_SUITES), jobs
 
-    @pytest.mark.parametrize("suite", [s for s in SUITES if s not in SPLIT_SUITES])
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "snf"])
     def test_jobs_start_no_pool_for_one_job_suites(self, capsys, monkeypatch, suite):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
@@ -297,33 +295,24 @@ class TestDispatch:
         assert serial[0] == 0
         assert run(capsys, *argv, "--jobs", "2") == serial
 
-    @pytest.mark.parametrize("suite", sorted(OPERATOR_SUITE_FUNCTIONS))
+    @pytest.mark.parametrize("suite", SUITES)
     def test_suites_are_read_through_the_cli_binding(self, capsys, monkeypatch, suite):
-        # the CLI reads each suite from bruhatops.operators when it makes the
+        # the CLI reads each suite from its layer module when it makes the
         # jobs, so rebinding the name there must reach every job, as a
         # wrapper installed by a tracer would
-        name = OPERATOR_SUITE_FUNCTIONS[suite]
-        real = getattr(operators, name)
+        module, name, _ = cli._SUITES[suite]
+        layer = importlib.import_module(f"bruhatops.{module}")
+        real = getattr(layer, name)
         calls = []
 
-        def spy(n, *rest):
+        def spy(scope, *rest):
             calls.append(rest)
-            return real(n, *rest)
+            return real(scope, *rest)
 
-        monkeypatch.setattr(operators, name, spy)
-        code, _, _ = run(capsys, "verify", "--suite", suite, "--n", "3")
+        monkeypatch.setattr(layer, name, spy)
+        code, _, _ = run(capsys, "verify", "--suite", suite, *SUITE_ARGS[suite])
         assert code == 0
-        assert calls == JOB_ARGS_N3[suite]
-
-    def test_merge_adds_and_concatenates(self):
-        first = {"suite": "s", "checked": 1, "failures": ["a"]}
-        second = {"suite": "s", "checked": 5, "failures": ["b"]}
-        assert cli._merge([first, second]) == {
-            "suite": "s",
-            "checked": 6,
-            "failures": ["a", "b"],
-        }
-        assert first["failures"] == ["a"]
+        assert calls == JOB_ARGS[suite]
 
 
 class TestSchubertCommand:
