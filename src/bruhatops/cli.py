@@ -31,10 +31,11 @@ from typing import Callable, Sequence
 
 __all__ = ["main", "entrypoint"]
 
-# default size caps; --force overrides with a warning on stderr
-PATH_SUITE_CAP = 6
+# default size caps; --force overrides with a warning on stderr.  The path
+# suites, w0-symmetry and sl2 read a few diagram steps at a time, made on
+# demand: each takes under 3 s and 40 MB at n = 8 (BENCH_streamed.json)
+PATH_SUITE_CAP = 8
 DIFFERENTIAL_SUITE_CAP = 5
-# sl2 reads only the two diagrams: n = 8 takes 1.7 s (BENCH_chains.json)
 SL2_SUITE_CAP = 8
 SNF_SUITE_CAP = 5
 # All 30 windows at n=5 take well under a second, so speed is not why
@@ -177,18 +178,9 @@ def cmd_verify(args) -> int:
 def cmd_hasse(args) -> int:
     from . import hasse
 
-    diagram = hasse.build_hasse(args.n, args.order, args.weights)
-    if args.format == "dot":
-        print(hasse.diagram_to_dot(diagram), end="")
-    elif args.format == "table":
-        print(f"# S_{args.n}, {args.order} order, {args.weights} weights")
-        name = hasse._vertex_names(diagram)
-        for src, dst, wt in diagram.edges:
-            print(f"{name[src]} -> {name[dst]}  weight {wt}")
-    else:
-        for chunk in hasse._json_chunks(diagram):
-            sys.stdout.write(chunk)
-        sys.stdout.write("\n")
+    # one rank step per piece, from steps made on demand
+    for chunk in hasse._chunks(hasse._streamed(args.n, args.order, args.weights), args.format):
+        sys.stdout.write(chunk)
     return 0
 
 

@@ -12,8 +12,18 @@ Three nontrivial weight systems on cover edges:
 plus ``unit`` weights on either order.  The weighted count m(u, v) sums the
 product of edge weights over all saturated chains from u to v; with every
 system above, the count from the identity to the longest element is N! for
-N = n(n-1)/2.  Every count is a sweep of sparse rows through the per-rank
-steps of the diagram with :func:`snf.push_rows`.
+N = n(n-1)/2.  Every count pushes sparse rows through the per-rank steps of
+the diagram, one step at a time.
+
+One builder, :func:`_step`, makes step k of a diagram from ranks k and k+1
+of S_n alone, and each rank is read off the ranks of S_{n-1}
+(:func:`permutations._rank`).  :func:`build_hasse` collects every step into
+a whole cached diagram, for tests, layer matrices and the action and
+``snf`` suites.  The ``hasse`` command, ``sl2``, ``w0-symmetry``,
+``macdonald`` and ``path-identities`` read the steps of :func:`_streamed`
+instead, made when they are read, so they hold a few steps at a time:
+``hasse`` writes one rank step per piece of output, and the w0 flip is
+scanned up to the middle rank only, since S_n is its own mirror.
 
 The Smith-form theorem for the layer matrices lives here too.  Its
 prediction is the diagonal model of the rank sizes of S_n, the Mahonian
@@ -26,13 +36,13 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .chains import _smith_window_report, predicted_um_snf, profile_rank_sizes, staircase
 from .permutations import (
     Permutation,
-    _lex_codes,
-    _rank_index,
+    _one_line,
+    _rank,
     length,
     num_inversions_max,
     permutations_by_rank,
@@ -40,7 +50,7 @@ from .permutations import (
     validated,
     w0_times,
 )
-from .snf import IntMatrix, SparseStep, _flipped, _mirror_scan, compose_steps, push_rows, snf
+from .snf import IntMatrix, SparseStep, _mirror_scan, compose_steps, push_rows, snf
 
 __all__ = [
     "WeightedHasseDiagram",
@@ -106,7 +116,9 @@ class WeightedHasseDiagram:
 
     ``ranks[k]`` lists the permutations of length k in lex order; ``_steps[k]``
     holds the covers out of rank k as (lower index, upper index, weight)
-    triples, sorted.  The suites and the w0 check work on indices alone.
+    triples, sorted.  Both are tuples in a diagram of :func:`build_hasse`,
+    and sequences made on demand in one of :func:`_streamed`.  The suites
+    and the w0 check work on indices alone.
     """
 
     __slots__ = ("n", "order", "weights", "ranks", "_steps")
@@ -134,8 +146,8 @@ class WeightedHasseDiagram:
         """(lower, upper, weight) triples in (rank, lower, upper) order, derived
         from the steps on each call, for output."""
         return tuple(
-            (low[r], high[c], wt)
-            for low, high, step in zip(self.ranks, self.ranks[1:], self._steps)
+            (self.ranks[k][r], self.ranks[k + 1][c], wt)
+            for k, step in enumerate(self._steps)
             for r, c, wt in step
         )
 
@@ -148,38 +160,57 @@ class WeightedHasseDiagram:
 
 @lru_cache(maxsize=None)
 def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
-    """Construct the full weighted cover diagram of S_n.
-
-    Every vertex is read as its lex index g and Lehmer code c, whose digits
-    are those of g in the factorial base (0-based p below, 1-based i < j), so
-    each cover's index is integer arithmetic on the code:
-
-    * the weak cover w*s_{p+1} (where w_p < w_{p+1}) has lex index
-      g + (c_{p+1} + 1 - c_p)(n-1-p)! + (c_p - c_{p+1})(n-2-p)!;
-    * w*t_ij covers w iff w_i < w_j and no w_q with i < q < j lies between
-      them; with m = c_j - c_i + #{i < q < j : w_q < w_i} its lex index is
-      g + (1 + m)(n-i)! - m(n-j)!, and its code weight is 1 + 2m.
+    """Construct the full weighted cover diagram of S_n: every rank and every
+    step of :func:`_streamed`, collected.
 
     Raises ValueError on an unknown order/weight tag or an incompatible
     pairing (nabla weights need the weak order; code and chevalley weights
     need the strong order).  Diagrams are cached and shared; treat them as
     read-only.
     """
+    g = _streamed(n, order, weights)
+    return WeightedHasseDiagram(n, order, weights, permutations_by_rank(n), tuple(g._steps))
+
+
+class _Lazy:
+    """A read-only sequence of ``size`` items, item k made by ``make(k)``
+    when it is read; the last item made is kept, so reading it again in a
+    row makes it once.  ``made`` totals the lengths of the items made."""
+
+    __slots__ = ("_make", "_size", "_last", "made")
+
+    def __init__(self, make: Callable[[int], Sequence], size: int):
+        self._make, self._size, self._last, self.made = make, size, (None, None), 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < self._size:
+            raise IndexError(k)
+        if self._last[0] != k:
+            self._last = (k, self._make(k))
+            self.made += len(self._last[1])
+        return self._last[1]
+
+
+def _streamed(n: int, order: str, weights) -> WeightedHasseDiagram:
+    """The diagram of S_n with its ranks and steps made when they are read,
+    step k by :func:`_step` from ranks k and k+1 alone: what the suites and
+    the ``hasse`` command read, one or a few steps at a time.  ``weights``
+    may also be a pair of strong weight systems (see :func:`_step`)."""
     if order not in ORDERS:
         raise ValueError(f"unknown order: {order!r}")
-    if weights not in WEIGHT_SYSTEMS:
-        raise ValueError(f"unknown weight system: {weights!r}")
-    if weights not in _COMPATIBLE[order]:
-        raise ValueError(f"weight system {weights!r} is incompatible with the {order} order")
-    ranks = permutations_by_rank(n)
-    covers = _weak_covers if order == "weak" else _strong_covers
-    steps: list = [[] for _ in ranks[1:]]
-    for k, row in covers(n, weights, _rank_index(n)):
-        if row:
-            steps[k] += row
-    for k, step in enumerate(steps):
-        steps[k] = tuple(step)  # frees each list as its tuple is made
-    return WeightedHasseDiagram(n, order, weights, ranks, tuple(steps))
+    for system in (weights,) if isinstance(weights, str) else weights:
+        if system not in WEIGHT_SYSTEMS:
+            raise ValueError(f"unknown weight system: {system!r}")
+        if system not in _COMPATIBLE[order]:
+            raise ValueError(f"weight system {system!r} is incompatible with the {order} order")
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
+    top = num_inversions_max(n)
+    ranks = _Lazy(lambda k: _rank(n, k)[0], top + 1)
+    return WeightedHasseDiagram(n, order, weights, ranks, _Lazy(lambda k: _step(n, order, weights, k), top))
 
 
 def _places(n: int) -> list[int]:
@@ -187,38 +218,48 @@ def _places(n: int) -> list[int]:
     return [math.factorial(n - 1 - p) for p in range(n)]
 
 
-def _weak_covers(n: int, weights: str, at: list[int]) -> Iterator[tuple[int, list]]:
-    """Rank and sorted (row, column, weight) triples of the weak covers out
-    of each vertex, in lex order; ``at`` is :func:`_rank_index` of n.  The
-    cover by s_{p+1} has the larger lex index the smaller p is."""
+def _step(n: int, order: str, weights, k: int) -> SparseStep:
+    """Step k of the diagram: the covers out of rank k of S_n as sorted
+    (row, column, weight) triples, made from ranks k and k+1 alone.
+
+    Every vertex is read as its lex index g and full Lehmer code c, whose
+    digits are those of g in the factorial base (0-based p below, 1-based
+    i < j), so each cover's lex index is integer arithmetic on the code, and
+    its column is that index looked up in rank k+1:
+
+    * the weak cover w*s_{p+1} exists iff c_p <= c_{p+1} (w_p < w_{p+1})
+      and has lex index g + (c_{p+1} + 1 - c_p)(n-1-p)! + (c_p - c_{p+1})(n-2-p)!;
+    * w*t_ij covers w iff w_i < w_j and no w_q with i < q < j lies between
+      them; with m = c_j - c_i + #{i < q < j : w_q < w_i} its lex index is
+      g + (1 + m)(n-i)! - m(n-j)!, and its code weight is 1 + 2m.
+
+    A cover by s_{p+1} has the larger lex index the smaller p is; a cover
+    by t_ij the smaller i is, and for one i the smaller j is.  For the
+    strong order ``weights`` may be the pair ("code", "chevalley"), which
+    weighs each triple by the pair of its two weights.
+    """
+    words, codes, lexes = _rank(n, k)
+    at = {h: c for c, h in enumerate(_rank(n, k + 1)[2])}
     place = _places(n)
-    nabla = weights == "nabla"
-    for g, (w, c) in enumerate(_lex_codes(n)):
-        r = at[g]
-        row = []
-        for p in range(n - 2, -1, -1):
-            if w[p] < w[p + 1]:
+    out = []
+    if order == "weak":
+        # s_{p+1} moves the lex index by place[p] + d (place[p+1] - place[p])
+        nabla = weights == "nabla"
+        moves = [(p, place[p], place[p + 1] - place[p], p + 1 if nabla else 1) for p in range(n - 2, -1, -1)]
+        for r, (c, g) in enumerate(zip(codes, lexes)):
+            for p, base, slope, wt in moves:
                 d = c[p] - c[p + 1]
-                h = g + (1 - d) * place[p] + d * place[p + 1]
-                row.append((r, at[h], p + 1 if nabla else 1))
-        yield sum(c), row
-
-
-def _strong_covers(n: int, weights: str, at: list[int]) -> Iterator[tuple[int, list]]:
-    """Rank and sorted (row, column, weight) triples of the strong covers
-    out of each vertex, in lex order; ``at`` is :func:`_rank_index` of n.
-
-    For each i the scan over j > i keeps the smallest value above w_i seen
-    so far (``bound``) and the count of values below w_i (``below``).  The
-    covers by t_ij have the larger lex index the smaller i is, and for one
-    i the smaller j is (w_j, the new entry at i, is larger)."""
-    place = _places(n)
-    code, chevalley = weights == "code", weights == "chevalley"
-    for g, (w, c) in enumerate(_lex_codes(n)):
-        r = at[g]
-        row = []
+                if d <= 0:
+                    out.append((r, at[g + base + d * slope], wt))
+        return tuple(out)
+    code, chevalley = "code" in weights, "chevalley" in weights
+    # the pairs of weights (1 + 2m, j - i), made once and shared by the triples
+    pairs = [[(1 + 2 * m, d) for d in range(n)] for m in range(n)] if code and chevalley else None
+    for r, (w, c, g) in enumerate(zip(words, codes, lexes)):
+        # for each i the scan over j > i keeps the smallest value above w_i
+        # seen so far (bound) and the count of values below w_i (below)
         for i in range(n - 2, -1, -1):
-            a, ci = w[i], c[i]
+            a, ci, at_i = w[i], c[i], place[i]
             bound, below, found = n + 1, 0, []
             for j in range(i + 1, n):
                 b = w[j]
@@ -227,12 +268,14 @@ def _strong_covers(n: int, weights: str, at: list[int]) -> Iterator[tuple[int, l
                 elif b < bound:
                     bound = b
                     m = c[j] - ci + below
-                    wt = 1 + 2 * m if code else j - i if chevalley else 1
-                    found.append((r, at[g + (1 + m) * place[i] - m * place[j]], wt))
+                    wt = pairs[m][j - i] if pairs else 1 + 2 * m if code else j - i if chevalley else 1
+                    found.append((r, at[g + (1 + m) * at_i - m * place[j]], wt))
                     if b == a + 1:
                         break
-            row += reversed(found)
-        yield sum(c), row
+            if found:
+                found.reverse()
+                out += found
+    return tuple(out)
 
 
 def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation) -> int:
@@ -254,19 +297,29 @@ def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation)
     return row.get(iv, 0)
 
 
-def _sweep(g: WeightedHasseDiagram, up: bool) -> dict[Permutation, int]:
-    """Weighted path counts from the identity to every vertex (``up``), or
-    from every vertex to the longest element: the unit row of the bottom
-    pushed up through the steps one rank at a time, or the unit row of the
-    top pushed down through the flipped steps."""
-    ranks = g.ranks if up else g.ranks[::-1]
-    steps = g._steps if up else [_flipped(step) for step in reversed(g._steps)]
+def _sweep(steps: Sequence[SparseStep], up: bool) -> Iterator[dict[int, int]]:
+    """Weighted path counts from the identity to every vertex of rank k for
+    k = 0..N (``up``), or from every vertex of rank k to the longest element
+    for k = N..0: the unit row of the bottom pushed up through the steps one
+    at a time, or the unit row of the top pushed down through them.  Each
+    row maps the index of a vertex within its rank to its count; an index
+    that is absent counts 0.  One row needs no index of a step by row, as
+    :func:`snf.push_rows` builds, and the down sweep reads each triple by
+    its column, so no flipped copy of a step is made."""
     row: dict[int, int] = {0: 1}
-    counts = {ranks[0][0]: 1}
-    for step, stratum in zip(steps, ranks[1:]):
-        (row,) = push_rows([row], [step])
-        counts.update((w, row.get(i, 0)) for i, w in enumerate(stratum))
-    return counts
+    yield row
+    for k in range(len(steps)) if up else range(len(steps) - 1, -1, -1):
+        pushed: dict[int, int] = {}
+        if up:
+            for r, c, w in steps[k]:
+                if r in row:
+                    pushed[c] = pushed.get(c, 0) + row[r] * w
+        else:
+            for r, c, w in steps[k]:
+                if c in row:
+                    pushed[r] = pushed.get(r, 0) + row[c] * w
+        row = pushed
+        yield row
 
 
 def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
@@ -281,19 +334,32 @@ def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
     return compose_steps(g._steps[low:high], len(g.ranks[low]), len(g.ranks[high]))
 
 
+def _half_mirror_scan(steps: Sequence[SparseStep], sizes: Sequence[int]):
+    """:func:`snf._mirror_scan` of the steps of S_n onto themselves, up to
+    the middle rank.  The mirror is an involution and S_n is its own mirror,
+    so the relation at rank k is the one at rank N-1-k read backwards: the
+    full scan can first fail only at a rank k <= (N-1)/2, with the same
+    witness, and the half scan reads each step once."""
+    return _mirror_scan(steps, steps, sizes, (len(sizes) - 2) // 2)
+
+
 def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
     """Check the flip symmetry: (u -> w, c) is an edge iff (w0*w -> w0*u, c) is.
 
     The code of w0*w is (n-1-c_1, ..., 0), so w0*w has lex index n! - 1 - g
     and lays rank k onto rank top - k backwards: this is
-    :func:`snf._mirror_scan` of the steps onto themselves, named by
-    permutations.  Returns (True, None) or (False, first counterexample).
-    Raises ValueError unless ``g.ranks`` are the lex strata of
-    :func:`permutations_by_rank`, which the flip relies on.
+    :func:`_half_mirror_scan` of the steps, named by permutations.  Returns
+    (True, None) or (False, first counterexample).  Raises ValueError unless
+    ``g.ranks`` are the lex strata of :func:`permutations_by_rank`, which the
+    flip relies on.
     """
     if g.ranks != permutations_by_rank(g.n):
         raise ValueError("the w0 check needs the diagram's ranks to be the lex strata of S_n")
-    failure = _mirror_scan(g._steps, g._steps, [len(stratum) for stratum in g.ranks])
+    return _mirror_witness(g, _half_mirror_scan(g._steps, [len(stratum) for stratum in g.ranks]))
+
+
+def _mirror_witness(g: WeightedHasseDiagram, failure) -> tuple[bool, dict | None]:
+    """The result of a mirror scan of ``g``'s steps, named by permutations."""
     if failure is None:
         return True, None
     k, (r, c, wt), got = failure
@@ -308,17 +374,28 @@ def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
 
 def verify_w0_symmetry(n: int) -> dict:
     """The flip symmetry on the weak/nabla, strong/code and strong/chevalley
-    diagrams of S_n; ``checked`` counts their edges.  Each diagram is built
-    uncached and dropped after its check, so only one is alive at a time."""
+    diagrams of S_n; ``checked`` counts their edges.
+
+    Each order is scanned once, up to the middle rank, with its steps made
+    on demand, so each step is built once and at most two are alive: the
+    strong steps carry the pair of their code and chevalley weights, and the
+    pair mirrors iff both do.  Only when a scan fails is each of its weight
+    systems scanned again on its own, for that system's witness.
+    """
+    sizes = mahonian_numbers(n)
     failures = []
     checked = 0
-    for order, weights in (("weak", "nabla"), ("strong", "code"), ("strong", "chevalley")):
-        diagram = build_hasse.__wrapped__(n, order, weights)
-        checked += sum(map(len, diagram._steps))
-        ok, witness = w0_symmetry_check(diagram)
-        del diagram
-        if not ok:
-            failures.append({"witness": f"{order}/{weights}", **witness})
+    for order, systems in (("weak", ("nabla",)), ("strong", ("code", "chevalley"))):
+        steps = _streamed(n, order, systems if len(systems) > 1 else systems[0])._steps
+        if _half_mirror_scan(steps, sizes) is None:
+            checked += len(systems) * steps.made
+            continue
+        for weights in systems:
+            g = _streamed(n, order, weights)
+            checked += sum(map(len, g._steps))
+            ok, witness = _mirror_witness(g, _half_mirror_scan(g._steps, sizes))
+            if not ok:
+                failures.append({"witness": f"{order}/{weights}", **witness})
     return {"suite": "w0-symmetry", "n": n, "checked": checked, "failures": failures}
 
 
@@ -367,14 +444,9 @@ def verify_snf_theorem(n: int, low: int, high: int) -> dict:
     return _smith_window_report({"suite": "snf", "n": n}, low, high, expected, windows)
 
 
-def _vertex_names(g: WeightedHasseDiagram) -> dict[Permutation, str]:
-    """One-line notation of every vertex, formatted once for the emitters."""
-    return {w: to_string(w) for stratum in g.ranks for w in stratum}
-
-
 def diagram_to_json(g: WeightedHasseDiagram) -> dict:
     """JSON-ready dict; weights are decimal strings."""
-    name = _vertex_names(g)
+    name = {w: to_string(w) for stratum in g.ranks for w in stratum}
     return {
         "n": g.n,
         "order": g.order,
@@ -384,39 +456,51 @@ def diagram_to_json(g: WeightedHasseDiagram) -> dict:
     }
 
 
-def _json_chunks(g: WeightedHasseDiagram) -> Iterator[str]:
-    """The text of ``json.dumps(diagram_to_json(g), indent=2)`` in pieces:
-    the head and the ranks, then the edges of one rank step per piece, so
-    that no document and no string of the whole text is ever held."""
-    name = _vertex_names(g)
-    quoted = {w: json.dumps(text) for w, text in name.items()}
-    head = {"n": g.n, "order": g.order, "weights": g.weights}
-    head["ranks"] = [[name[w] for w in stratum] for stratum in g.ranks]
-    yield json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "edges": ['
-    sep = "\n"
-    for low, high, step in zip(g.ranks, g.ranks[1:], g._steps):
+# one edge of each output format, from the names of its ends and its weight
+_EDGE = {
+    "json": '    [\n      "{}",\n      "{}",\n      "{}"\n    ]',
+    "dot": '  "{}" -> "{}" [label="{}"];',
+    "table": "{} -> {}  weight {}",
+}
+
+
+def _chunks(g: WeightedHasseDiagram, fmt: str) -> Iterator[str]:
+    """The ``hasse`` command's output of ``g`` in ``fmt`` ("json", "dot" or
+    "table"), in pieces: the edges of one rank step per piece.  So with the
+    ranks and steps of :func:`_streamed` no document, edge list or string of
+    the whole text is held, only the names of the vertices.  The json text
+    is ``json.dumps(diagram_to_json(g), indent=2)`` and a newline; names are
+    digits and commas, which need no escapes."""
+    names = [[_one_line(w) for w in stratum] for stratum in g.ranks]
+    if fmt == "json":
+        head = json.dumps({"n": g.n, "order": g.order, "weights": g.weights}, indent=2)
+        yield head[: -len("\n}")] + ',\n  "ranks": ['
+        for k, stratum in enumerate(names):
+            members = ",\n".join(f'      "{s}"' for s in stratum)
+            yield ("\n" if k == 0 else ",\n") + f"    [\n{members}\n    ]"
+        yield '\n  ],\n  "edges": ['
+    elif fmt == "dot":
+        yield f'digraph "{g.order}_{g.weights}_S{g.n}" {{\n  rankdir=BT;\n  node [shape=plaintext];\n'
+    else:
+        yield f"# S_{g.n}, {g.order} order, {g.weights} weights\n"
+    edge, sep = _EDGE[fmt], "\n"
+    for k, step in enumerate(g._steps):
         if step:
-            yield sep + ",\n".join(
-                f'    [\n      {quoted[low[r]]},\n      {quoted[high[c]]},\n      "{wt}"\n    ]'
-                for r, c, wt in step
-            )
-            sep = ",\n"
-    yield "]\n}" if sep == "\n" else "\n  ]\n}"
+            lines = (edge.format(names[k][r], names[k + 1][c], wt) for r, c, wt in step)
+            if fmt == "json":
+                yield sep + ",\n".join(lines)
+                sep = ",\n"
+            else:
+                yield "\n".join(lines) + "\n"
+    if fmt == "json":
+        yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+    elif fmt == "dot":
+        for stratum in names:
+            yield "  { rank=same; " + "; ".join(f'"{s}"' for s in stratum) + "; }\n"
+        yield "}\n"
 
 
 def diagram_to_dot(g: WeightedHasseDiagram) -> str:
     """Graphviz source: vertices by one-line notation, edges labeled by
     weight, each rank pinned to its own level."""
-    name = _vertex_names(g)
-    lines = [
-        f'digraph "{g.order}_{g.weights}_S{g.n}" {{',
-        "  rankdir=BT;",
-        "  node [shape=plaintext];",
-    ]
-    for src, dst, wt in g.edges:
-        lines.append(f'  "{name[src]}" -> "{name[dst]}" [label="{wt}"];')
-    for stratum in g.ranks:
-        members = "; ".join(f'"{name[w]}"' for w in stratum)
-        lines.append(f"  {{ rank=same; {members}; }}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_chunks(g, "dot"))

@@ -20,13 +20,8 @@ from __future__ import annotations
 import math
 
 from .chains import _dm_step, _um_step, staircase
-from .hasse import _sweep, build_hasse, rank_size
-from .permutations import (
-    num_inversions_max,
-    permutations_by_rank,
-    permutations_of_rank,
-    to_string,
-)
+from .hasse import _streamed, _sweep, build_hasse, mahonian_numbers, rank_size
+from .permutations import _rank, num_inversions_max, permutations_of_rank, to_string
 from .schubert import (
     _peel,
     _schubert_table,
@@ -155,9 +150,9 @@ def commutator_check(n: int) -> tuple[bool, dict | None]:
     the entry (row, column) in lex order of its permutations, and the
     expected and actual values.
     """
-    strong = build_hasse(n, "strong", "code")
-    weak = build_hasse(n, "weak", "nabla")
-    return _sl2_scan(strong._steps, weak._steps, [len(stratum) for stratum in strong.ranks])
+    strong = _streamed(n, "strong", "code")._steps
+    weak = _streamed(n, "weak", "nabla")._steps
+    return _sl2_scan(strong, weak, mahonian_numbers(n))
 
 
 def verify_sl2(n: int) -> dict:
@@ -171,39 +166,55 @@ def verify_sl2(n: int) -> dict:
     }
 
 
+# the four path counts of u of length l, in report order
+_PATH_LABELS = (
+    "raising count u to top over (N-l)!",
+    "lowering count bottom to u over l!",
+    "raising count bottom to w0*u over (N-l)!",
+    "lowering count w0*u to top over l!",
+)
+
+
 def verify_path_identities(n: int) -> dict:
     """All four weighted path counts against the principal specialization,
-    for every permutation of S_n, walking its strata.  The four counts of u
-    of length l are read from the sweeps of :func:`hasse._sweep` and
+    for every permutation of S_n.  The four counts of u of length l are
     compared, divisions cross-multiplied, with (N-l)! or l! times S_u(1)
     from the integer transition recursion
-    :func:`schubert._specialization_table`; no polynomial is built."""
+    :func:`schubert._specialization_table`; no polynomial is built.
+
+    The strong/code and weak/nabla steps are made on demand and swept up
+    together, then down together, by :func:`hasse._sweep`, so a few steps
+    and the rows of one rank are held at a time, beside S_u(1) for all u.
+    Rank k of a sweep holds the counts of the u of rank k and, since w0*u
+    of rank N-l sits at the mirrored index, those of the w0*u for the u of
+    rank N-k.  Failures come in the order of u and then of the labels.
+    """
     top = num_inversions_max(n)
-    spec = _specialization_table(n)
-    (strong_from, strong_to), (weak_from, weak_to) = (
-        (_sweep(g, up=True), _sweep(g, up=False))
-        for g in (build_hasse(n, "strong", "code"), build_hasse(n, "weak", "nabla"))
-    )
-    failures = []
-    for lu, stratum in enumerate(permutations_by_rank(n)):
-        co_fact, fact = math.factorial(top - lu), math.factorial(lu)
-        for u in stratum:
-            mirror = tuple(n + 1 - v for v in u)  # w0 * u
-            values = {
-                "raising count u to top over (N-l)!": (strong_to[u], co_fact),
-                "lowering count bottom to u over l!": (weak_from[u], fact),
-                "raising count bottom to w0*u over (N-l)!": (strong_from[mirror], co_fact),
-                "lowering count w0*u to top over l!": (weak_to[mirror], fact),
-            }
-            for label, (count, denom) in values.items():
-                if count != spec[u] * denom:
-                    failures.append(
-                        {
-                            "witness": f"{to_string(u)}: {label}",
-                            "expected": str(spec[u] * denom),
-                            "actual": str(count),
-                        }
-                    )
+    spec = list(_specialization_table(n))
+    steps = [_streamed(n, order, weights)._steps for order, weights in (("strong", "code"), ("weak", "nabla"))]
+    found = []  # (rank of u, index of u, label, expected, actual)
+
+    def check(k: int, row: dict[int, int], label: int, fact: int, mirrored: bool) -> None:
+        last = len(spec[k]) - 1
+        for i, value in enumerate(spec[k]):
+            count = row.get(last - i if mirrored else i, 0)
+            if count != value * fact:
+                found.append((k, i, label, value * fact, count))
+
+    for k, (strong, weak) in enumerate(zip(*(_sweep(s, up=True) for s in steps))):
+        check(k, weak, 1, math.factorial(k), False)
+        check(top - k, strong, 2, math.factorial(k), True)
+    for k, (strong, weak) in zip(range(top, -1, -1), zip(*(_sweep(s, up=False) for s in steps))):
+        check(k, strong, 0, math.factorial(top - k), False)
+        check(top - k, weak, 3, math.factorial(top - k), True)
+    failures = [
+        {
+            "witness": f"{to_string(_rank(n, k)[0][i])}: {_PATH_LABELS[label]}",
+            "expected": str(expected),
+            "actual": str(actual),
+        }
+        for k, i, label, expected, actual in sorted(found)
+    ]
     total = math.factorial(n)
     return {
         "suite": "path-identities",
@@ -216,21 +227,19 @@ def verify_path_identities(n: int) -> dict:
 
 def verify_macdonald(n: int) -> dict:
     """Weighted chain count from the identity equals l(u)! times the
-    principal specialization of the Schubert polynomial, for every u,
-    walking the strata of S_n.  S_u(1) comes from the integer transition
-    recursion :func:`schubert._specialization_table`; no polynomial is
-    built."""
-    counts = _sweep(build_hasse(n, "weak", "nabla"), up=True)
-    spec = _specialization_table(n)
+    principal specialization of the Schubert polynomial, for every u, rank
+    by rank: the up sweep of the weak/nabla steps, made on demand, beside
+    S_u(1) from the integer transition recursion
+    :func:`schubert._specialization_table`; no polynomial is built."""
     failures = []
-    for lu, stratum in enumerate(permutations_by_rank(n)):
-        fact = math.factorial(lu)
-        for u in stratum:
-            expected = fact * spec[u]
-            if counts[u] != expected:
-                failures.append(
-                    {"witness": to_string(u), "expected": str(expected), "actual": str(counts[u])}
-                )
+    sweep = _sweep(_streamed(n, "weak", "nabla")._steps, up=True)
+    for k, (row, values) in enumerate(zip(sweep, _specialization_table(n))):
+        fact = math.factorial(k)
+        for i, value in enumerate(values):
+            count = row.get(i, 0)
+            if count != fact * value:
+                u = _rank(n, k)[0][i]
+                failures.append({"witness": to_string(u), "expected": str(fact * value), "actual": str(count)})
     return {"suite": "macdonald", "n": n, "checked": math.factorial(n), "failures": failures}
 
 

@@ -21,8 +21,9 @@ values i and i+1 wherever they sit).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Permutation = tuple[int, ...]
 
@@ -178,48 +179,60 @@ def strong_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int, int]]:
     return covers
 
 
-def _codes(n: int) -> Iterator[tuple[int, ...]]:
-    """The full Lehmer codes of S_n (c_n = 0 included) in lex order of their
-    words: a code is the factorial-base digits of its word's lex index,
-    sum_p c_p * (n-1-p)! with 0-based p."""
-    return itertools.product(*(range(n - p) for p in range(n)))
+@lru_cache(maxsize=4)
+def _rank(n: int, k: int) -> tuple[tuple[Permutation, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Rank k of S_n in lex order: its words, their full Lehmer codes (c_n = 0
+    included) and their lex indices among all n! words.
+
+    The word (v, u relabelled) of S_n, where u in S_{n-1} has every value
+    from v up raised by one, has code (v-1, c(u)), so length v-1 + l(u), and
+    lex index (v-1)(n-1)! + g(u) (Bjoerner-Brenti, GTM 231, section 2.1).
+    So rank k is read off ranks k-a of S_{n-1}, a = v-1 ascending, each in
+    lex order; S_{n-1} is kept whole by :func:`_strata`, and the last few ranks
+    of S_n here, so a scan over neighbouring ranks makes each once.  Cached
+    and shared; treat it as read-only.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
+    if not 0 <= k <= num_inversions_max(n):
+        raise ValueError(f"rank out of range for S_{n}: {k}")
+    if n == 1:
+        return ((1,),), ((0,),), (0,)
+    lower = _strata(n - 1)
+    place = math.factorial(n - 1)
+    words: list[Permutation] = []
+    codes: list[tuple[int, ...]] = []
+    lexes: list[int] = []
+    for a in range(max(0, k + 1 - len(lower)), min(n - 1, k) + 1):
+        us, cs, gs = lower[k - a]
+        up = tuple(x + (x > a) for x in range(n))  # value x of u becomes up[x]
+        words += [(a + 1, *map(up.__getitem__, u)) for u in us]
+        codes += [(a, *c) for c in cs]
+        base = a * place
+        lexes += [base + g for g in gs]
+    return tuple(words), tuple(codes), tuple(lexes)
 
 
-def _lex_codes(n: int) -> Iterator[tuple[Permutation, tuple[int, ...]]]:
-    """Every word of S_n beside its full Lehmer code, in lex order."""
-    return zip(itertools.permutations(range(1, n + 1)), _codes(n))
+@lru_cache(maxsize=None)
+def _strata(n: int) -> tuple[tuple, ...]:
+    """Every rank of S_n as :func:`_rank` makes it: what rank k of S_{n+1}
+    is read from.  Cached and shared; treat it as read-only."""
+    return tuple(_rank(n, k) for k in range(num_inversions_max(n) + 1))
 
 
 @lru_cache(maxsize=None)
 def permutations_by_rank(n: int) -> tuple[tuple[Permutation, ...], ...]:
     """All of S_n stratified by length; each stratum sorted lexicographically.
 
-    The words come in lex order beside their Lehmer codes, and the length
-    of a word is the sum of its code, so no inversion is counted.
+    The words of each rank as :func:`_rank` makes them, so no inversion is
+    counted.
 
     >>> permutations_by_rank(3)[1]
     ((1, 3, 2), (2, 1, 3))
     """
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
-    ranks: list[list[Permutation]] = [[] for _ in range(num_inversions_max(n) + 1)]
-    for word, code in _lex_codes(n):
-        ranks[sum(code)].append(word)
-    return tuple(tuple(stratum) for stratum in ranks)
-
-
-@lru_cache(maxsize=None)
-def _rank_index(n: int) -> list[int]:
-    """The index of each permutation of S_n within its stratum of
-    :func:`permutations_by_rank`, listed by lex index.  Cached and shared;
-    treat it as read-only."""
-    seen = [0] * (num_inversions_max(n) + 1)
-    out = []
-    for code in _codes(n):
-        k = sum(code)
-        out.append(seen[k])
-        seen[k] += 1
-    return out
+    return tuple(_rank(n, k)[0] for k in range(num_inversions_max(n) + 1))
 
 
 def permutations_of_rank(n: int, k: int) -> list[Permutation]:
@@ -228,10 +241,7 @@ def permutations_of_rank(n: int, k: int) -> list[Permutation]:
     >>> permutations_of_rank(3, 1)
     [(1, 3, 2), (2, 1, 3)]
     """
-    strata = permutations_by_rank(n)
-    if not 0 <= k < len(strata):
-        raise ValueError(f"rank out of range for S_{n}: {k}")
-    return list(strata[k])
+    return list(_rank(n, k)[0])
 
 
 def to_string(w: Iterable[int]) -> str:
@@ -240,10 +250,12 @@ def to_string(w: Iterable[int]) -> str:
     >>> to_string((3, 1, 2))
     '312'
     """
-    word = validated(w)
-    if len(word) <= 9:
-        return "".join(map(str, word))
-    return ",".join(map(str, word))
+    return _one_line(validated(w))
+
+
+def _one_line(word: Permutation) -> str:
+    """:func:`to_string` of a permutation that is valid by construction."""
+    return ("" if len(word) <= 9 else ",").join(map(str, word))
 
 
 def parse(text: str) -> Permutation:

@@ -33,11 +33,12 @@ back-substitution from the lex-least term, with no division.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .chains import monomials_of_profile_rank, staircase
 from .permutations import (
     Permutation,
+    _rank,
     inverse,
     longest_element,
     num_inversions_max,
@@ -314,18 +315,23 @@ def _transition_terms(w: Permutation) -> list[Permutation]:
     return terms
 
 
-@lru_cache(maxsize=None)
-def _specialization_table(n: int) -> dict[Permutation, int]:
-    """S_w(1) for every w of S_n by :func:`_transition_terms`, filling the
-    strata upward, each from its lex-largest permutation down; no polynomial
-    is built.  S_w(1) = S_{w^-1}(1), so the values hold in both conventions.
+def _specialization_table(n: int) -> Iterator[list[int]]:
+    """S_w(1) for the permutations w of each rank k = 0..N of S_n in turn,
+    as a list in the lex order of the rank, by :func:`_transition_terms`; no
+    polynomial is built.  The terms of w are v, of rank k-1, and the v*t_ir,
+    of rank k and lex-larger than w, so each rank is filled from its
+    lex-largest permutation down and only two ranks are held at a time.
+    S_w(1) = S_{w^-1}(1), so the values hold in both conventions.
     """
-    table: dict[Permutation, int] = {}
-    for stratum in permutations_by_rank(n):
+    below: dict[Permutation, int] = {}
+    for k in range(num_inversions_max(n) + 1):
+        stratum = _rank(n, k)[0]
+        here: dict[Permutation, int] = {}
         for w in reversed(stratum):
             terms = _transition_terms(w)
-            table[w] = sum(table[v] for v in terms) if terms else 1
-    return table
+            here[w] = below[terms[0]] + sum(here[t] for t in terms[1:]) if terms else 1
+        yield [here[w] for w in stratum]
+        below = here
 
 
 def _specialization(w: Permutation) -> int:

@@ -101,6 +101,8 @@ def _sl2_scan(
             for c, w in above_up.get(i, ()):
                 for r, v in above_down.get(c, ()):
                     row[r] = row.get(r, 0) - w * v
+            if row[i] == want and not any(v for j, v in row.items() if j != i):
+                continue
             for j in sorted(row):
                 expected = want if i == j else 0
                 if row[j] != expected:
@@ -110,12 +112,13 @@ def _sl2_scan(
 
 
 def _mirror_scan(
-    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int]
+    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int], last: int | None = None
 ) -> tuple[int, tuple[int, int, int | None], int | None] | None:
     """The mirror that lays rank k of a graded space onto rank N - k
     backwards (N = len(sizes) - 1) must carry each triple (r, c, w) of
     ``up[k]`` onto the triple (sizes[k+1]-1-c, sizes[k]-1-r, w) of
-    ``down[N-1-k]``, one to one.
+    ``down[N-1-k]``, one to one, for k = 0..``last`` (default N - 1).  Step
+    k is read before step N-1-k, each once.
 
     Each lowering step is read into one dict by place, so a step with an
     extra or repeated triple fails.  Returns None when the mirror holds,
@@ -125,7 +128,8 @@ def _mirror_scan(
     raising triple mirrors, as its preimage (r, c, None) with its weight.
     """
     total = len(sizes) - 1
-    for k, step in enumerate(up):
+    for k in range(total if last is None else last + 1):
+        step = up[k]
         hi, lo = sizes[k + 1] - 1, sizes[k] - 1
         lowering = down[total - 1 - k]
         found = {(r, c): w for r, c, w in lowering}

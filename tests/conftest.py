@@ -1,6 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import functools
 import importlib
 import sys
 
@@ -8,7 +7,6 @@ import pytest
 
 import bruhatops.chains as chains
 import bruhatops.permutations as permutations
-from bruhatops.hasse import WeightedHasseDiagram
 
 # the chain certificate's caches, keyed by the profile (and the rank) alone
 _CHAIN_CACHES = (chains._walk, chains._rank_det, chains._sl2_certificate)
@@ -50,11 +48,9 @@ def validated_calls(monkeypatch):
 @pytest.fixture
 def no_schubert_table(monkeypatch):
     """Building the Schubert polynomial table fails from here on, through
-    each package module's own binding, and the operators read the table of
-    S_u(1) from a fresh, empty cache, so that no value computed before the
-    test can hide a use of the polynomial table.  The CLI reads S_u(1) of
-    one permutation, which has no cache."""
-    schubert_module = importlib.import_module("bruhatops.schubert")
+    each package module's own binding.  S_u(1) comes from the integer
+    recursion, which keeps no cache, so no value computed before the test
+    can hide a use of the polynomial table."""
 
     def refuse(n):
         raise AssertionError(f"the Schubert polynomial table of S_{n} was built")
@@ -62,27 +58,43 @@ def no_schubert_table(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "bruhatops" and hasattr(module, "_schubert_table"):
             monkeypatch.setattr(module, "_schubert_table", refuse)
-    fresh = functools.lru_cache(maxsize=None)(schubert_module._specialization_table.__wrapped__)
-    monkeypatch.setattr(importlib.import_module("bruhatops.operators"), "_specialization_table", fresh)
+
+
+@pytest.fixture
+def no_whole_diagram(monkeypatch):
+    """Building a whole cover diagram or the whole of S_n by rank fails from
+    here on, through each package module's own binding of ``build_hasse``
+    and ``permutations_by_rank``, so only steps and ranks made on demand
+    can be read."""
+
+    def refuse(*args):
+        raise AssertionError(f"a whole diagram or enumeration was built: {args}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bruhatops":
+            for attr in ("build_hasse", "permutations_by_rank"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 @pytest.fixture
 def bump_raising_step(monkeypatch):
-    """``bump(n, k, triple)`` adds ``triple`` to step k of a rebuilt
-    strong/code diagram of S_n, which ``operators.build_hasse`` returns from
-    then on; every other diagram is built as usual."""
-    operators = importlib.import_module("bruhatops.operators")
-    real = operators.build_hasse
+    """``bump(n, k, triple)`` adds ``triple`` to step k of strong/code on
+    S_n as ``hasse._step``, the one step builder, makes it from then on, so
+    every reader of that step sees it; every other step is made as usual.
+    No diagram built meanwhile stays cached after the test."""
+    hasse = importlib.import_module("bruhatops.hasse")
+    real = hasse._step
 
     def bump(n, k, triple):
-        g = real(n, "strong", "code")
-        steps = g._steps[:k] + (g._steps[k] + (triple,),) + g._steps[k + 1 :]
-        broken = WeightedHasseDiagram(n, "strong", "code", g.ranks, steps)
-        monkeypatch.setattr(
-            operators, "build_hasse", lambda m, o, w: broken if (m, o, w) == (n, "strong", "code") else real(m, o, w)
-        )
+        def step(m, order, weights, j):
+            made = real(m, order, weights, j)
+            return made + (triple,) if (m, order, weights, j) == (n, "strong", "code", k) else made
 
-    return bump
+        monkeypatch.setattr(hasse, "_step", step)
+
+    yield bump
+    hasse.build_hasse.cache_clear()
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ class TestExitCodes:
         assert "together" in err
 
     def test_cap_exceeded_without_force(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "macdonald", "--n", "7")
+        code, _, err = run(capsys, "verify", "--suite", "macdonald", "--n", "9")
         assert code == 2
         assert "--force" in err
 
@@ -174,6 +174,36 @@ class TestHasseCommand:
         _, first, _ = run(capsys, "hasse", "--n", "4", "--order", "strong", "--weights", "chevalley")
         _, second, _ = run(capsys, "hasse", "--n", "4", "--order", "strong", "--weights", "chevalley")
         assert first == second
+
+
+# the commands that read only steps and ranks made on demand, at n = 5
+STREAMED = {
+    "hasse-json": ["hasse", "--n", "5", "--order", "strong", "--weights", "code"],
+    "hasse-dot": ["hasse", "--n", "5", "--order", "weak", "--weights", "nabla", "--format", "dot"],
+    "hasse-table": ["hasse", "--n", "5", "--order", "strong", "--weights", "chevalley", "--format", "table"],
+    "w0-symmetry": ["verify", "--suite", "w0-symmetry", "--n", "5"],
+    "macdonald": ["verify", "--suite", "macdonald", "--n", "5"],
+    "path-identities": ["verify", "--suite", "path-identities", "--n", "5"],
+    "sl2": ["verify", "--suite", "sl2", "--n", "5"],
+}
+
+
+class TestStreamedCommands:
+    @pytest.mark.parametrize("name", list(STREAMED))
+    def test_build_no_whole_diagram(self, capsys, request, name):
+        # the same stdout as before the whole diagrams were refused; the
+        # hasse output is also the whole cached diagram's, written by the
+        # emitter of each format
+        from bruhatops.hasse import _chunks, build_hasse
+
+        argv = STREAMED[name]
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        if argv[0] == "hasse":
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+            assert want[1] == "".join(_chunks(build_hasse(5, argv[4], argv[6]), fmt))
+        request.getfixturevalue("no_whole_diagram")
+        assert run(capsys, *argv) == want
 
 
 class TestVerifyCommand:

@@ -3,12 +3,16 @@
 import itertools
 import json
 import math
+from functools import lru_cache
 
 import pytest
 
+import bruhatops.hasse as hasse_module
 from bruhatops.hasse import (
     WeightedHasseDiagram,
-    _json_chunks,
+    _chunks,
+    _half_mirror_scan,
+    _streamed,
     _sweep,
     build_hasse,
     chevalley_weight,
@@ -25,12 +29,14 @@ from bruhatops.permutations import (
     inverse,
     length,
     lehmer_code,
+    num_inversions_max,
     permutations_by_rank,
     strong_covers_up,
     to_string,
     w0_times,
     weak_covers_up,
 )
+from bruhatops.snf import _mirror_scan
 from oracles import matmul, reference_ranks
 
 ALL_SYSTEMS = [
@@ -68,6 +74,7 @@ def reference_code_weight(w, i, j):
     return 1 + 2 * sum(1 for v in w[j:] if a < v < b)
 
 
+@lru_cache(maxsize=None)
 def reference_steps(n, order, weights):
     """Oracle: the sorted steps of a diagram built vertex by vertex from the
     public covers of each permutation, each cover's column looked up in a
@@ -301,9 +308,16 @@ class TestSweeps:
         for n in range(1, 6):
             g = build_hasse(n, order, weights)
             eps, w0 = g.ranks[0][0], g.ranks[-1][0]
-            perms = [w for stratum in g.ranks for w in stratum]
-            assert _sweep(g, up=True) == {u: weighted_path_count(g, eps, u) for u in perms}
-            assert _sweep(g, up=False) == {u: weighted_path_count(g, u, w0) for u in perms}
+            up = list(_sweep(g._steps, up=True))
+            down = list(_sweep(g._steps, up=False))[::-1]
+            assert len(up) == len(down) == len(g.ranks)
+            for k, stratum in enumerate(g.ranks):
+                assert [up[k].get(i, 0) for i in range(len(stratum))] == [
+                    weighted_path_count(g, eps, u) for u in stratum
+                ]
+                assert [down[k].get(i, 0) for i in range(len(stratum))] == [
+                    weighted_path_count(g, u, w0) for u in stratum
+                ]
 
 
 class TestLayerMatrices:
@@ -451,6 +465,135 @@ class TestW0Symmetry:
         )
 
 
+def mirror_doubles():
+    """The perturbed diagrams of the w0 tests, as (ranks, steps) by name,
+    and two more: a triple doubled in the middle step, which only the last
+    rank of the half scan reads, and a weight raised only above the middle
+    rank."""
+    g = build_hasse(3, "weak", "nabla")
+    raised = [list(step) for step in g._steps]
+    r, c, wt = raised[0][0]
+    raised[0][0] = (r, c, wt + 1)
+    g4 = build_hasse(4, "weak", "nabla")
+    above = [list(step) for step in g4._steps]
+    r, c, wt = above[4][0]
+    above[4][0] = (r, c, wt + 1)
+    return {
+        "shuffled ranks": ((g.ranks[0], g.ranks[1][::-1], *g.ranks[2:]), g._steps),
+        "doubled triple": (g.ranks, (((0, 0, 2), (0, 0, 2), (0, 1, 1)), *g._steps[1:])),
+        "raised weight": (g.ranks, tuple(map(tuple, raised))),
+        "missing triple": (g.ranks, (*g._steps[:2], ((0, 0, 1),))),
+        "repeated mirror": (g.ranks, (*g._steps[:2], ((0, 0, 1), (1, 0, 2), (1, 0, 2)))),
+        "doubled triple in the middle step": (
+            g.ranks,
+            (g._steps[0], g._steps[1][:1] * 2 + g._steps[1][1:], g._steps[2]),
+        ),
+        "raised weight above the middle": (g4.ranks, tuple(map(tuple, above))),
+    }
+
+
+class TestHalfMirrorScan:
+    @pytest.mark.parametrize("name", list(mirror_doubles()))
+    def test_equals_the_full_scan(self, name):
+        ranks, steps = mirror_doubles()[name]
+        sizes = [len(stratum) for stratum in ranks]
+        full = _mirror_scan(steps, steps, sizes)
+        assert _half_mirror_scan(steps, sizes) == full
+        assert (full is None) == (name == "shuffled ranks")
+
+    def test_change_above_the_middle_is_reported_at_its_mirror_rank(self):
+        # step 4 of S_4 (N = 6) mirrors step 1, the last read is step 2;
+        # the witness is the parent's full-scan witness
+        ranks, steps = mirror_doubles()["raised weight above the middle"]
+        g = WeightedHasseDiagram(4, "weak", "nabla", ranks, steps)
+        assert _half_mirror_scan(steps, [len(stratum) for stratum in ranks]) == (1, (1, 4, 1), 2)
+        assert w0_symmetry_check(g) == (
+            False,
+            {"edge": "1324->3124", "weight": "1", "mirror": "2431->4231", "mirror_weight": "2"},
+        )
+
+    def test_suite_reports_an_extra_triple_above_the_middle(self, monkeypatch):
+        # a second triple at place (0, 0) of step 4 of the strong order on
+        # S_4, weighing 7 as code and 1 as chevalley, in every view of the
+        # step the builder makes; each system fails at rank 1 with the full
+        # scan's witness of the parent
+        real = hasse_module._step
+        extra = {"code": 7, "chevalley": 1, ("code", "chevalley"): (7, 1)}
+
+        def step(n, order, weights, k):
+            made = real(n, order, weights, k)
+            return made + ((0, 0, extra[weights]),) if (n, order, k) == (4, "strong", 4) else made
+
+        monkeypatch.setattr(hasse_module, "_step", step)
+        report = verify_w0_symmetry(4)
+        assert report["checked"] == 154
+        edge = {"edge": "2134->3124", "mirror": "2431->3421"}
+        assert report["failures"] == [
+            {"witness": "strong/code", **edge, "weight": "1", "mirror_weight": "7"},
+            {"witness": "strong/chevalley", **edge, "weight": "2", "mirror_weight": "1"},
+        ]
+
+    def test_suite_builds_each_step_once(self, monkeypatch):
+        # one scan per order, the strong one for both weights at once
+        real, made = hasse_module._step, []
+
+        def spy(n, order, weights, k):
+            made.append((order, k))
+            return real(n, order, weights, k)
+
+        monkeypatch.setattr(hasse_module, "_step", spy)
+        for n in range(1, 7):
+            made.clear()
+            assert verify_w0_symmetry(n)["failures"] == []
+            top = num_inversions_max(n)
+            assert sorted(made) == [(order, k) for order in ("strong", "weak") for k in range(top)], n
+
+
+class TestStreamedSteps:
+    @pytest.mark.parametrize("order,weights", [("weak", "nabla"), ("strong", "code"), ("strong", "chevalley")])
+    def test_steps_on_demand_equal_the_oracle(self, order, weights):
+        for n in range(1, 8):
+            g = _streamed(n, order, weights)
+            assert tuple(g._steps[k] for k in range(len(g._steps))) == reference_steps(n, order, weights), n
+            assert tuple(g.ranks[k] for k in range(len(g.ranks))) == reference_ranks(n), n
+
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_steps_read_downward_equal_the_whole_diagram(self, order, weights):
+        for n in range(1, 6):
+            g = _streamed(n, order, weights)
+            down = [g._steps[k] for k in range(len(g._steps) - 1, -1, -1)]
+            assert tuple(down[::-1]) == build_hasse(n, order, weights)._steps, n
+
+    def test_pair_weights_are_code_and_chevalley(self):
+        for n in range(1, 7):
+            pair = _streamed(n, "strong", ("code", "chevalley"))._steps
+            code, chevalley = build_hasse(n, "strong", "code"), build_hasse(n, "strong", "chevalley")
+            for k in range(len(pair)):
+                assert pair[k] == tuple(
+                    (r, c, (a, b)) for (r, c, a), (_, _, b) in zip(code._steps[k], chevalley._steps[k])
+                ), (n, k)
+
+    def test_last_step_read_is_kept(self, monkeypatch):
+        real, made = hasse_module._step, []
+        monkeypatch.setattr(hasse_module, "_step", lambda *args: made.append(args) or real(*args))
+        steps = _streamed(4, "strong", "code")._steps
+        assert steps[3] is steps[3]
+        assert steps[2] == build_hasse(4, "strong", "code")._steps[2]
+        assert made == [(4, "strong", "code", 3), (4, "strong", "code", 2)]
+        whole = build_hasse(4, "strong", "code")._steps
+        assert steps.made == len(whole[3]) + len(whole[2])
+        with pytest.raises(IndexError):
+            steps[6]
+
+    def test_bad_input_raises_before_anything_is_made(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            _streamed(0, "weak", "code")
+        with pytest.raises(ValueError, match="n must be positive: 0"):
+            _streamed(0, "weak", "nabla")
+        with pytest.raises(ValueError, match="unknown weight system"):
+            _streamed(3, "strong", ("code", "lengths"))
+
+
 class TestExports:
     def test_json_shape(self):
         doc = diagram_to_json(build_hasse(3, "strong", "code"))
@@ -471,4 +614,4 @@ class TestExports:
     def test_json_chunks_are_the_indented_document(self, order, weights):
         for n in range(1, 6):
             g = build_hasse(n, order, weights)
-            assert "".join(_json_chunks(g)) == json.dumps(diagram_to_json(g), indent=2), n
+            assert "".join(_chunks(g, "json")) == json.dumps(diagram_to_json(g), indent=2) + "\n", n

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import bruhatops.hasse as hasse_module
 import bruhatops.operators as operators
 from bruhatops.chains import dm_layer_matrix, um_layer_matrix
 from bruhatops.hasse import WeightedHasseDiagram, build_hasse, layer_matrix, weighted_path_count
@@ -307,8 +308,10 @@ class TestCommutator:
         ],
     )
     def test_only_code_and_nabla_weights_are_dual(self, monkeypatch, strong, weak, firsts):
+        # every step is made with the other weights, through the one builder
         pick = {"strong": strong, "weak": weak}
-        monkeypatch.setattr(operators, "build_hasse", lambda n, o, w: build_hasse(n, o, pick[o]))
+        real = hasse_module._step
+        monkeypatch.setattr(hasse_module, "_step", lambda n, o, w, k: real(n, o, pick[o], k))
         for n, (rank, want, got) in zip((3, 4, 5), firsts):
             witness = {"rank": rank, "entry": [0, 0], "expected": str(want), "actual": str(got)}
             assert commutator_check(n) == (False, witness), n
@@ -362,7 +365,12 @@ class TestPathIdentities:
         # S_1324(1) = 2, read as 3: l = 1 and (N - l)! = 5! = 120
         real = operators._specialization_table
         u = (1, 3, 2, 4)
-        monkeypatch.setattr(operators, "_specialization_table", lambda n: {**real(n), u: real(n)[u] + 1})
+
+        def bumped(n):
+            for k, values in enumerate(real(n)):
+                yield [v + (w == u) for w, v in zip(permutations_of_rank(n, k), values)]
+
+        monkeypatch.setattr(operators, "_specialization_table", bumped)
         assert verify_path_identities(4)["failures"] == [
             {"witness": "1324: raising count u to top over (N-l)!", "expected": "360", "actual": "240"},
             {"witness": "1324: lowering count bottom to u over l!", "expected": "3", "actual": "2"},

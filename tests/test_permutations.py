@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruhatops.permutations import (
-    _rank_index,
+    _rank,
     identity,
     inverse,
     lehmer_code,
@@ -186,11 +186,22 @@ class TestStratification:
         for n in range(1, 9):
             assert permutations_by_rank(n) == reference_ranks(n), n
 
-    def test_rank_index_follows_lex_order(self):
+    def test_ranks_on_demand_equal_the_brute_force_ranks(self):
+        # each rank alone: the words of the brute-force rank, their full
+        # Lehmer codes and their lex indices among all n! words
         for n in range(1, 8):
-            pos = {w: i for stratum in permutations_by_rank(n) for i, w in enumerate(stratum)}
-            want = [pos[w] for w in iter_permutations(range(1, n + 1))]
-            assert _rank_index(n) == want, n
+            lex = {w: g for g, w in enumerate(iter_permutations(range(1, n + 1)))}
+            for k, stratum in enumerate(reference_ranks(n)):
+                words, codes, lexes = _rank(n, k)
+                assert words == stratum, (n, k)
+                assert codes == tuple(lehmer_code(w) + (0,) for w in stratum), (n, k)
+                assert lexes == tuple(lex[w] for w in stratum), (n, k)
+
+    def test_rank_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="rank out of range for S_3: 4"):
+            _rank(3, 4)
+        with pytest.raises(ValueError, match="n must be positive"):
+            _rank(0, 0)
 
 
 class TestStringForms:
