@@ -33,9 +33,12 @@ __all__ = ["main", "entrypoint"]
 
 # default size caps; --force overrides with a warning on stderr.  The path
 # suites, w0-symmetry and sl2 read a few diagram steps at a time, made on
-# demand: each takes under 3 s and 40 MB at n = 8 (BENCH_streamed.json)
+# demand: each takes under 3 s and 40 MB at n = 8 (BENCH_streamed.json).
+# The action suites read them too, proved by certificates with no Schubert
+# table: at n = 8 nabla-action takes under 1 s / 30 MB and delta-action
+# under 4 s / 70 MB (BENCH_actions.json)
 PATH_SUITE_CAP = 8
-DIFFERENTIAL_SUITE_CAP = 5
+DIFFERENTIAL_SUITE_CAP = 8
 SL2_SUITE_CAP = 8
 SNF_SUITE_CAP = 5
 # All 30 windows at n=5 take well under a second, so speed is not why

@@ -18,12 +18,14 @@ the diagram, one step at a time.
 One builder, :func:`_step`, makes step k of a diagram from ranks k and k+1
 of S_n alone, and each rank is read off the ranks of S_{n-1}
 (:func:`permutations._rank`).  :func:`build_hasse` collects every step into
-a whole cached diagram, for tests, layer matrices and the action and
-``snf`` suites.  The ``hasse`` command, ``sl2``, ``w0-symmetry``,
-``macdonald`` and ``path-identities`` read the steps of :func:`_streamed`
-instead, made when they are read, so they hold a few steps at a time:
-``hasse`` writes one rank step per piece of output, and the w0 flip is
-scanned up to the middle rank only, since S_n is its own mirror.
+a whole cached diagram, for tests, layer matrices, the ``snf`` suite and
+the action suites' direct route, which runs only when their certificates
+fail.  The ``hasse`` command, ``sl2``, the action certificates,
+``w0-symmetry``, ``macdonald`` and ``path-identities`` read the steps of
+:func:`_streamed` instead, made when they are read, so they hold a few
+steps at a time: ``hasse`` writes one rank step per piece of output, and
+the w0 flip is scanned up to the middle rank only, since S_n is its own
+mirror.
 
 The Smith-form theorem for the layer matrices lives here too.  Its
 prediction is the diagonal model of the rank sizes of S_n, the Mahonian
@@ -175,7 +177,9 @@ def build_hasse(n: int, order: str, weights: str) -> WeightedHasseDiagram:
 class _Lazy:
     """A read-only sequence of ``size`` items, item k made by ``make(k)``
     when it is read; the last item made is kept, so reading it again in a
-    row makes it once.  ``made`` totals the lengths of the items made."""
+    row makes it once.  ``made`` totals the lengths of the items made.  An
+    index may be negative, and a slice is a lazy sequence of the items it
+    picks, each made by this one when read."""
 
     __slots__ = ("_make", "_size", "_last", "made")
 
@@ -185,9 +189,13 @@ class _Lazy:
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, k: int):
-        if not 0 <= k < self._size:
+    def __getitem__(self, k: int | slice):
+        if isinstance(k, slice):
+            picked = range(self._size)[k]
+            return _Lazy(lambda j: self[picked[j]], len(picked))
+        if not -self._size <= k < self._size:
             raise IndexError(k)
+        k %= self._size
         if self._last[0] != k:
             self._last = (k, self._make(k))
             self.made += len(self._last[1])

@@ -10,23 +10,62 @@ The action suites check that the raising and lowering operators' single
 steps in the padded Schubert basis are the code-weighted strong-order and
 index-weighted weak-order steps; sl2 checks those two diagrams' duality.
 Each ``verify_*`` suite returns its finished report on all of S_n, and the
-CLI runs it as one job: every rank of the action suites reads the same
-diagram and Schubert table, which a split across workers builds again in
-each.
+CLI runs it as one job.
+
+The action suites prove their identities from diagram scans, with no
+Schubert polynomial beyond x^rho and its n - 1 divided differences.
+
+* nabla.  nabla acts on the x-part as sum_j d/dx_j, which commutes with
+  every divided difference d_i, and S_w = d_i S_{s_i w} for a left ascent
+  i of w (value i before i+1).  If nabla S_{s_i w} = sum c(v) S_v over the
+  weighted lower covers v of s_i w, then nabla S_w = sum c(v) S_{s_i v}
+  over those v with s_i v < v.
+  So the weak/nabla identity holds on all of S_n once it holds at w0,
+  where S_{w0} = x^rho, and once the lower covers of every other w are
+  those of s_i w moved so, weights included: :func:`_nabla_certificate`.
+* delta.  Write D, V for the strong/code and weak/nabla steps, Delta_S and
+  nabla_S for the operators in the Schubert basis, and H = 2k - N on rank
+  k.  :func:`commutator_check` gives [D, V] = H; the sl2 scan of the
+  staircase box gives [Delta, nabla] = H on the monomials, hence on the
+  Schubert basis (the S_w form a basis: Macdonald, *Notes on Schubert
+  polynomials*, 1991); the nabla certificate gives nabla_S = V.  So
+  X = Delta_S - D has [X, V] = 0 and weight +2 under the sl2-triple
+  (D, V, H) acting on End(Q^{S_n}) by ad: a lowest-weight vector of
+  positive weight in a finite-dimensional sl2-module, which is 0
+  (Humphreys, GTM 9, section 7).  So Delta_S = D.
+
+When every hypothesis holds the report is read off the diagram alone.  A
+failing hypothesis, or a step whose triples repeat a place or carry a zero
+weight, sends the suite down the direct route instead: every Schubert
+polynomial pushed through the monomial step and peeled back into the basis
+(:func:`_action_report`), which names each failing permutation.
 """
 
 from __future__ import annotations
 
 import math
 
-from .chains import _dm_step, _um_step, staircase
+from .chains import _dm_step, _sl2_certificate, _um_step, staircase
 from .hasse import _streamed, _sweep, build_hasse, mahonian_numbers, rank_size
-from .permutations import _rank, num_inversions_max, permutations_of_rank, to_string
+from .permutations import (
+    Permutation,
+    _left_ascent,
+    _rank,
+    _swap,
+    num_inversions_max,
+    permutations_of_rank,
+    to_string,
+)
 from .schubert import (
+    IntPolynomial,
     _peel,
     _schubert_table,
     _specialization_table,
+    apply_nabla,
+    divided_difference,
     monomials_of_rank,
+    pad,
+    unpad,
 )
 from .snf import IntMatrix, SparseStep, _flipped, _sl2_scan, compose_steps, push_rows
 
@@ -88,11 +127,11 @@ def _padded_step(operator: str, n: int, k: int) -> SparseStep:
 
 
 def _action_report(operator: str, n: int) -> dict:
-    """The action suite's report, as one equality of single steps per rank
-    k: the row of each w of rank k in the padded delta step k against its
-    row in step k of strong/code, or its column in the padded nabla step
-    k - 1 against its column in that of weak/nabla.  Failures follow the
-    ranks, each in lex order."""
+    """The action suite's report by the direct route, as one equality of
+    single steps per rank k: the row of each w of rank k in the padded delta
+    step k against its row in step k of strong/code, or its column in the
+    padded nabla step k - 1 against its column in that of weak/nabla.
+    Failures follow the ranks, each in lex order."""
     up = operator == "delta"
     g = build_hasse(n, "strong", "code") if up else build_hasse(n, "weak", "nabla")
     checked, unit_reading_ok, failures = 0, True, []
@@ -116,27 +155,92 @@ def _action_report(operator: str, n: int) -> dict:
                         "actual": {to_string(u): str(c) for u, c in sorted(actual.items())},
                     }
                 )
+    return _report(operator, n, unit_reading_ok, checked, failures)
+
+
+def _report(operator: str, n: int, unit_reading_ok: bool, checked: int, failures: list) -> dict:
+    """The action suite's report, shared by both routes."""
     report: dict = {"suite": f"{operator}-action", "n": n}
-    if not up:
+    if operator == "nabla":
         report["weight_convention"] = "cover by s_i carries coefficient i"
         report["unit_weight_reading_consistent"] = unit_reading_ok
     return {**report, "checked": checked, "failures": failures}
 
 
+def _nabla_certificate(n: int) -> tuple[bool, dict | None]:
+    """The nabla half of the module docstring, on the weak/nabla steps made
+    on demand, two ranks at a time: (b) for every w below w0 and its least
+    left ascent i, the weighted lower covers of w are those v of s_i w with
+    s_i v < v, moved to s_i v; (a) nabla x^rho is the weighted sum of d_i
+    x^rho over the lower covers s_i w0 of w0.  Every triple is read into
+    the lower covers of its upper end, and a repeated place or a zero
+    weight fails, so every weight is compared once.
+
+    Returns (True, None) or (False, witness): the rank and the entry of a
+    bad triple, the rank, permutation and ascent of a failing (b), or the
+    two sides of a failing (a).
+    """
+    g = _streamed(n, "weak", "nabla")
+    below: dict[Permutation, dict[Permutation, int]] = {g.ranks[0][0]: {}}
+    for k in range(g.top_rank):
+        lower, upper = g.ranks[k], g.ranks[k + 1]
+        above: dict[Permutation, dict[Permutation, int]] = {w: {} for w in upper}
+        for r, c, wt in g._steps[k]:
+            covers, v = above[upper[c]], lower[r]
+            if not wt or v in covers:
+                return False, {"rank": k, "entry": [r, c], "weight": str(wt)}
+            covers[v] = wt
+        for w in lower:
+            i = _left_ascent(w)
+            moved = {_swap(v, i): wt for v, wt in above[_swap(w, i)].items() if v.index(i + 1) < v.index(i)}
+            if below[w] != moved:
+                return False, {"rank": k, "permutation": to_string(w), "ascent": i}
+        below = above
+    (covers,) = below.values()
+    rho = IntPolynomial.monomial(n, staircase(n))
+    got = IntPolynomial.zero(n)
+    for v, wt in covers.items():
+        got += divided_difference(_left_ascent(v), rho).scaled(wt)
+    want = unpad(apply_nabla(pad(rho)))
+    if got != want:
+        return False, {"rank": g.top_rank, "expected": str(want), "actual": str(got)}
+    return True, None
+
+
+def _certified_report(operator: str, n: int) -> dict | None:
+    """The action suite's report read off its diagram alone, for when the
+    certificates prove that diagram's steps equal the padded ones: every
+    weight checked, none failing.  None when a step repeats a place or
+    carries a zero weight, which the direct route reads otherwise."""
+    steps = _streamed(n, *(("strong", "code") if operator == "delta" else ("weak", "nabla")))._steps
+    weights = set()
+    for step in steps:
+        if len({(r, c) for r, c, wt in step if wt}) < len(step):
+            return None
+        weights.update(wt for _, _, wt in step)
+    return _report(operator, n, weights <= {1}, steps.made, [])
+
+
 def verify_nabla_theorem(n: int) -> dict:
-    """Expand nabla of every padded Schubert polynomial and compare with the
-    index-weighted weak-order covers going down.
+    """nabla of every padded Schubert polynomial against the index-weighted
+    weak-order covers going down: read off the diagram when
+    :func:`_nabla_certificate` holds, else by the direct route.
 
     Also records whether the weight-free reading (all coefficients 1) would
     survive; it fails as soon as a cover by s_i with i >= 2 appears.
     """
-    return _action_report("nabla", n)
+    report = _nabla_certificate(n)[0] and _certified_report("nabla", n)
+    return report or _action_report("nabla", n)
 
 
 def verify_delta_theorem(n: int) -> dict:
-    """Expand delta of every padded Schubert polynomial and compare with the
-    code-weighted strong-order covers going up."""
-    return _action_report("delta", n)
+    """delta of every padded Schubert polynomial against the code-weighted
+    strong-order covers going up: read off the diagram when the nabla
+    certificate, :func:`commutator_check` and the sl2 scan of the staircase
+    box all hold, else by the direct route."""
+    proved = _nabla_certificate(n)[0] and commutator_check(n)[0] and _sl2_certificate(staircase(n))[0][0]
+    report = proved and _certified_report("delta", n)
+    return report or _action_report("delta", n)
 
 
 def commutator_check(n: int) -> tuple[bool, dict | None]:

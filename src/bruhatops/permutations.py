@@ -141,6 +141,23 @@ def w0_times(w: Iterable[int]) -> Permutation:
     return tuple(n + 1 - v for v in word)
 
 
+def _left_ascent(w: Permutation) -> int:
+    """The least left ascent of w: the least i whose value i sits before
+    i+1, so that s_i * w > w; 0 when there is none (w is the longest
+    element)."""
+    for i in range(1, len(w)):
+        if w.index(i) < w.index(i + 1):
+            return i
+    return 0
+
+
+def _swap(w: Permutation, i: int) -> Permutation:
+    """s_i * w: the values i and i+1 of w swapped."""
+    out = list(w)
+    out[w.index(i)], out[w.index(i + 1)] = i + 1, i
+    return tuple(out)
+
+
 def weak_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int]]:
     """All weak-order covers w < w*s_i, as pairs (w*s_i, i).
 

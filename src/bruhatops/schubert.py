@@ -38,7 +38,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .chains import monomials_of_profile_rank, staircase
 from .permutations import (
     Permutation,
+    _left_ascent,
     _rank,
+    _swap,
     inverse,
     longest_element,
     num_inversions_max,
@@ -279,12 +281,9 @@ def _schubert_table(n: int) -> dict[Permutation, IntPolynomial]:
     strata = permutations_by_rank(n)
     for k in range(len(strata) - 2, -1, -1):
         for w in strata[k]:
-            inv_w = inverse(w)
-            # any left ascent i (value i sits before i+1) yields a parent
-            i = next(a for a in range(1, n) if inv_w[a - 1] < inv_w[a])
-            # the parent s_i * w swaps the values i and i+1
-            parent = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
-            table[w] = divided_difference(i, table[parent])
+            # any left ascent i (value i sits before i+1) yields the parent s_i * w
+            i = _left_ascent(w)
+            table[w] = divided_difference(i, table[_swap(w, i)])
     return table
 
 
@@ -365,13 +364,9 @@ def schubert(w: Permutation) -> IntPolynomial:
     word = validated(w)
     n = len(word)
     ascents = []
-    while True:
-        inv_w = inverse(word)
-        i = next((a for a in range(1, n) if inv_w[a - 1] < inv_w[a]), None)
-        if i is None:
-            break
+    while i := _left_ascent(word):
         ascents.append(i)
-        word = tuple(i + 1 if v == i else i if v == i + 1 else v for v in word)
+        word = _swap(word, i)
     poly = IntPolynomial.monomial(n, staircase(n))
     for i in reversed(ascents):
         poly = divided_difference(i, poly)

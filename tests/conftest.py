@@ -98,6 +98,31 @@ def bump_raising_step(monkeypatch):
 
 
 @pytest.fixture
+def raise_weight(monkeypatch):
+    """``raise_(n, order, weights, k, t)`` raises by one the weight of triple
+    t of step k of that diagram of S_n, as ``hasse._step``, the one step
+    builder, makes it from then on; every other step is made as usual.  A
+    later call replaces the earlier raise, and no diagram built before the
+    call or during the test stays cached."""
+    hasse = importlib.import_module("bruhatops.hasse")
+    real = hasse._step
+
+    def raise_(n, order, weights, k, t):
+        def step(*key):
+            made = real(*key)
+            if key != (n, order, weights, k):
+                return made
+            r, c, wt = made[t]
+            return made[:t] + ((r, c, wt + 1),) + made[t + 1 :]
+
+        monkeypatch.setattr(hasse, "_step", step)
+        hasse.build_hasse.cache_clear()
+
+    yield raise_
+    hasse.build_hasse.cache_clear()
+
+
+@pytest.fixture
 def split_lowering_triple(monkeypatch):
     """``split(at)`` writes the first triple (r, c, w) of the chain lowering
     step out of rank ``at`` as the two triples (r, c, w - 1) and (r, c, 1),

@@ -245,7 +245,7 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_force_overrides_cap_with_warning(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "nabla-action", "--n", "6", "--force")
+        code, out, err = run(capsys, "verify", "--suite", "snf", "--n", "6", "--from", "0", "--to", "1", "--force")
         assert code == 0
         assert "beyond the default cap" in err
         assert json.loads(out)["ok"] is True
@@ -254,6 +254,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "sl2", "--n", "9")
         assert (code, out) == (2, "")
         assert "capped at n = 8" in err
+
+    def test_action_suites_are_capped_at_n8(self, capsys):
+        for suite in ("nabla-action", "delta-action"):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--n", "9")
+            assert (code, out) == (2, ""), suite
+            assert "capped at n = 8" in err
 
     def test_all_differential_suites_pass_n3(self, capsys):
         for suite in ("nabla-action", "delta-action", "sl2"):

@@ -585,6 +585,30 @@ class TestStreamedSteps:
         with pytest.raises(IndexError):
             steps[6]
 
+    def test_negative_indices_and_slices_read_as_a_sequence(self):
+        whole = build_hasse(4, "weak", "nabla")
+        g = _streamed(4, "weak", "nabla")
+        assert g._steps[-1] == whole._steps[-1]
+        assert g.ranks[-2] == whole.ranks[-2]
+        for picked in (slice(1, 4), slice(None, None, -2), slice(-3, None), slice(5, 1), slice(2, 99)):
+            assert tuple(g._steps[picked]) == whole._steps[picked], picked
+        assert len(g._steps[1:5:2]) == 2
+        with pytest.raises(IndexError):
+            g._steps[-7]
+
+    @pytest.mark.parametrize("order,weights", ALL_SYSTEMS)
+    def test_public_readers_agree_on_streamed_and_whole_diagrams(self, order, weights):
+        for n in range(1, 6):
+            lazy, whole = _streamed(n, order, weights), build_hasse(n, order, weights)
+            top = whole.top_rank
+            for low in range(top + 1):
+                for high in range(low, top + 1):
+                    assert layer_matrix(lazy, low, high) == layer_matrix(whole, low, high), (n, low, high)
+            every = [w for stratum in whole.ranks for w in stratum]
+            for u, v in itertools.product(every, (whole.ranks[top // 2][-1], whole.ranks[-1][0])):
+                assert weighted_path_count(lazy, u, v) == weighted_path_count(whole, u, v), (n, u, v)
+                assert weighted_path_count(lazy, v, u) == weighted_path_count(whole, v, u), (n, v, u)
+
     def test_bad_input_raises_before_anything_is_made(self):
         with pytest.raises(ValueError, match="incompatible"):
             _streamed(0, "weak", "code")

@@ -7,7 +7,7 @@ import pytest
 import bruhatops.hasse as hasse_module
 import bruhatops.operators as operators
 from bruhatops.chains import dm_layer_matrix, um_layer_matrix
-from bruhatops.hasse import WeightedHasseDiagram, build_hasse, layer_matrix, weighted_path_count
+from bruhatops.hasse import build_hasse, layer_matrix, weighted_path_count
 from bruhatops.operators import (
     commutator_check,
     delta_action_chunk,
@@ -253,17 +253,97 @@ class TestActionStepsAgainstPerPermutationRoute:
     @pytest.mark.parametrize(
         "operator,order,weights", [("nabla", "weak", "nabla"), ("delta", "strong", "code")]
     )
-    def test_bumped_weight_gives_the_same_failures(self, monkeypatch, operator, order, weights):
-        g = build_hasse(4, order, weights)
-        steps = [list(step) for step in g._steps]
-        r, c, wt = steps[2][1]
-        steps[2][1] = (r, c, wt + 1)
-        broken = WeightedHasseDiagram(4, order, weights, g.ranks, tuple(map(tuple, steps)))
-        monkeypatch.setattr(operators, "build_hasse", lambda n, o, w: broken)
+    def test_bumped_weight_gives_the_same_failures(self, raise_weight, operator, order, weights):
+        raise_weight(4, order, weights, 2, 1)
         perms = [w for stratum in permutations_by_rank(4) for w in stratum]
         got = ACTION_SUITES[operator](4)
         assert len(got["failures"]) == 1
         assert got == per_permutation_report(operator, 4, perms)
+
+    def test_every_raised_weak_weight_fails_the_certificate(self, raise_weight):
+        # each of the 36 triples of weak/nabla at n=4, raised by one, fails
+        # (a) or (b), and the suite reports it by the direct route
+        perms = [w for stratum in permutations_by_rank(4) for w in stratum]
+        triples = [(k, t) for k, step in enumerate(build_hasse(4, "weak", "nabla")._steps) for t in range(len(step))]
+        assert len(triples) == 36
+        for k, t in triples:
+            raise_weight(4, "weak", "nabla", k, t)
+            assert operators._nabla_certificate(4)[0] is False, (k, t)
+            got = verify_nabla_theorem(4)
+            assert len(got["failures"]) == 1, (k, t)
+            assert got == per_permutation_report("nabla", 4, perms), (k, t)
+
+    def test_every_raised_strong_weight_fails_the_commutator(self, raise_weight):
+        perms = [w for stratum in permutations_by_rank(4) for w in stratum]
+        triples = [(k, t) for k, step in enumerate(build_hasse(4, "strong", "code")._steps) for t in range(len(step))]
+        assert len(triples) == 58
+        for k, t in triples:
+            raise_weight(4, "strong", "code", k, t)
+            assert operators._nabla_certificate(4) == (True, None)
+            assert commutator_check(4)[0] is False, (k, t)
+            got = verify_delta_theorem(4)
+            assert len(got["failures"]) == 1, (k, t)
+            assert got == per_permutation_report("delta", 4, perms), (k, t)
+
+    def test_certificate_witnesses(self, monkeypatch, raise_weight):
+        # at n=2 only the top check sees the one weight; at n=3 a raised
+        # weight below w0 shows first at the lowest rank that reads it
+        raise_weight(2, "weak", "nabla", 0, 0)
+        assert operators._nabla_certificate(2) == (False, {"rank": 1, "expected": "1", "actual": "2"})
+        raise_weight(3, "weak", "nabla", 1, 0)
+        assert operators._nabla_certificate(3) == (False, {"rank": 1, "permutation": "213", "ascent": 2})
+        # a repeated place in step 0 of weak/nabla at n=3, ((0, 0, 2), (0, 1, 1)),
+        # or a zero weight where step 1 has no triple, fails where it is read
+        real = hasse_module._step
+        for k, extra in ((0, (0, 0, 2)), (1, (0, 0, 0))):
+
+            def step(*key, k=k, extra=extra):
+                return real(*key) + ((extra,) if key == (3, "weak", "nabla", k) else ())
+
+            monkeypatch.setattr(hasse_module, "_step", step)
+            r, c, wt = extra
+            assert operators._nabla_certificate(3) == (False, {"rank": k, "entry": [r, c], "weight": str(wt)})
+
+
+class TestActionCertificates:
+    """The certificate route against the direct route, on working code."""
+
+    @pytest.mark.parametrize("operator", ["nabla", "delta"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_certified_report_equals_the_direct_route(self, operator, n):
+        assert operators._nabla_certificate(n) == (True, None)
+        assert operators._certified_report(operator, n) == operators._action_report(operator, n)
+
+    @pytest.mark.parametrize("operator", ["nabla", "delta"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_suites_build_no_table_and_no_whole_diagram(self, operator, n, no_schubert_table, no_whole_diagram):
+        edges = {"nabla": [0, 1, 6, 36, 240, 1800], "delta": [0, 1, 8, 58, 444, 3708]}[operator][n - 1]
+        want = {"suite": f"{operator}-action", "n": n}
+        if operator == "nabla":
+            want["weight_convention"] = "cover by s_i carries coefficient i"
+            want["unit_weight_reading_consistent"] = n <= 2
+        assert ACTION_SUITES[operator](n) == {**want, "checked": edges, "failures": []}
+
+    def test_repeated_place_or_zero_weight_takes_the_direct_route(self, monkeypatch):
+        # step 0 of strong/code at n=3 is ((0, 0, 1), (0, 1, 1)); an extra zero
+        # triple, or its first triple split in two, is the same matrix, so
+        # every certificate holds, but the direct route reads the triples
+        # otherwise and names the witness
+        real = hasse_module._step
+        for first in (((0, 0, 1), (0, 0, 0)), ((0, 0, 2), (0, 0, -1))):
+
+            def step(*key, first=first):
+                made = real(*key)
+                return first + made[1:] if key == (3, "strong", "code", 0) else made
+
+            monkeypatch.setattr(hasse_module, "_step", step)
+            hasse_module.build_hasse.cache_clear()
+            assert commutator_check(3) == (True, None)
+            assert operators._certified_report("delta", 3) is None
+            got = verify_delta_theorem(3)
+            assert got == operators._action_report("delta", 3)
+            assert len(got["failures"]) == 1
+        hasse_module.build_hasse.cache_clear()
 
 
 class TestCommutator:

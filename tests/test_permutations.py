@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruhatops.permutations import (
+    _left_ascent,
     _rank,
+    _swap,
     identity,
     inverse,
     lehmer_code,
@@ -118,6 +120,21 @@ class TestGroupOps:
         n = len(w)
         composed = tuple(w[inverse(w)[i] - 1] for i in range(n))
         assert composed == identity(n)
+
+    def test_left_multiplication_by_least_left_ascent(self):
+        # s_i * w composes s_i with w, and raises the length exactly at the
+        # left ascents; w0 alone has none
+        for n in range(1, 6):
+            for w in iter_permutations(range(1, n + 1)):
+                ups = []
+                for i in range(1, n):
+                    s_i = tuple(i + 1 if v == i else i if v == i + 1 else v for v in identity(n))
+                    moved = tuple(s_i[v - 1] for v in w)
+                    assert _swap(w, i) == moved
+                    if length(moved) > length(w):
+                        ups.append(i)
+                assert _left_ascent(w) == (ups[0] if ups else 0)
+                assert (_left_ascent(w) == 0) == (w == longest_element(n))
 
     @given(perms_strategy())
     def test_w0_times_involutive_and_length_flip(self, w):
