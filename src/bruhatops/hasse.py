@@ -342,28 +342,18 @@ def layer_matrix(g: WeightedHasseDiagram, low: int, high: int) -> IntMatrix:
     return compose_steps(g._steps[low:high], len(g.ranks[low]), len(g.ranks[high]))
 
 
-def _half_mirror_scan(steps: Sequence[SparseStep], sizes: Sequence[int]):
-    """:func:`snf._mirror_scan` of the steps of S_n onto themselves, up to
-    the middle rank.  The mirror is an involution and S_n is its own mirror,
-    so the relation at rank k is the one at rank N-1-k read backwards: the
-    full scan can first fail only at a rank k <= (N-1)/2, with the same
-    witness, and the half scan reads each step once."""
-    return _mirror_scan(steps, steps, sizes, (len(sizes) - 2) // 2)
-
-
 def w0_symmetry_check(g: WeightedHasseDiagram) -> tuple[bool, dict | None]:
     """Check the flip symmetry: (u -> w, c) is an edge iff (w0*w -> w0*u, c) is.
 
     The code of w0*w is (n-1-c_1, ..., 0), so w0*w has lex index n! - 1 - g
-    and lays rank k onto rank top - k backwards: this is
-    :func:`_half_mirror_scan` of the steps, named by permutations.  Returns
-    (True, None) or (False, first counterexample).  Raises ValueError unless
-    ``g.ranks`` are the lex strata of :func:`permutations_by_rank`, which the
-    flip relies on.
+    and lays rank k onto rank top - k backwards: :func:`snf._mirror_scan` of
+    the steps onto themselves, named by permutations.  Returns (True, None)
+    or (False, first counterexample).  Raises ValueError unless ``g.ranks``
+    are the lex strata of :func:`permutations_by_rank`, as the flip needs.
     """
     if g.ranks != permutations_by_rank(g.n):
         raise ValueError("the w0 check needs the diagram's ranks to be the lex strata of S_n")
-    return _mirror_witness(g, _half_mirror_scan(g._steps, [len(stratum) for stratum in g.ranks]))
+    return _mirror_witness(g, _mirror_scan(g._steps, g._steps, [len(stratum) for stratum in g.ranks]))
 
 
 def _mirror_witness(g: WeightedHasseDiagram, failure) -> tuple[bool, dict | None]:
@@ -395,13 +385,13 @@ def verify_w0_symmetry(n: int) -> dict:
     checked = 0
     for order, systems in (("weak", ("nabla",)), ("strong", ("code", "chevalley"))):
         steps = _streamed(n, order, systems if len(systems) > 1 else systems[0])._steps
-        if _half_mirror_scan(steps, sizes) is None:
+        if _mirror_scan(steps, steps, sizes) is None:
             checked += len(systems) * steps.made
             continue
         for weights in systems:
             g = _streamed(n, order, weights)
             checked += sum(map(len, g._steps))
-            ok, witness = _mirror_witness(g, _half_mirror_scan(g._steps, sizes))
+            ok, witness = _mirror_witness(g, _mirror_scan(g._steps, g._steps, sizes))
             if not ok:
                 failures.append({"witness": f"{order}/{weights}", **witness})
     return {"suite": "w0-symmetry", "n": n, "checked": checked, "failures": failures}

@@ -112,13 +112,18 @@ def _sl2_scan(
 
 
 def _mirror_scan(
-    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int], last: int | None = None
+    up: Sequence[SparseStep], down: Sequence[SparseStep], sizes: Sequence[int]
 ) -> tuple[int, tuple[int, int, int | None], int | None] | None:
     """The mirror that lays rank k of a graded space onto rank N - k
     backwards (N = len(sizes) - 1) must carry each triple (r, c, w) of
     ``up[k]`` onto the triple (sizes[k+1]-1-c, sizes[k]-1-r, w) of
-    ``down[N-1-k]``, one to one, for k = 0..``last`` (default N - 1).  Step
-    k is read before step N-1-k, each once.
+    ``down[N-1-k]``, one to one, for every k.  Step k is read before step
+    N-1-k, each once.
+
+    When ``up is down`` (a space mirrored onto itself, as S_n under w0) the
+    scan stops at the middle rank: the mirror is an involution, so the
+    relation at k is the one at N-1-k read backwards, and the full scan
+    first fails, if at all, at a k <= (N-1)/2 with the same witness.
 
     Each lowering step is read into one dict by place, so a step with an
     extra or repeated triple fails.  Returns None when the mirror holds,
@@ -128,7 +133,7 @@ def _mirror_scan(
     raising triple mirrors, as its preimage (r, c, None) with its weight.
     """
     total = len(sizes) - 1
-    for k in range(total if last is None else last + 1):
+    for k in range((total + 1) // 2 if up is down else total):
         step = up[k]
         hi, lo = sizes[k + 1] - 1, sizes[k] - 1
         lowering = down[total - 1 - k]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import bruhatops.chains as chains
 import bruhatops.hasse as hasse_module
 import bruhatops.operators as operators
 from bruhatops.chains import dm_layer_matrix, um_layer_matrix
@@ -324,6 +325,20 @@ class TestActionCertificates:
             want["unit_weight_reading_consistent"] = n <= 2
         assert ACTION_SUITES[operator](n) == {**want, "checked": edges, "failures": []}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_delta_action_reads_no_box_step(self, monkeypatch, no_schubert_table, n):
+        # [delta, nabla] = 2k - N on the monomials is cited, not scanned: with
+        # the chain module's box steps refused, delta-action still proves its
+        # report; the direct route binds the steps by name and is unaffected
+        def refuse(M, k):
+            raise AssertionError(f"box step {k} of {M} was read")
+
+        monkeypatch.setattr(chains, "_um_step", refuse)
+        monkeypatch.setattr(chains, "_dm_step", refuse)
+        chains._sl2_certificate.cache_clear()
+        edges = [0, 1, 8, 58, 444, 3708][n - 1]
+        assert verify_delta_theorem(n) == {"suite": "delta-action", "n": n, "checked": edges, "failures": []}
+
     def test_repeated_place_or_zero_weight_takes_the_direct_route(self, monkeypatch):
         # step 0 of strong/code at n=3 is ((0, 0, 1), (0, 1, 1)); an extra zero
         # triple, or its first triple split in two, is the same matrix, so
@@ -344,6 +359,24 @@ class TestActionCertificates:
             assert got == operators._action_report("delta", 3)
             assert len(got["failures"]) == 1
         hasse_module.build_hasse.cache_clear()
+
+
+class TestCitedCommutator:
+    """[delta, nabla] = 2|alpha| - N on the padded monomials, which the delta
+    certificate cites from the gl2 action on polynomials."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_on_every_padded_monomial(self, n):
+        top = num_inversions_max(n)
+        for k in range(top + 1):
+            for alpha in monomials_of_rank(n, k):
+                x = PaddedPolynomial(n, {alpha: 1})
+                got = apply_delta(apply_nabla(x)) - apply_nabla(apply_delta(x))
+                assert got == x.scaled(2 * k - top), alpha
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_box_scan_of_the_staircase(self, n):
+        assert chains._sl2_certificate(staircase(n)) == ((True, None), (True, None))
 
 
 class TestCommutator:
