@@ -35,8 +35,8 @@ __all__ = ["main", "entrypoint"]
 # suites, w0-symmetry and sl2 read a few diagram steps at a time, made on
 # demand: each takes under 3 s and 40 MB at n = 8 (BENCH_streamed.json).
 # The action suites read them too, proved by certificates with no Schubert
-# table: at n = 8 nabla-action takes under 1 s / 30 MB (BENCH_actions.json)
-# and delta-action under 2.5 s / 40 MB (BENCH_delta.json)
+# table: at n = 8 nabla-action takes under 0.5 s / 30 MB and delta-action
+# under 2 s / 40 MB (BENCH_once.json)
 PATH_SUITE_CAP = 8
 DIFFERENTIAL_SUITE_CAP = 8
 SL2_SUITE_CAP = 8

@@ -36,9 +36,9 @@ Schubert polynomial beyond x^rho and its n - 1 divided differences.
   a lowest-weight vector of positive weight in a finite-dimensional
   sl2-module, which is 0 (Humphreys, GTM 9, section 7).  So Delta_S = D.
 
-When every hypothesis holds the report is read off the diagram alone.  A
-failing hypothesis, or a step whose triples repeat a place or carry a zero
-weight, sends the suite down the direct route instead: every Schubert
+When every hypothesis holds the report is read off the scans that prove it.
+A failing hypothesis, or a strong step whose places do not rise strictly or
+that weighs 0, sends the suite down the direct route: every Schubert
 polynomial pushed through the monomial step and peeled back into the basis
 (:func:`_action_report`), which names each failing permutation.
 """
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 
 from .chains import _dm_step, _um_step, staircase
-from .hasse import _streamed, _sweep, build_hasse, mahonian_numbers, rank_size
+from .hasse import _Lazy, _streamed, _sweep, build_hasse, mahonian_numbers, rank_size
 from .permutations import (
     Permutation,
     _left_ascent,
@@ -169,7 +169,7 @@ def _report(operator: str, n: int, unit_reading_ok: bool, checked: int, failures
     return {**report, "checked": checked, "failures": failures}
 
 
-def _nabla_certificate(n: int) -> tuple[bool, dict | None]:
+def _nabla_certificate(n: int) -> tuple[bool, dict | tuple[int, bool]]:
     """The nabla half of the module docstring, on the weak/nabla steps made
     on demand, two ranks at a time: (b) for every w below w0 and its least
     left ascent i, the weighted lower covers of w are those v of s_i w with
@@ -178,11 +178,11 @@ def _nabla_certificate(n: int) -> tuple[bool, dict | None]:
     the lower covers of its upper end, and a repeated place or a zero
     weight fails, so every weight is compared once.
 
-    Returns (True, None) or (False, witness): the rank and the entry of a
-    bad triple, the rank, permutation and ascent of a failing (b), or the
-    two sides of a failing (a).
+    Returns (True, (triples read, all weights 1)) or (False, witness): the
+    rank and the entry of a bad triple, the rank, permutation and ascent of
+    a failing (b), or the two sides of a failing (a).
     """
-    g = _streamed(n, "weak", "nabla")
+    g, unit = _streamed(n, "weak", "nabla"), True
     below: dict[Permutation, dict[Permutation, int]] = {g.ranks[0][0]: {}}
     for k in range(g.top_rank):
         lower, upper = g.ranks[k], g.ranks[k + 1]
@@ -192,6 +192,7 @@ def _nabla_certificate(n: int) -> tuple[bool, dict | None]:
             if not wt or v in covers:
                 return False, {"rank": k, "entry": [r, c], "weight": str(wt)}
             covers[v] = wt
+            unit = unit and wt == 1
         for w in lower:
             i = _left_ascent(w)
             moved = {_swap(v, i): wt for v, wt in above[_swap(w, i)].items() if v.index(i + 1) < v.index(i)}
@@ -206,43 +207,42 @@ def _nabla_certificate(n: int) -> tuple[bool, dict | None]:
     want = unpad(apply_nabla(pad(rho)))
     if got != want:
         return False, {"rank": g.top_rank, "expected": str(want), "actual": str(got)}
-    return True, None
-
-
-def _certified_report(operator: str, n: int) -> dict | None:
-    """The action suite's report read off its diagram alone, for when the
-    certificates prove that diagram's steps equal the padded ones: every
-    weight checked, none failing.  None when a step repeats a place or
-    carries a zero weight, which the direct route reads otherwise."""
-    steps = _streamed(n, *(("strong", "code") if operator == "delta" else ("weak", "nabla")))._steps
-    weights = set()
-    for step in steps:
-        if len({(r, c) for r, c, wt in step if wt}) < len(step):
-            return None
-        weights.update(wt for _, _, wt in step)
-    return _report(operator, n, weights <= {1}, steps.made, [])
+    return True, (g._steps.made, unit)
 
 
 def verify_nabla_theorem(n: int) -> dict:
     """nabla of every padded Schubert polynomial against the index-weighted
-    weak-order covers going down: read off the diagram when
-    :func:`_nabla_certificate` holds, else by the direct route.
+    weak-order covers going down: read off the triples that
+    :func:`_nabla_certificate` reads when it holds, else by the direct route.
 
     Also records whether the weight-free reading (all coefficients 1) would
     survive; it fails as soon as a cover by s_i with i >= 2 appears.
     """
-    report = _nabla_certificate(n)[0] and _certified_report("nabla", n)
-    return report or _action_report("nabla", n)
+    ok, read = _nabla_certificate(n)
+    return _report("nabla", n, read[1], read[0], []) if ok else _action_report("nabla", n)
 
 
 def verify_delta_theorem(n: int) -> dict:
     """delta of every padded Schubert polynomial against the code-weighted
-    strong-order covers going up: read off the diagram when the nabla
-    certificate and :func:`commutator_check` hold (the module docstring
-    cites [Delta, nabla] = 2k - N), else by the direct route."""
-    proved = _nabla_certificate(n)[0] and commutator_check(n)[0]
-    report = proved and _certified_report("delta", n)
-    return report or _action_report("delta", n)
+    strong-order covers going up: read off the strong steps as the sl2 scan
+    of :func:`commutator_check` makes them, when it and the nabla certificate
+    hold (the module docstring cites [Delta, nabla] = 2k - N) and the places
+    of each step rise strictly, as :func:`hasse._step` makes them, with no
+    weight 0; else by the direct route."""
+    strong, rising = _streamed(n, "strong", "code")._steps, True
+
+    def checked(k: int) -> SparseStep:
+        nonlocal rising
+        step, last = strong[k], (-1, -1)
+        for r, c, wt in step:
+            if not wt or (r, c) <= last:
+                rising = False
+            last = (r, c)
+        return step
+
+    scanned, weak = _Lazy(checked, len(strong)), _streamed(n, "weak", "nabla")._steps
+    proved = _nabla_certificate(n)[0] and _sl2_scan(scanned, weak, mahonian_numbers(n))[0] and rising
+    return _report("delta", n, True, strong.made, []) if proved else _action_report("delta", n)
 
 
 def commutator_check(n: int) -> tuple[bool, dict | None]:

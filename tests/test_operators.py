@@ -140,6 +140,19 @@ def bump_padded_raising_step(monkeypatch, k, triple):
 ACTION_SUITES = {"nabla": verify_nabla_theorem, "delta": verify_delta_theorem}
 
 
+def spy_steps(monkeypatch):
+    """The (order, weights, k) of every step ``hasse._step``, the one step
+    builder, makes from here on, in the order made."""
+    real, built = hasse_module._step, []
+
+    def step(n, order, weights, k):
+        built.append((order, weights, k))
+        return real(n, order, weights, k)
+
+    monkeypatch.setattr(hasse_module, "_step", step)
+    return built
+
+
 def test_suites_are_the_functions_the_tracer_names():
     # perfbench/tracer.py wraps the *_chunk names, and replaces every
     # binding of the same object, so the verify_* names are traced too
@@ -280,7 +293,7 @@ class TestActionStepsAgainstPerPermutationRoute:
         assert len(triples) == 58
         for k, t in triples:
             raise_weight(4, "strong", "code", k, t)
-            assert operators._nabla_certificate(4) == (True, None)
+            assert operators._nabla_certificate(4) == (True, (36, False))
             assert commutator_check(4)[0] is False, (k, t)
             got = verify_delta_theorem(4)
             assert len(got["failures"]) == 1, (k, t)
@@ -312,8 +325,26 @@ class TestActionCertificates:
     @pytest.mark.parametrize("operator", ["nabla", "delta"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_certified_report_equals_the_direct_route(self, operator, n):
-        assert operators._nabla_certificate(n) == (True, None)
-        assert operators._certified_report(operator, n) == operators._action_report(operator, n)
+        # the certificate returns the weak triples it read and whether every
+        # weight is 1, which is all the nabla report takes from it
+        weak_edges = [0, 1, 6, 36, 240, 1800][n - 1]
+        assert operators._nabla_certificate(n) == (True, (weak_edges, n <= 2))
+        if operator == "delta":
+            assert commutator_check(n) == (True, None)
+        assert ACTION_SUITES[operator](n) == operators._action_report(operator, n)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_nabla_action_builds_each_weak_step_once(self, monkeypatch, n):
+        built = spy_steps(monkeypatch)
+        verify_nabla_theorem(n)
+        assert built == [("weak", "nabla", k) for k in range(num_inversions_max(n))]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_delta_action_builds_each_strong_step_once(self, monkeypatch, n):
+        built = spy_steps(monkeypatch)
+        verify_delta_theorem(n)
+        strong = [key for key in built if key[0] == "strong"]
+        assert strong == [("strong", "code", k) for k in range(num_inversions_max(n))]
 
     @pytest.mark.parametrize("operator", ["nabla", "delta"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -343,21 +374,30 @@ class TestActionCertificates:
         # step 0 of strong/code at n=3 is ((0, 0, 1), (0, 1, 1)); an extra zero
         # triple, or its first triple split in two, is the same matrix, so
         # every certificate holds, but the direct route reads the triples
-        # otherwise and names the witness
+        # otherwise and names the witness; so does a zero triple, in order,
+        # at the place (0, 3) that step 1 at n=4 leaves empty; the two
+        # triples swapped are the same map out of the builder's order, which
+        # the direct route passes
         real = hasse_module._step
-        for first in (((0, 0, 1), (0, 0, 0)), ((0, 0, 2), (0, 0, -1))):
+        assert real(3, "strong", "code", 0) == ((0, 0, 1), (0, 1, 1))
+        step41 = real(4, "strong", "code", 1)
+        assert step41[2:4] == ((0, 2, 1), (1, 0, 1))
+        for n, k, made, failures in (
+            (3, 0, ((0, 0, 1), (0, 0, 0), (0, 1, 1)), 1),
+            (3, 0, ((0, 0, 2), (0, 0, -1), (0, 1, 1)), 1),
+            (4, 1, step41[:3] + ((0, 3, 0),) + step41[3:], 1),
+            (3, 0, ((0, 1, 1), (0, 0, 1)), 0),
+        ):
 
-            def step(*key, first=first):
-                made = real(*key)
-                return first + made[1:] if key == (3, "strong", "code", 0) else made
+            def step(*key, at=(n, "strong", "code", k), made=made):
+                return made if key == at else real(*key)
 
             monkeypatch.setattr(hasse_module, "_step", step)
             hasse_module.build_hasse.cache_clear()
-            assert commutator_check(3) == (True, None)
-            assert operators._certified_report("delta", 3) is None
-            got = verify_delta_theorem(3)
-            assert got == operators._action_report("delta", 3)
-            assert len(got["failures"]) == 1
+            assert commutator_check(n) == (True, None)
+            got = verify_delta_theorem(n)
+            assert got == operators._action_report("delta", n)
+            assert len(got["failures"]) == failures
         hasse_module.build_hasse.cache_clear()
 
 
