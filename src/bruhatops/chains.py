@@ -45,9 +45,10 @@ generators of B_k, then B_k U_[k,N-k] = Lambda B_{N-k}, with
 Lambda = diag (N-k-m)!/(k-m)! over those generators.  If also they number
 |P_m| - |P_{m-1}| at each rank m, then |det Lambda| = |det U_[k,N-k]|, and
 hence |det B_{N-k}| = |det B_k|.  The code checks each hypothesis of this
-theorem exactly: both scans of :func:`_sl2_certificate`, the divisions, the
-born counts and det B_k.  Any rank they do not prove is reduced by Bareiss
-as before, so no determinant is taken above the middle on working code.
+theorem exactly: the mirror and sl2 scans of :func:`_sl2_holds`, the
+divisions, the born counts and det B_k.  Any rank they do not prove is
+reduced by Bareiss as before, so no determinant is taken above the middle
+on working code.
 """
 
 from __future__ import annotations
@@ -390,7 +391,6 @@ def _um_step(M: ChainProfile, k: int) -> SparseStep:
     return _cover_step(M, k, lambda m, e: e + 1)
 
 
-@lru_cache(maxsize=None)
 def _dm_step(M: ChainProfile, k: int) -> SparseStep:
     """Lowering step read against rows=lower: entry (beta - e_i, beta) =
     M_i - beta_i + 1."""
@@ -418,17 +418,15 @@ def dm_layer_matrix(M: Iterable[int], low: int, high: int) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _sl2_certificate(M: ChainProfile) -> tuple[tuple[bool, dict | None], tuple[bool, dict | None]]:
-    """(sl2 scan, mirror scan) of the box M with the raising steps
-    :func:`_um_step` and the lowering steps :func:`_dm_step`: the two
-    hypotheses of the sl2 half of the module docstring, each as (True, None)
-    or (False, witness).
+def _sl2_holds(M: ChainProfile) -> bool:
+    """Whether both hypotheses of the sl2 half of the module docstring hold
+    on the box M with the raising steps :func:`_um_step` and the lowering
+    steps :func:`_dm_step`: the mirror, then the sl2 relation.
 
     The monomials of a rank are lex-descending, so alpha -> M - alpha lays
     rank k onto rank N - k backwards, and the mirror is the scan
-    :func:`snf._mirror_scan` that the w0 check of S_n runs.  Its witness
-    names the raising step's rank k and a place of the lowering step out of
-    rank N-1-k, with the mirrored raising triple and the lowering one there.
+    :func:`snf._mirror_scan` that the w0 check of S_n runs.  When it fails,
+    no sl2 scan is run.
 
     Once the mirror holds, the sl2 scan stops at the middle rank.  Write
     C_j = D_{j-1}^T U_{j-1} - U_j D_j^T for the commutator on rank j and J
@@ -441,25 +439,13 @@ def _sl2_certificate(M: ChainProfile) -> tuple[tuple[bool, dict | None], tuple[b
 
     so C_{N-j} = (N - 2j) I gives C_j = (2j - N) I, and the ranks above the
     middle hold when those at or below it do (the zero steps that pad
-    either end are their own mirrors).  When the mirror fails, every rank
-    is scanned.
+    either end are their own mirrors).
     """
     total = sum(M)
     sizes = profile_rank_sizes(M)
     up = [_um_step(M, k) for k in range(total)]
     down = [_dm_step(M, k) for k in range(total)]
-    failure = _mirror_scan(up, down, sizes)
-    if failure is None:
-        return _sl2_scan(down, up, sizes, total // 2), (True, None)
-    k, (r, c, w), got = failure
-    at = [sizes[k + 1] - 1 - c, sizes[k] - 1 - r]
-    mirrored, lowering = ("missing" if v is None else [*at, v] for v in (w, got))
-    return _sl2_scan(down, up, sizes), (False, {"rank": k, "mirrored": mirrored, "lowering": lowering})
-
-
-def _sl2_holds(M: ChainProfile) -> bool:
-    """Whether both scans of :func:`_sl2_certificate` hold on the box M."""
-    return all(ok for ok, _ in _sl2_certificate(M))
+    return _mirror_scan(up, down, sizes) is None and _sl2_scan(down, up, sizes, total // 2)[0]
 
 
 def _proved_from_below(M: ChainProfile, high: int) -> bool:
@@ -468,9 +454,9 @@ def _proved_from_below(M: ChainProfile, high: int) -> bool:
     low = |M| - high: the rows of B_low are square with det +-1, every
     generator of B_low was divided exactly on the ranks low + 1 .. high,
     the generators born at each rank m <= low number |P_m| - |P_{m-1}|, and
-    both scans of :func:`_sl2_certificate` hold.  The scans run only here
-    and in :func:`um_determinant_check`, so a window that asks for no rank
-    above the middle never runs them.
+    :func:`_sl2_holds`.  The verdict is asked only here and in
+    :func:`um_determinant_check`, so a window that asks for no rank above
+    the middle runs neither of its scans.
     """
     low = sum(M) - high
     if low >= high:
@@ -587,14 +573,15 @@ def um_determinant_formula(M: Iterable[int], low: int, high: int) -> int:
 
 def um_determinant_check(M: Iterable[int], low: int, high: int) -> tuple[bool, dict | None]:
     """|det| of the complementary-rank raising composite against the closed
-    formula: proved with no determinant when both scans of
-    :func:`_sl2_certificate` hold, else by exact elimination.  Returns
+    formula: proved with no determinant when :func:`_sl2_holds`, else by
+    exact elimination, and only then is the formula evaluated.  Returns
     (True, None) or (False, witness) with the expected and the actual
     |det|."""
     prof = _as_profile(M)
-    expected = um_determinant_formula(prof, low, high)
-    if _sl2_holds(prof):
+    square = high == sum(prof) - low and low <= high
+    if square and _sl2_holds(prof):
         return True, None
+    expected = um_determinant_formula(prof, low, high)  # refuses a window that is not square
     got = abs(determinant(um_layer_matrix(prof, low, high)))
     if got != expected:
         return False, {"expected": str(expected), "actual": str(got)}

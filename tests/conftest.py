@@ -9,12 +9,12 @@ import bruhatops.chains as chains
 import bruhatops.permutations as permutations
 
 # the chain certificate's caches, keyed by the profile (and the rank) alone
-_CHAIN_CACHES = (chains._walk, chains._rank_det, chains._sl2_certificate)
+_CHAIN_CACHES = (chains._walk, chains._rank_det, chains._sl2_holds)
 
 
 def clear_chain_caches():
-    """Forget the walk, the basis determinants and the sl2 certificate of
-    every box; a test calls it after rebinding ``chains._um_step``,
+    """Forget the walk, the basis determinants and the sl2 verdict of every
+    box; a test calls it after rebinding ``chains._um_step``,
     ``chains._dm_step`` or ``chains.determinant``, which those caches read."""
     for cached in _CHAIN_CACHES:
         cached.cache_clear()

@@ -31,7 +31,7 @@ from bruhatops.cli import main
 from bruhatops.hasse import predicted_snf
 from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
-from bruhatops.snf import _dense, _sl2_scan, determinant, diagonal_model_snf, snf, transpose
+from bruhatops.snf import _dense, _mirror_scan, _sl2_scan, determinant, diagonal_model_snf, snf, transpose
 
 from conftest import clear_chain_caches
 from oracles import matmul
@@ -302,22 +302,22 @@ class TestLayerMatrices:
                         assert um[r][c] == dm[co_lo[comp(beta)]][co_hi[comp(alpha)]]
 
     def test_sl2_commutator_on_the_box(self):
-        # the sparse scan, over every rank and as the certificate runs it (to
-        # the middle, once the mirror holds), agrees with the dense products
+        # the sparse scan over every rank, and the verdict (which scans to the
+        # middle once the mirror holds), agree with the dense products
         for M in ((2, 1), (2, 2), (3, 2, 1), (2, 2, 2), (2, 0, 1)):
             total = sum(M)
             up, down = [_um_step(M, k) for k in range(total)], [_dm_step(M, k) for k in range(total)]
             assert dense_sl2_check(M) == (True, None), M
             assert _sl2_scan(down, up, profile_rank_sizes(M)) == (True, None), M
-            assert chains._sl2_certificate(M) == ((True, None), (True, None)), M
+            assert chains._sl2_holds(M) is True, M
 
     @pytest.mark.parametrize("at", range(6))
     def test_sl2_witness_of_a_raised_weight(self, monkeypatch, at):
-        # only the raising step moves, so the mirror fails, every rank is
-        # scanned, and the first failure is on the rank the step leaves
+        # only the raising step moves, so the mirror fails, and the scan over
+        # every rank first fails on the rank the step leaves
         M = (3, 2, 1)
         raise_one_weight(monkeypatch, at)
-        sl2, mirror = chains._sl2_certificate(M)
+        sl2, mirror = box_scans(M)
         assert mirror[0] is False
         assert sl2 == dense_sl2_check(M)
         assert sl2[0] is False and sl2[1]["rank"] == at
@@ -325,13 +325,14 @@ class TestLayerMatrices:
     @pytest.mark.parametrize("at", range(6))
     def test_mirror_carries_each_commutator_onto_its_complement(self, monkeypatch, at):
         # C_j = -J C_{N-j} J for the commutator C_j on rank j and the rank
-        # reversal J, as _sl2_certificate proves from the mirror; here on a
-        # perturbation that keeps the mirror, so the scan to the middle meets
-        # the first failure of the dense scan over every rank
+        # reversal J, as _sl2_holds proves from the mirror; here on a
+        # perturbation that keeps the mirror, so the first failure of the
+        # dense scan over every rank lies at or below the middle, where the
+        # verdict's scan stops
         M = (3, 2, 1)
         total = sum(M)
         raise_mirrored_weights(monkeypatch, M, at)
-        sl2, mirror = chains._sl2_certificate(M)
+        sl2, mirror = box_scans(M)
         assert mirror == (True, None)
         commutators = dense_commutators(M)
         for j in range(total + 1):
@@ -353,7 +354,7 @@ class TestLayerMatrices:
         clear_chain_caches()
         place = [sizes[at + 1] - 1 - c, sizes[at] - 1 - r]
         witness = {"rank": at, "mirrored": [*place, w], "lowering": "missing"}
-        assert chains._sl2_certificate(M)[1] == (False, witness)
+        assert box_scans(M)[1] == (False, witness)
 
     @pytest.mark.parametrize("at", range(6))
     def test_mirror_fails_on_a_repeated_lowering_triple(self, monkeypatch, at):
@@ -367,8 +368,22 @@ class TestLayerMatrices:
         monkeypatch.setattr(chains, "_dm_step", lambda P, j: real(P, j)[:1] * (j == at) + real(P, j))
         clear_chain_caches()
         witness = {"rank": k, "mirrored": "missing", "lowering": [r, c, w]}
-        assert chains._sl2_certificate(M)[1] == (False, witness)
+        assert box_scans(M)[1] == (False, witness)
         assert (sizes[k] - 1 - c, sizes[k + 1] - 1 - r) in {t[:2] for t in chains._um_step(M, k)}
+
+    @pytest.mark.parametrize("M, at", [(M, at) for M in ((3, 2, 1), (3, 3, 2, 2)) for at in range(sum(M))])
+    @pytest.mark.parametrize("perturb", ["raised", "mirrored", "split"])
+    def test_verdict_is_the_full_scans(self, monkeypatch, split_lowering_triple, perturb, M, at):
+        # a weight raised alone or with its mirror, or a lowering triple split
+        # in two, at every step: the verdict's scan to the middle decides as
+        # the scans over every rank do
+        if perturb == "raised":
+            raise_one_weight(monkeypatch, at)
+        elif perturb == "mirrored":
+            raise_mirrored_weights(monkeypatch, M, at)
+        else:
+            split_lowering_triple(at)
+        assert_verdict_is_the_full_scans(M)
 
 
 class TestSmithPredictions:
@@ -424,10 +439,12 @@ class TestDeterminants:
             assert ok, (M, low, witness)
 
     def test_rejects_non_complementary_windows(self):
-        with pytest.raises(ValueError):
-            um_determinant_formula((2, 1), 0, 2)
-        with pytest.raises(ValueError):
-            um_determinant_formula((2, 1), 2, 1)
+        # the check refuses them too, though the sl2 verdict holds on the box
+        for check in (um_determinant_formula, um_determinant_check):
+            with pytest.raises(ValueError):
+                check((2, 1), 0, 2)
+            with pytest.raises(ValueError):
+                check((2, 1), 2, 1)
 
 
 class TestWitnesses:
@@ -559,10 +576,34 @@ def raise_mirrored_weights(monkeypatch, M, at):
     clear_chain_caches()
 
 
+def box_scans(M):
+    """(sl2 scan over every rank, mirror scan) of the box M on the module's
+    steps, each as (True, None) or (False, witness).  The mirror's witness
+    names the raising step's rank k and a place of the lowering step out of
+    rank N-1-k, with the mirrored raising triple and the lowering one there."""
+    total, sizes = sum(M), profile_rank_sizes(M)
+    up = [chains._um_step(M, k) for k in range(total)]
+    down = [chains._dm_step(M, k) for k in range(total)]
+    sl2, failure = _sl2_scan(down, up, sizes), _mirror_scan(up, down, sizes)
+    if failure is None:
+        return sl2, (True, None)
+    k, (r, c, w), got = failure
+    at = [sizes[k + 1] - 1 - c, sizes[k] - 1 - r]
+    mirrored, lowering = ("missing" if v is None else [*at, v] for v in (w, got))
+    return sl2, (False, {"rank": k, "mirrored": mirrored, "lowering": lowering})
+
+
+def assert_verdict_is_the_full_scans(M):
+    """``_sl2_holds`` says yes exactly when the sl2 scan over every rank and
+    the mirror scan both hold, so its scan to the middle loses nothing."""
+    sl2, mirror = box_scans(M)
+    assert chains._sl2_holds(M) is (sl2[0] and mirror[0]), (sl2, mirror)
+
+
 def assert_sl2_fails_at(M, at):
     """The sl2 scan of the box under the module's steps fails first on rank
     ``at``, where a raised weight leaves."""
-    sl2, mirror = chains._sl2_certificate(M)
+    sl2, mirror = box_scans(M)
     assert mirror[0] is False
     assert sl2[0] is False and sl2[1]["rank"] == at, sl2
 
@@ -585,7 +626,8 @@ class TestCertificate:
         # every basis rank and every square window, proved with the sl2
         # certificate, against each rank reduced and each composite
         # eliminated on its own
-        assert chains._sl2_certificate(M) == ((True, None), (True, None))
+        assert box_scans(M) == ((True, None), (True, None))
+        assert chains._sl2_holds(M) is True
         bases = verify_chains_basis(M)
         dets = [um_determinant_check(M, low, high) for low, high in det_windows(M)]
         exact_route(monkeypatch)
@@ -622,9 +664,13 @@ class TestCertificate:
 
     @pytest.mark.parametrize("at", range(10))
     def test_mirror_failure_alone_falls_back(self, monkeypatch, split_lowering_triple, at):
+        # the verdict is no, from the mirror scan alone
         M = (3, 3, 2, 2)
         split_lowering_triple(at)
-        sl2, mirror = chains._sl2_certificate(M)
+        scans = count_calls(monkeypatch, "_sl2_scan")
+        assert chains._sl2_holds(M) is False
+        assert scans == []
+        sl2, mirror = box_scans(M)
         assert sl2 == (True, None)
         assert mirror[0] is False and mirror[1]["rank"] == sum(M) - 1 - at
         reports = chain_reports(M) + [verify_chains_basis(M)]
@@ -690,7 +736,7 @@ class TestCertificate:
             raise AssertionError(f"raising[{low},{high}] was composed")
 
         chains._walk.cache_clear()
-        chains._sl2_certificate.cache_clear()
+        chains._sl2_holds.cache_clear()
         walks, pushes = count_calls(monkeypatch, "_walk"), count_calls(monkeypatch, "push_rows")
         dets = count_calls(monkeypatch, "determinant")
         monkeypatch.setattr(chains, "um_layer_matrix", refuse)
@@ -718,7 +764,7 @@ class TestCertificate:
         assert len(dets) == 2
 
     def test_window_at_or_below_the_middle_runs_no_scan(self, monkeypatch, capsys):
-        chains._sl2_certificate.cache_clear()
+        chains._sl2_holds.cache_clear()
         mirrors, scans = count_calls(monkeypatch, "_mirror_scan"), count_calls(monkeypatch, "_sl2_scan")
         argv = ["verify", "--suite", "chains-snf", "--M", "4,3,3,2,2", "--from", "3", "--to", "7"]
         assert main(argv) == 0
