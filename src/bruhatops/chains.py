@@ -374,15 +374,19 @@ def verify_chains_basis(M: Iterable[int]) -> dict:
 
 def _cover_step(M: ChainProfile, k: int, weight) -> SparseStep:
     """Sparse step rank k -> k+1 over the covers alpha -> alpha + e_i, as
-    (index of alpha, index of alpha + e_i, weight(M_i, alpha_i)) triples."""
+    sorted (index of alpha, index of alpha + e_i, weight(M_i, alpha_i))
+    triples."""
     high = monomials_of_profile_rank(M, k + 1)
     col = {beta: idx for idx, beta in enumerate(high)}
-    out = []
+    out = SparseStep()
+    rows, cols, weights = out.rows.append, out.cols.append, out.weights.append
     for r, alpha in enumerate(monomials_of_profile_rank(M, k)):
         for idx, e in enumerate(alpha):
             if e < M[idx]:
-                out.append((r, col[alpha[:idx] + (e + 1,) + alpha[idx + 1 :]], weight(M[idx], e)))
-    return tuple(out)
+                rows(r)
+                cols(col[alpha[:idx] + (e + 1,) + alpha[idx + 1 :]])
+                weights(weight(M[idx], e))
+    return out
 
 
 @lru_cache(maxsize=None)

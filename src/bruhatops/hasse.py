@@ -118,9 +118,11 @@ class WeightedHasseDiagram:
 
     ``ranks[k]`` lists the permutations of length k in lex order; ``_steps[k]``
     holds the covers out of rank k as (lower index, upper index, weight)
-    triples, sorted.  Both are tuples in a diagram of :func:`build_hasse`,
-    and sequences made on demand in one of :func:`_streamed`.  The suites
-    and the w0 check work on indices alone.
+    triples, sorted, in one :class:`snf.SparseStep`.  Both are tuples in a
+    diagram of :func:`build_hasse`, whose words are tuples too, and
+    sequences made on demand in one of :func:`_streamed`, whose words are
+    the bytes of :func:`permutations._rank`.  The suites and the w0 check
+    work on indices alone.
     """
 
     __slots__ = ("n", "order", "weights", "ranks", "_steps")
@@ -228,7 +230,8 @@ def _places(n: int) -> list[int]:
 
 def _step(n: int, order: str, weights, k: int) -> SparseStep:
     """Step k of the diagram: the covers out of rank k of S_n as sorted
-    (row, column, weight) triples, made from ranks k and k+1 alone.
+    (row, column, weight) triples, made from ranks k and k+1 alone and
+    appended straight into the columns of one :class:`snf.SparseStep`.
 
     Every vertex is read as its lex index g and full Lehmer code c, whose
     digits are those of g in the factorial base (0-based p below, 1-based
@@ -244,12 +247,17 @@ def _step(n: int, order: str, weights, k: int) -> SparseStep:
     A cover by s_{p+1} has the larger lex index the smaller p is; a cover
     by t_ij the smaller i is, and for one i the smaller j is.  For the
     strong order ``weights`` may be the pair ("code", "chevalley"), which
-    weighs each triple by the pair of its two weights.
+    weighs each triple by the pair of its two weights, one shared tuple per
+    pair of values.
     """
     words, codes, lexes = _rank(n, k)
     at = {h: c for c, h in enumerate(_rank(n, k + 1)[2])}
     place = _places(n)
-    out = []
+    code, chevalley = "code" in weights, "chevalley" in weights
+    # the pairs of weights (1 + 2m, j - i), made once and shared by the triples
+    pairs = [[(1 + 2 * m, d) for d in range(n)] for m in range(n)] if code and chevalley else None
+    out = SparseStep(shared=pairs is not None)
+    rows, cols, weighs = out.rows.append, out.cols.append, out.weights.append
     if order == "weak":
         # s_{p+1} moves the lex index by place[p] + d (place[p+1] - place[p])
         nabla = weights == "nabla"
@@ -258,17 +266,20 @@ def _step(n: int, order: str, weights, k: int) -> SparseStep:
             for p, base, slope, wt in moves:
                 d = c[p] - c[p + 1]
                 if d <= 0:
-                    out.append((r, at[g + base + d * slope], wt))
-        return tuple(out)
-    code, chevalley = "code" in weights, "chevalley" in weights
-    # the pairs of weights (1 + 2m, j - i), made once and shared by the triples
-    pairs = [[(1 + 2 * m, d) for d in range(n)] for m in range(n)] if code and chevalley else None
-    for r, (w, c, g) in enumerate(zip(words, codes, lexes)):
+                    rows(r)
+                    cols(at[g + base + d * slope])
+                    weighs(wt)
+        return out
+    # the triples are made in the reverse of their order: rows descending,
+    # and i then j ascending within a row; the three columns are reversed
+    # at the end
+    for r in range(len(words) - 1, -1, -1):
+        w, c, g = words[r], codes[r], lexes[r]
         # for each i the scan over j > i keeps the smallest value above w_i
         # seen so far (bound) and the count of values below w_i (below)
-        for i in range(n - 2, -1, -1):
+        for i in range(n - 1):
             a, ci, at_i = w[i], c[i], place[i]
-            bound, below, found = n + 1, 0, []
+            bound, below = n + 1, 0
             for j in range(i + 1, n):
                 b = w[j]
                 if b < a:
@@ -276,28 +287,30 @@ def _step(n: int, order: str, weights, k: int) -> SparseStep:
                 elif b < bound:
                     bound = b
                     m = c[j] - ci + below
-                    wt = pairs[m][j - i] if pairs else 1 + 2 * m if code else j - i if chevalley else 1
-                    found.append((r, at[g + (1 + m) * at_i - m * place[j]], wt))
+                    rows(r)
+                    cols(at[g + (1 + m) * at_i - m * place[j]])
+                    weighs(pairs[m][j - i] if pairs else 1 + 2 * m if code else j - i if chevalley else 1)
                     if b == a + 1:
                         break
-            if found:
-                found.reverse()
-                out += found
-    return tuple(out)
+    out.rows.reverse()
+    out.cols.reverse()
+    out.weights.reverse()
+    return out
 
 
 def weighted_path_count(g: WeightedHasseDiagram, u: Permutation, v: Permutation) -> int:
     """Sum over saturated chains u = x_0 < x_1 < ... < x_m = v of the
     product of edge weights; 0 when v is not reachable, 1 when u = v.  Each
-    endpoint is looked up in the stratum of its length; ValueError unless
-    both are permutations of S_n."""
+    endpoint is looked up in the stratum of its length, as a word of that
+    stratum's type; ValueError unless both are permutations of S_n."""
     at = []
     for w in (u, v):
         w = validated(w)
         if len(w) != g.n:
             raise ValueError(f"not a vertex of this diagram: {to_string(w)}")
         k = length(w)
-        at.append((k, g.ranks[k].index(w)))
+        stratum = g.ranks[k]
+        at.append((k, stratum.index(type(stratum[0])(w))))
     (ku, iu), (kv, iv) = at
     if ku > kv:
         return 0

@@ -50,7 +50,6 @@ import math
 from .chains import _dm_step, _um_step, staircase
 from .hasse import _Lazy, _streamed, _sweep, build_hasse, mahonian_numbers, rank_size
 from .permutations import (
-    Permutation,
     _left_ascent,
     _rank,
     _swap,
@@ -121,11 +120,14 @@ def _padded_step(operator: str, n: int, k: int) -> SparseStep:
         {src_index[alpha]: c for alpha, c in table[w].terms.items()}
         for w in permutations_of_rank(n, src)
     ]
-    out = []
+    out = SparseStep()
     for i, row in enumerate(push_rows(rows, [step])):
         for w, c in _peel(n, {dst_monos[t]: v for t, v in row.items() if v}).items():
-            out.append((i, dst_index[w], c) if up else (dst_index[w], i, c))
-    return tuple(out)
+            if up:
+                out.append(i, dst_index[w], c)
+            else:
+                out.append(dst_index[w], i, c)
+    return out
 
 
 def _action_report(operator: str, n: int) -> dict:
@@ -183,10 +185,10 @@ def _nabla_certificate(n: int) -> tuple[bool, dict | tuple[int, bool]]:
     a failing (b), or the two sides of a failing (a).
     """
     g, unit = _streamed(n, "weak", "nabla"), True
-    below: dict[Permutation, dict[Permutation, int]] = {g.ranks[0][0]: {}}
+    below: dict[bytes, dict[bytes, int]] = {g.ranks[0][0]: {}}
     for k in range(g.top_rank):
         lower, upper = g.ranks[k], g.ranks[k + 1]
-        above: dict[Permutation, dict[Permutation, int]] = {w: {} for w in upper}
+        above: dict[bytes, dict[bytes, int]] = {w: {} for w in upper}
         for r, c, wt in g._steps[k]:
             covers, v = above[upper[c]], lower[r]
             if not wt or v in covers:

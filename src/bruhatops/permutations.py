@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from functools import lru_cache
 from typing import Iterable
 
@@ -141,21 +142,31 @@ def w0_times(w: Iterable[int]) -> Permutation:
     return tuple(n + 1 - v for v in word)
 
 
-def _left_ascent(w: Permutation) -> int:
+def _left_ascent(w: Permutation | bytes) -> int:
     """The least left ascent of w: the least i whose value i sits before
     i+1, so that s_i * w > w; 0 when there is none (w is the longest
-    element)."""
+    element).  ``w`` may be a tuple or a word of :func:`_rank`."""
     for i in range(1, len(w)):
         if w.index(i) < w.index(i + 1):
             return i
     return 0
 
 
-def _swap(w: Permutation, i: int) -> Permutation:
-    """s_i * w: the values i and i+1 of w swapped."""
+def _swap(w: Permutation | bytes, i: int) -> Permutation | bytes:
+    """s_i * w: the values i and i+1 of w swapped, of the type of w (a tuple,
+    or a word of :func:`_rank`, relabelled by one ``bytes.translate``), so
+    it keys the same dicts as w."""
+    if type(w) is bytes:
+        return w.translate(_transposition(i))
     out = list(w)
     out[w.index(i)], out[w.index(i + 1)] = i + 1, i
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _transposition(i: int) -> bytes:
+    """The ``bytes.translate`` table that swaps the letters i and i+1."""
+    return bytes(range(i)) + bytes((i + 1, i)) + bytes(range(i + 2, 256))
 
 
 def weak_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int]]:
@@ -197,37 +208,43 @@ def strong_covers_up(w: Iterable[int]) -> set[tuple[Permutation, int, int]]:
 
 
 @lru_cache(maxsize=4)
-def _rank(n: int, k: int) -> tuple[tuple[Permutation, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Rank k of S_n in lex order: its words, their full Lehmer codes (c_n = 0
-    included) and their lex indices among all n! words.
+def _rank(n: int, k: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...], array]:
+    """Rank k of S_n in lex order: its words and their full Lehmer codes
+    (c_n = 0 included), each one ``bytes`` object with one letter per byte,
+    and their lex indices among all n! words, as one ``array('q')``.  So n
+    is at most 255.  A word or a code takes about 40 bytes at n = 9, against
+    about 110 as a tuple of ints.
 
     The word (v, u relabelled) of S_n, where u in S_{n-1} has every value
     from v up raised by one, has code (v-1, c(u)), so length v-1 + l(u), and
     lex index (v-1)(n-1)! + g(u) (Bjoerner-Brenti, GTM 231, section 2.1).
     So rank k is read off ranks k-a of S_{n-1}, a = v-1 ascending, each in
-    lex order; S_{n-1} is kept whole by :func:`_strata`, and the last few ranks
-    of S_n here, so a scan over neighbouring ranks makes each once.  Cached
-    and shared; treat it as read-only.
+    lex order, and each word u is relabelled by one ``bytes.translate``;
+    S_{n-1} is kept whole by :func:`_strata`, and the last few ranks of S_n
+    here, so a scan over neighbouring ranks makes each once.  Cached and
+    shared; treat it as read-only.
     """
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
+    if n > 255:
+        raise ValueError(f"a word of S_{n} does not fit one letter per byte: n must be at most 255")
     if not 0 <= k <= num_inversions_max(n):
         raise ValueError(f"rank out of range for S_{n}: {k}")
     if n == 1:
-        return ((1,),), ((0,),), (0,)
+        return (b"\x01",), (b"\x00",), array("q", [0])
     lower = _strata(n - 1)
     place = math.factorial(n - 1)
-    words: list[Permutation] = []
-    codes: list[tuple[int, ...]] = []
-    lexes: list[int] = []
+    words: list[bytes] = []
+    codes: list[bytes] = []
+    lexes = array("q")
     for a in range(max(0, k + 1 - len(lower)), min(n - 1, k) + 1):
         us, cs, gs = lower[k - a]
-        up = tuple(x + (x > a) for x in range(n))  # value x of u becomes up[x]
-        words += [(a + 1, *map(up.__getitem__, u)) for u in us]
-        codes += [(a, *c) for c in cs]
-        base = a * place
-        lexes += [base + g for g in gs]
-    return tuple(words), tuple(codes), tuple(lexes)
+        up = bytes(range(a + 1)) + bytes(range(a + 2, 256)) + b"\xff"  # value x of u becomes up[x]
+        head, digit = bytes((a + 1,)), bytes((a,))
+        words += [head + u.translate(up) for u in us]
+        codes += [digit + c for c in cs]
+        lexes.extend(map((a * place).__add__, gs))
+    return tuple(words), tuple(codes), lexes
 
 
 @lru_cache(maxsize=None)
@@ -241,15 +258,15 @@ def _strata(n: int) -> tuple[tuple, ...]:
 def permutations_by_rank(n: int) -> tuple[tuple[Permutation, ...], ...]:
     """All of S_n stratified by length; each stratum sorted lexicographically.
 
-    The words of each rank as :func:`_rank` makes them, so no inversion is
-    counted.
+    The words of each rank as :func:`_rank` makes them, as tuples, so no
+    inversion is counted.
 
     >>> permutations_by_rank(3)[1]
     ((1, 3, 2), (2, 1, 3))
     """
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
-    return tuple(_rank(n, k)[0] for k in range(num_inversions_max(n) + 1))
+    return tuple(tuple(map(tuple, _rank(n, k)[0])) for k in range(num_inversions_max(n) + 1))
 
 
 def permutations_of_rank(n: int, k: int) -> list[Permutation]:
@@ -258,7 +275,7 @@ def permutations_of_rank(n: int, k: int) -> list[Permutation]:
     >>> permutations_of_rank(3, 1)
     [(1, 3, 2), (2, 1, 3)]
     """
-    return list(_rank(n, k)[0])
+    return list(map(tuple, _rank(n, k)[0]))
 
 
 def to_string(w: Iterable[int]) -> str:

@@ -287,10 +287,11 @@ def _schubert_table(n: int) -> dict[Permutation, IntPolynomial]:
     return table
 
 
-def _transition_terms(w: Permutation) -> list[Permutation]:
+def _transition_terms(w: Permutation | bytes) -> list[Permutation | bytes]:
     """The permutations whose S(1) add up to S_w(1) by the transition
     recursion (Lascoux-Schuetzenberger 1985; Macdonald, *Notes on Schubert
-    polynomials*, 1991), none for the identity (S(1) = 1).  With r the last
+    polynomials*, 1991), none for the identity (S(1) = 1), of the type of w
+    (a tuple, or a word of :func:`permutations._rank`).  With r the last
     descent of w, s the largest position after r with w_s < w_r and
     v = w * t_rs, they are v, which is shorter, and the v * t_ir over the
     i < r for which v * t_ir covers v, of the length of w and lex-larger.
@@ -302,15 +303,15 @@ def _transition_terms(w: Permutation) -> list[Permutation]:
     s = max(p for p in range(r + 1, n) if w[p] < w[r])
     v = list(w)
     v[r], v[s] = v[s], v[r]
-    top = v[r]
-    terms = [tuple(v)]
+    top, word = v[r], type(w)
+    terms = [word(v)]
     # v * t_ir covers v when v_i < v_r and no value between them sits in
     # between: scanning i downward, v_i must beat every such value
     ceiling = 0
     for i in range(r - 1, -1, -1):
         if ceiling < v[i] < top:
             ceiling = v[i]
-            terms.append((*v[:i], top, *v[i + 1 : r], ceiling, *v[r + 1 :]))
+            terms.append(word((*v[:i], top, *v[i + 1 : r], ceiling, *v[r + 1 :])))
     return terms
 
 
@@ -319,13 +320,15 @@ def _specialization_table(n: int) -> Iterator[list[int]]:
     as a list in the lex order of the rank, by :func:`_transition_terms`; no
     polynomial is built.  The terms of w are v, of rank k-1, and the v*t_ir,
     of rank k and lex-larger than w, so each rank is filled from its
-    lex-largest permutation down and only two ranks are held at a time.
-    S_w(1) = S_{w^-1}(1), so the values hold in both conventions.
+    lex-largest permutation down and only two ranks are held at a time,
+    keyed by the bytes words of :func:`permutations._rank`, which the terms
+    of such a word are too.  S_w(1) = S_{w^-1}(1), so the values hold in
+    both conventions.
     """
-    below: dict[Permutation, int] = {}
+    below: dict[bytes, int] = {}
     for k in range(num_inversions_max(n) + 1):
         stratum = _rank(n, k)[0]
-        here: dict[Permutation, int] = {}
+        here: dict[bytes, int] = {}
         for w in reversed(stratum):
             terms = _transition_terms(w)
             here[w] = below[terms[0]] + sum(here[t] for t in terms[1:]) if terms else 1

@@ -5,9 +5,11 @@ Smith chain the layer-matrix theorems predict.  No other module of the
 package is imported here.
 
 Everything here is exact; no floating point anywhere.  A matrix is a plain
-list of rows of ints.  A rank step is a sparse list of (row, col, weight)
-triples, and every layer matrix of the package is composed from consecutive
-steps by :func:`compose_steps`.  Smith invariants are returned as a tuple of
+list of rows of ints.  A rank step is a sparse matrix read as its (row, col,
+weight) triples: a :class:`SparseStep`, or any sequence of such tuples, since
+every reader only iterates a step and takes its ``len``.  Every layer matrix
+of the package is composed from consecutive steps by :func:`compose_steps`.
+Smith invariants are returned as a tuple of
 nonnegative integers b_1 | b_2 | ... of length min(rows, cols) -- the
 diagonal of the Smith form with the surrounding zero padding trimmed away,
 so rank-deficient matrices show trailing zeros.  :func:`snf` eliminates
@@ -18,11 +20,11 @@ modulo a nonzero maximal minor found by the Bareiss pass behind
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 IntMatrix = list[list[int]]
-SparseStep = Sequence[tuple[int, int, int]]
 
 __all__ = [
     "IntMatrix",
@@ -36,13 +38,56 @@ __all__ = [
     "diagonal_model_snf",
 ]
 
+
+class SparseStep:
+    """One step of a graded space, from rank k to rank k + 1: the triples
+    (row, column, weight) of its sparse matrix, rows in rank k, in the order
+    they were added, kept as three columns.  ``rows`` and ``cols`` are
+    ``array('i')``; ``weights`` is one too, or, with ``shared``, a list of
+    the weight objects themselves (the strong steps of S_n weighed by the
+    pair of their code and chevalley weights share one object per pair).
+    So a triple takes 12 bytes, against about 90 as a tuple of ints.
+
+    A step iterates as its triples and has ``len``, which is all a reader
+    takes, so a tuple of triples serves every reader as well; a step equals
+    such a tuple, or another step, with the same triples in the same order.
+    """
+
+    __slots__ = ("rows", "cols", "weights")
+
+    def __init__(self, shared: bool = False):
+        self.rows, self.cols = array("i"), array("i")
+        self.weights: array | list = [] if shared else array("i")
+
+    def append(self, r: int, c: int, w) -> None:
+        self.rows.append(r)
+        self.cols.append(c)
+        self.weights.append(w)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(self.rows, self.cols, self.weights)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SparseStep, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 def transpose(a: IntMatrix) -> IntMatrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
 def _flipped(step: SparseStep) -> SparseStep:
     """The transposed step: (r, c, w) becomes (c, r, w)."""
-    return tuple((c, r, w) for r, c, w in step)
+    out = SparseStep()
+    for r, c, w in step:
+        out.append(c, r, w)
+    return out
 
 
 def push_rows(rows: list[dict[int, int]], steps: Iterable[SparseStep]) -> list[dict[int, int]]:
@@ -125,8 +170,10 @@ def _mirror_scan(
     relation at k is the one at N-1-k read backwards, and the full scan
     first fails, if at all, at a k <= (N-1)/2 with the same witness.
 
-    Each lowering step is read into one dict by place, so a step with an
-    extra or repeated triple fails.  Returns None when the mirror holds,
+    Each lowering step is read into one dict by place, the int
+    r * sizes[k] + c for its triple (r, c, w) (so the triples index within
+    their ranks), and a step with an extra or repeated triple fails.
+    Returns None when the mirror holds,
     else (k, (r, c, w), found) for the first failing rank k: the first
     raising triple whose mirror is missing (found None) or weighs ``found``;
     failing that, the first lowering triple that repeats a place or that no
@@ -135,16 +182,17 @@ def _mirror_scan(
     total = len(sizes) - 1
     for k in range((total + 1) // 2 if up is down else total):
         step = up[k]
-        hi, lo = sizes[k + 1] - 1, sizes[k] - 1
+        width = sizes[k]
+        hi, lo = sizes[k + 1] - 1, width - 1
         lowering = down[total - 1 - k]
-        found = {(r, c): w for r, c, w in lowering}
+        found = {r * width + c: w for r, c, w in lowering}
         for r, c, w in step:
-            got = found.pop((hi - c, lo - r), None)
+            got = found.pop((hi - c) * width + lo - r, None)
             if got != w:
                 return k, (r, c, w), got
         if len(lowering) != len(step):
-            repeats = Counter((r, c) for r, c, _ in lowering)
-            r, c, w = next(t for t in lowering if t[:2] in found or repeats[t[:2]] > 1)
+            repeats = Counter(r * width + c for r, c, _ in lowering)
+            r, c, w = next(t for t in lowering if (at := t[0] * width + t[1]) in found or repeats[at] > 1)
             return k, (lo - c, hi - r, None), w
     return None
 

@@ -82,14 +82,15 @@ def bump_raising_step(monkeypatch):
     """``bump(n, k, triple)`` adds ``triple`` to step k of strong/code on
     S_n as ``hasse._step``, the one step builder, makes it from then on, so
     every reader of that step sees it; every other step is made as usual.
-    No diagram built meanwhile stays cached after the test."""
+    The bumped step is a tuple of triples, which every reader takes as a
+    step.  No diagram built meanwhile stays cached after the test."""
     hasse = importlib.import_module("bruhatops.hasse")
     real = hasse._step
 
     def bump(n, k, triple):
         def step(m, order, weights, j):
             made = real(m, order, weights, j)
-            return made + (triple,) if (m, order, weights, j) == (n, "strong", "code", k) else made
+            return tuple(made) + (triple,) if (m, order, weights, j) == (n, "strong", "code", k) else made
 
         monkeypatch.setattr(hasse, "_step", step)
 
@@ -101,9 +102,9 @@ def bump_raising_step(monkeypatch):
 def raise_weight(monkeypatch):
     """``raise_(n, order, weights, k, t)`` raises by one the weight of triple
     t of step k of that diagram of S_n, as ``hasse._step``, the one step
-    builder, makes it from then on; every other step is made as usual.  A
-    later call replaces the earlier raise, and no diagram built before the
-    call or during the test stays cached."""
+    builder, makes it from then on, as a tuple of triples; every other step
+    is made as usual.  A later call replaces the earlier raise, and no
+    diagram built before the call or during the test stays cached."""
     hasse = importlib.import_module("bruhatops.hasse")
     real = hasse._step
 
@@ -112,6 +113,7 @@ def raise_weight(monkeypatch):
             made = real(*key)
             if key != (n, order, weights, k):
                 return made
+            made = tuple(made)
             r, c, wt = made[t]
             return made[:t] + ((r, c, wt + 1),) + made[t + 1 :]
 

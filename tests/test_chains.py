@@ -31,7 +31,7 @@ from bruhatops.cli import main
 from bruhatops.hasse import predicted_snf
 from bruhatops.permutations import num_inversions_max, permutations_by_rank
 from bruhatops.schubert import staircase
-from bruhatops.snf import _dense, _mirror_scan, _sl2_scan, determinant, diagonal_model_snf, snf, transpose
+from bruhatops.snf import SparseStep, _dense, _mirror_scan, _sl2_scan, determinant, diagonal_model_snf, snf, transpose
 
 from conftest import clear_chain_caches
 from oracles import matmul
@@ -259,12 +259,26 @@ class TestLayerMatrices:
             for high in range(low, total + 1):
                 assert um_layer_matrix(M, low, high) == brute_um_layer(M, low, high)
 
+    def test_steps_frozen(self):
+        # the raising and lowering triples of the box (2, 1), sorted
+        assert [_um_step((2, 1), k) for k in range(3)] == [
+            ((0, 0, 1), (0, 1, 1)),
+            ((0, 0, 2), (0, 1, 1), (1, 1, 1)),
+            ((0, 0, 1), (1, 0, 2)),
+        ]
+        assert [_dm_step((2, 1), k) for k in range(3)] == [
+            ((0, 0, 2), (0, 1, 1)),
+            ((0, 0, 1), (0, 1, 1), (1, 1, 2)),
+            ((0, 0, 1), (1, 0, 1)),
+        ]
+
     @pytest.mark.parametrize("M", [(2, 1), (2, 2), (3, 2, 1), (0, 2, 1)])
     def test_composer_matches_dense_step_product(self, M):
         total = sum(M)
         for layer, step in ((um_layer_matrix, _um_step), (dm_layer_matrix, _dm_step)):
             dense = []
             for k in range(total):
+                assert type(step(M, k)) is SparseStep, (M, k)
                 mat = [[0] * profile_rank_size(M, k + 1) for _ in range(profile_rank_size(M, k))]
                 for r, c, w in step(M, k):
                     mat[r][c] = w
@@ -350,7 +364,7 @@ class TestLayerMatrices:
         sizes = profile_rank_sizes(M)
         real = chains._um_step
         (r, c, w), *_ = real(M, at)
-        monkeypatch.setattr(chains, "_um_step", lambda P, k: real(P, k)[:1] * (k == at) + real(P, k))
+        monkeypatch.setattr(chains, "_um_step", lambda P, k: tuple(real(P, k))[:1] * (k == at) + tuple(real(P, k)))
         clear_chain_caches()
         place = [sizes[at + 1] - 1 - c, sizes[at] - 1 - r]
         witness = {"rank": at, "mirrored": [*place, w], "lowering": "missing"}
@@ -365,7 +379,7 @@ class TestLayerMatrices:
         k = sum(M) - 1 - at
         real = chains._dm_step
         (r, c, w), *_ = real(M, at)
-        monkeypatch.setattr(chains, "_dm_step", lambda P, j: real(P, j)[:1] * (j == at) + real(P, j))
+        monkeypatch.setattr(chains, "_dm_step", lambda P, j: tuple(real(P, j))[:1] * (j == at) + tuple(real(P, j)))
         clear_chain_caches()
         witness = {"rank": k, "mirrored": "missing", "lowering": [r, c, w]}
         assert box_scans(M)[1] == (False, witness)
@@ -561,7 +575,7 @@ def raise_mirrored_weights(monkeypatch, M, at):
     and its mirror in the lowering step out of rank |M| - 1 - at both weigh
     one more, so the mirror scan still holds."""
     sizes, total = profile_rank_sizes(M), sum(M)
-    r, c, _ = _um_step(M, at)[0]
+    (r, c, _), *_ = _um_step(M, at)
     mirror = (sizes[at + 1] - 1 - c, sizes[at] - 1 - r)
     real = chains._dm_step
     raise_one_weight(monkeypatch, at)

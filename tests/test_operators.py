@@ -42,7 +42,7 @@ from bruhatops.schubert import (
     schubert,
     staircase,
 )
-from bruhatops.snf import _sl2_scan, transpose
+from bruhatops.snf import SparseStep, _sl2_scan, transpose
 
 from oracles import basis_matrix, identity_matrix, matmul
 
@@ -133,7 +133,7 @@ def bump_padded_raising_step(monkeypatch, k, triple):
     """Add ``triple`` to the padded delta step k that ``operators._padded_step``
     returns from here on."""
     real = operators._padded_step
-    bumped = lambda op, n, j: real(op, n, j) + ((triple,) if (op, j) == ("delta", k) else ())
+    bumped = lambda op, n, j: tuple(real(op, n, j)) + ((triple,) if (op, j) == ("delta", k) else ())
     monkeypatch.setattr(operators, "_padded_step", bumped)
 
 
@@ -216,8 +216,16 @@ class TestGraphAgreement:
 
     @pytest.mark.parametrize("operator", ["delta", "nabla"])
     def test_padded_single_steps_match_dense_conjugation_n6(self, operator):
+        # each padded step is the one step class of snf, with the triples of
+        # the diagram's step: in its order for delta, and column by column,
+        # as the lowering step is read, for nabla
+        order, weights = ("strong", "code") if operator == "delta" else ("weak", "nabla")
         for k in range(num_inversions_max(6)):
             assert differential_layer_matrix(operator, 6, k, k + 1) == conjugated_layer(operator, 6, k, k + 1), k
+            step = operators._padded_step(operator, 6, k)
+            want = list(hasse_module._step(6, order, weights, k))
+            assert type(step) is SparseStep, k
+            assert list(step) == (want if operator == "delta" else sorted(want, key=lambda t: (t[1], t[0]))), k
 
     def test_monomial_window_validation(self):
         with pytest.raises(ValueError):
@@ -312,7 +320,7 @@ class TestActionStepsAgainstPerPermutationRoute:
         for k, extra in ((0, (0, 0, 2)), (1, (0, 0, 0))):
 
             def step(*key, k=k, extra=extra):
-                return real(*key) + ((extra,) if key == (3, "weak", "nabla", k) else ())
+                return tuple(real(*key)) + ((extra,) if key == (3, "weak", "nabla", k) else ())
 
             monkeypatch.setattr(hasse_module, "_step", step)
             r, c, wt = extra
@@ -380,7 +388,7 @@ class TestActionCertificates:
         # the direct route passes
         real = hasse_module._step
         assert real(3, "strong", "code", 0) == ((0, 0, 1), (0, 1, 1))
-        step41 = real(4, "strong", "code", 1)
+        step41 = tuple(real(4, "strong", "code", 1))
         assert step41[2:4] == ((0, 2, 1), (1, 0, 1))
         for n, k, made, failures in (
             (3, 0, ((0, 0, 1), (0, 0, 0), (0, 1, 1)), 1),

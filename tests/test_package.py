@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,3 +163,20 @@ def test_exports_are_consistent():
     # no name is exported by two submodules
     assert sorted(bruhatops.__all__) == sorted(n for names in bruhatops._EXPORTS.values() for n in names)
     assert {"schubert", "snf"}.isdisjoint(bruhatops.__all__)
+
+
+def test_each_mutant_text_occurs_once_in_the_package():
+    # tests/mutants.py applies each mutant to a copy of the tree; a text
+    # that is gone or repeated would make its mutant vacuous or ambiguous,
+    # and each test it names must still exist
+    from mutants import MUTANTS, occurrences
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert occurrences(mutant.text) == 1, mutant.name
+        assert (REPO / mutant.path).read_text().count(mutant.text) == 1, mutant.name
+        for test in mutant.kills:
+            path, *names = test.split("::")
+            source = (REPO / path).read_text()
+            for name in names:
+                assert re.search(rf"^\s*(def|class) {name.split('[')[0]}\b", source, flags=re.M), test

@@ -1,5 +1,6 @@
 """Core permutation combinatorics: lengths, codes, covers."""
 
+from array import array
 from collections import deque
 from itertools import permutations as iter_permutations
 
@@ -204,21 +205,27 @@ class TestStratification:
             assert permutations_by_rank(n) == reference_ranks(n), n
 
     def test_ranks_on_demand_equal_the_brute_force_ranks(self):
-        # each rank alone: the words of the brute-force rank, their full
-        # Lehmer codes and their lex indices among all n! words
+        # each rank alone, decoded: its words and their full Lehmer codes,
+        # one bytes object each, are those of the brute-force rank, and its
+        # array of lex indices holds their indices among all n! words
         for n in range(1, 8):
             lex = {w: g for g, w in enumerate(iter_permutations(range(1, n + 1)))}
             for k, stratum in enumerate(reference_ranks(n)):
                 words, codes, lexes = _rank(n, k)
-                assert words == stratum, (n, k)
-                assert codes == tuple(lehmer_code(w) + (0,) for w in stratum), (n, k)
-                assert lexes == tuple(lex[w] for w in stratum), (n, k)
+                assert all(type(w) is bytes for w in words + codes), (n, k)
+                assert isinstance(lexes, array) and lexes.typecode == "q", (n, k)
+                assert tuple(map(tuple, words)) == stratum, (n, k)
+                assert tuple(map(tuple, codes)) == tuple(lehmer_code(w) + (0,) for w in stratum), (n, k)
+                assert tuple(lexes) == tuple(lex[w] for w in stratum), (n, k)
 
     def test_rank_out_of_range_raises(self):
         with pytest.raises(ValueError, match="rank out of range for S_3: 4"):
             _rank(3, 4)
         with pytest.raises(ValueError, match="n must be positive"):
             _rank(0, 0)
+        # one letter per byte
+        with pytest.raises(ValueError, match="n must be at most 255"):
+            _rank(256, 0)
 
 
 class TestStringForms:
