@@ -14,6 +14,15 @@ Three subcommands:
 Exit codes: 0 success / verified, 1 counterexample found, 2 usage error.
 Potentially large integers in JSON output are always decimal strings.
 
+A run from the command line ends at its flushed output: ``entrypoint``
+flushes stdout and stderr and calls ``os._exit``, skipping interpreter
+teardown (the last garbage collections, unloading every module and freeing
+every cache), whose memory the OS takes back at exit anyway.  A ``--jobs``
+pool is terminated and joined inside ``main``, so no worker outlives the
+run.  An uncaught exception or interrupt, a ``SystemExit`` whose code is no
+int, and a flush that fails (a closed pipe) take the normal ``sys.exit``
+path.  ``main`` returns its exit code to in-process callers.
+
 Each command imports the layer modules it runs when it runs, so ``--help``
 loads none and the chain suites load only ``chains`` and ``snf``.  Every
 report of ``verify`` comes from one job, and ``--jobs`` fans out only the
@@ -284,8 +293,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def entrypoint() -> None:  # console-script shim
-    sys.exit(main())
+def entrypoint() -> None:
+    """The console script and ``python -m bruhatops.cli``: run ``main``,
+    flush stdout and stderr, and end the process there with ``os._exit``
+    (the module docstring says which exits take ``sys.exit`` instead)."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+        if code is not None and not isinstance(code, int):
+            raise
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a stream None, broken or closed
+        sys.exit(code)
+    os._exit(code or 0)
 
 
 if __name__ == "__main__":

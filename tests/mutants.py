@@ -107,6 +107,16 @@ MUTANTS = (
             "tests/test_operators.py::TestActionTheorems::test_nabla_action",
         ),
     ),
+    Mutant(
+        "hard exit without its flush",
+        "src/bruhatops/cli.py",
+        "        sys.stdout.flush()\n        sys.stderr.flush()\n",
+        "        pass\n",
+        (
+            "tests/test_cli.py::TestConsoleScript::test_spawn_matches_in_process[sl2]",
+            "tests/test_cli.py::TestConsoleScript::test_spawn_matches_in_process[hasse-dot]",
+        ),
+    ),
 )
 
 

@@ -420,18 +420,64 @@ class TestSchubertCommand:
         assert out == "x1\n"
 
 
+def spawn(*argv, **kwargs) -> tuple[subprocess.Popen, bytes | str, bytes | str]:
+    """``python -m bruhatops.cli ARGV`` run to its exit in a child that
+    imports the package from the same src as this process: the ended child,
+    its stdout and its stderr.  PYTHONUNBUFFERED is dropped, so the child's
+    stdout is block-buffered as in a batch run: an exit that skips the flush
+    would lose what is still buffered."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "bruhatops.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": path},
+        **kwargs,
+    ) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc, out, err
+
+
 class TestConsoleScript:
     def test_module_entry_help(self):
-        # the subprocess imports the package from the same src as this one
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bruhatops.cli", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc, out, _ = spawn("--help", text=True)
         assert proc.returncode == 0
-        assert "hasse" in proc.stdout
-        assert "verify" in proc.stdout
-        assert "schubert" in proc.stdout
+        assert "hasse" in out
+        assert "verify" in out
+        assert "schubert" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["verify", "--suite", "nope"],  # argparse usage error, exit 2
+            ["verify", "--suite", "snf"],  # ValueError in main, exit 2
+            ["verify", "--suite", "sl2", "--n", "3"],  # under one 8 KB buffer
+            ["hasse", "--n", "5", "--order", "strong", "--weights", "code", "--format", "dot"],  # over it
+        ],
+        ids=["help", "usage", "value-error", "sl2", "hasse-dot"],
+    )
+    def test_spawn_matches_in_process(self, argv, capsys, monkeypatch):
+        # the console script ends with os._exit after its own flush: its
+        # stdout bytes, stderr and exit code are those main gives in-process
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc, child_out, child_err = spawn(*argv)
+        assert child_out == out.encode()
+        assert child_err.decode() == err
+        assert proc.returncode == code
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is clamped to 1 CPU: no pool starts")
+    def test_pool_workers_end_with_the_run(self):
+        # the run's own session holds it and its --jobs workers; once it has
+        # exited, no process of that group is left
+        proc, _, _ = spawn("verify", "--suite", "snf", "--n", "4", "--jobs", "2", start_new_session=True)
+        assert proc.returncode == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
