@@ -53,7 +53,6 @@ on working code.
 
 from __future__ import annotations
 
-import marshal
 import math
 from functools import cache, lru_cache
 from itertools import accumulate, product
@@ -224,7 +223,8 @@ def _pushed_bases(M: ChainProfile, keep: int) -> Iterator[tuple[list[dict[int, i
     rows of :func:`construct_A` are appended.  Generators are born in order
     of rank and die in the reverse order, so the live ones are always the
     first in order of birth, and a row's position names its generator.
-    Only two ranks of rows are alive at once.
+    The generator keeps only two ranks of rows alive at once; a caller that
+    holds the rows of the last rank yielded keeps a third.
     """
     total = sum(M)
     rows: list[dict[int, int]] = []
@@ -283,10 +283,9 @@ class _Walk:
     For every rank k reached it records the generators born at k
     (``born[k]``), the generators alive at k (``live[k]``, the first ones in
     order of birth) and the positions of the rows whose division into rank k
-    was not exact (``inexact[k]``).  The rows of a rank are kept until
-    :meth:`take` hands them out, marshalled once the walk has passed the
-    rank (the rows of every rank of (4,4,3,3,2) take 0.33 MB so, against
-    1.9 MB as dicts).  Each rank is taken at most once, by :func:`_rank_det`.
+    was not exact (``inexact[k]``).  Of the rows it keeps only those of the
+    rank it stands at (``at``), in order of birth of their generators
+    (``rows``): a rank behind the walk is read again from a fresh walk.
     """
 
     def __init__(self, M: ChainProfile):
@@ -294,27 +293,17 @@ class _Walk:
         self.live: list[int] = []
         self.inexact: list[tuple[int, ...]] = []
         self._ranks = enumerate(_pushed_bases(M, sum(M) // 2))
-        self._at = -1
-        self._rows: dict[int, list[dict[int, int]] | bytes] = {}
+        self.at = -1
+        self.rows: list[dict[int, int]] = []
 
     def reach(self, k: int) -> _Walk:
-        """Walk on to rank k, keeping the rows of every rank passed."""
-        while self._at < k:
-            if self._at in self._rows:
-                self._rows[self._at] = marshal.dumps(self._rows[self._at])
-            self._at, (rows, born, inexact) = next(self._ranks)
-            self.born.append(born.count(self._at))
-            self.live.append(len(rows))
+        """Walk on to rank k, forgetting the rows of every rank passed."""
+        while self.at < k:
+            self.at, (self.rows, born, inexact) = next(self._ranks)
+            self.born.append(born.count(self.at))
+            self.live.append(len(self.rows))
             self.inexact.append(inexact)
-            self._rows[self._at] = rows
         return self
-
-    def take(self, k: int) -> list[dict[int, int]]:
-        """The rows of B_k, in order of birth of their generators, which the
-        walk then forgets."""
-        self.reach(k)
-        rows = self._rows.pop(k)
-        return rows if k == self._at else marshal.loads(rows)
 
 
 @lru_cache(maxsize=None)
@@ -326,8 +315,12 @@ def _walk(M: ChainProfile) -> _Walk:
 def _rank_det(M: ChainProfile, k: int) -> tuple[int, int | None]:
     """(vector count, determinant) of the basis B_k: :func:`determinant` of
     its rows in order of birth of their generators, or None when they are
-    not square.  Taken on first request and cached without the rows."""
-    rows = _walk(M).take(k)
+    not square.  The rows are read where the shared walk stands, after
+    walking it on to rank k; a rank the walk has passed, which only a call
+    out of rank order asks for, is read from a fresh walk.  Cached without
+    the rows."""
+    walk = _walk(M).reach(k)
+    rows = walk.rows if walk.at == k else _Walk(M).reach(k).rows
     size = profile_rank_sizes(M)[k]
     return len(rows), (determinant(_dense(rows, size)) if len(rows) == size else None)
 
@@ -460,17 +453,18 @@ def _proved_from_below(M: ChainProfile, high: int) -> bool:
     the generators born at each rank m <= low number |P_m| - |P_{m-1}|, and
     :func:`_sl2_holds`.  The verdict is asked only here and in
     :func:`um_determinant_check`, so a window that asks for no rank above
-    the middle runs neither of its scans.
+    the middle runs neither of its scans.  Rank low is settled before the
+    walk goes on to high, so its determinant is taken where the walk stands.
     """
     low = sum(M) - high
     if low >= high:
         return False
-    walk = _walk(M).reach(high)
+    walk = _walk(M).reach(low)
     sizes = profile_rank_sizes(M)
     return (
         all(walk.born[m] == sizes[m] - (sizes[m - 1] if m else 0) for m in range(low + 1))
-        and all(not bad or bad[0] >= walk.live[low] for bad in walk.inexact[low + 1 : high + 1])
         and _unimodular(M, low)
+        and all(not bad or bad[0] >= walk.live[low] for bad in walk.reach(high).inexact[low + 1 : high + 1])
         and _sl2_holds(M)
     )
 
@@ -493,11 +487,13 @@ def _proved_sizes(M: ChainProfile, low: int, high: int) -> list[int] | None:
     exact and its two end ranks are unimodular.  Only the determinants of
     the two end ranks are taken, or, for an end above the middle that
     :func:`_proved_from_below` proves, that of the rank it is read from.
+    The end ranks are settled in rank order, before the divisions, so each
+    determinant is taken where the walk stands.
     """
+    if not (_unimodular(M, low) and _unimodular(M, high)):
+        return None
     walk = _walk(M).reach(high)
     if any(walk.inexact[low + 1 : high + 1]):
-        return None
-    if not (_unimodular(M, low) and _unimodular(M, high)):
         return None
     return list(accumulate(walk.born[: low + 1]))
 

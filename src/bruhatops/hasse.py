@@ -208,7 +208,8 @@ def _streamed(n: int, order: str, weights) -> WeightedHasseDiagram:
     """The diagram of S_n with its ranks and steps made when they are read,
     step k by :func:`_step` from ranks k and k+1 alone: what the suites and
     the ``hasse`` command read, one or a few steps at a time.  ``weights``
-    may also be a pair of strong weight systems (see :func:`_step`)."""
+    may also be the pair of strong weight systems ("code", "chevalley"),
+    whose two weights :func:`_step` encodes as one int per triple."""
     if order not in ORDERS:
         raise ValueError(f"unknown order: {order!r}")
     for system in (weights,) if isinstance(weights, str) else weights:
@@ -247,16 +248,16 @@ def _step(n: int, order: str, weights, k: int) -> SparseStep:
     A cover by s_{p+1} has the larger lex index the smaller p is; a cover
     by t_ij the smaller i is, and for one i the smaller j is.  For the
     strong order ``weights`` may be the pair ("code", "chevalley"), which
-    weighs each triple by the pair of its two weights, one shared tuple per
-    pair of values.
+    weighs each triple by its pair of weights (1 + 2m, j - i) encoded as the
+    one int (1 + 2m) n + (j - i); as 1 <= j - i < n, equal ints are equal
+    pairs.
     """
     words, codes, lexes = _rank(n, k)
     at = {h: c for c, h in enumerate(_rank(n, k + 1)[2])}
     place = _places(n)
     code, chevalley = "code" in weights, "chevalley" in weights
-    # the pairs of weights (1 + 2m, j - i), made once and shared by the triples
-    pairs = [[(1 + 2 * m, d) for d in range(n)] for m in range(n)] if code and chevalley else None
-    out = SparseStep(shared=pairs is not None)
+    pair = code and chevalley
+    out = SparseStep()
     rows, cols, weighs = out.rows.append, out.cols.append, out.weights.append
     if order == "weak":
         # s_{p+1} moves the lex index by place[p] + d (place[p+1] - place[p])
@@ -289,7 +290,7 @@ def _step(n: int, order: str, weights, k: int) -> SparseStep:
                     m = c[j] - ci + below
                     rows(r)
                     cols(at[g + (1 + m) * at_i - m * place[j]])
-                    weighs(pairs[m][j - i] if pairs else 1 + 2 * m if code else j - i if chevalley else 1)
+                    weighs((1 + 2 * m) * n + j - i if pair else 1 + 2 * m if code else j - i if chevalley else 1)
                     if b == a + 1:
                         break
     out.rows.reverse()
@@ -389,9 +390,10 @@ def verify_w0_symmetry(n: int) -> dict:
 
     Each order is scanned once, up to the middle rank, with its steps made
     on demand, so each step is built once and at most two are alive: the
-    strong steps carry the pair of their code and chevalley weights, and the
-    pair mirrors iff both do.  Only when a scan fails is each of its weight
-    systems scanned again on its own, for that system's witness.
+    strong steps carry the pair of their code and chevalley weights as one
+    int per triple, which mirrors iff both weights do.  Only when a scan
+    fails is each of its weight systems scanned again on its own, for that
+    system's witness.
     """
     sizes = mahonian_numbers(n)
     failures = []

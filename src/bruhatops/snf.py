@@ -42,11 +42,8 @@ __all__ = [
 class SparseStep:
     """One step of a graded space, from rank k to rank k + 1: the triples
     (row, column, weight) of its sparse matrix, rows in rank k, in the order
-    they were added, kept as three columns.  ``rows`` and ``cols`` are
-    ``array('i')``; ``weights`` is one too, or, with ``shared``, a list of
-    the weight objects themselves (the strong steps of S_n weighed by the
-    pair of their code and chevalley weights share one object per pair).
-    So a triple takes 12 bytes, against about 90 as a tuple of ints.
+    they were added, kept as three ``array('i')`` columns.  So a triple
+    takes 12 bytes, against about 90 as a tuple of ints.
 
     A step iterates as its triples and has ``len``, which is all a reader
     takes, so a tuple of triples serves every reader as well; a step equals
@@ -55,9 +52,8 @@ class SparseStep:
 
     __slots__ = ("rows", "cols", "weights")
 
-    def __init__(self, shared: bool = False):
-        self.rows, self.cols = array("i"), array("i")
-        self.weights: array | list = [] if shared else array("i")
+    def __init__(self):
+        self.rows, self.cols, self.weights = array("i"), array("i"), array("i")
 
     def append(self, r: int, c: int, w) -> None:
         self.rows.append(r)

@@ -108,6 +108,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "basis determinant of the rows where the walk stands, whatever the rank",
+        "src/bruhatops/chains.py",
+        "rows = walk.rows if walk.at == k else _Walk(M).reach(k).rows",
+        "rows = walk.rows",
+        (
+            "tests/test_chains.py::TestCertificate::test_calls_in_decreasing_rank_order",
+            "tests/test_chains.py::TestCertificate::test_born_count_off_keeps_the_ranks_above_unproved",
+        ),
+    ),
+    Mutant(
+        "pair of strong weights encoded without its factor n",
+        "src/bruhatops/hasse.py",
+        "(1 + 2 * m) * n + j - i",
+        "(1 + 2 * m) + j - i",
+        ("tests/test_hasse.py::TestStreamedSteps::test_pair_weights_are_code_and_chevalley",),
+    ),
+    Mutant(
         "hard exit without its flush",
         "src/bruhatops/cli.py",
         "        sys.stdout.flush()\n        sys.stderr.flush()\n",

@@ -554,6 +554,33 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def made_walks(monkeypatch):
+    """Every ``chains._Walk`` made from here on, shared or fresh."""
+    made = []
+
+    class Spy(chains._Walk):
+        def __init__(self, M):
+            super().__init__(M)
+            made.append(self)
+
+    monkeypatch.setattr(chains, "_Walk", Spy)
+    return made
+
+
+def determinants_taken_at(monkeypatch, walks):
+    """The rank the one walk of ``walks`` stands at for every determinant
+    the chains module takes from here on."""
+    taken, real = [], chains.determinant
+
+    def spy(mat):
+        (walk,) = walks
+        taken.append(walk.at)
+        return real(mat)
+
+    monkeypatch.setattr(chains, "determinant", spy)
+    return taken
+
+
 def raise_one_weight(monkeypatch, at, by=1):
     """From here on the first triple of the raising step out of rank ``at``
     weighs ``by`` more."""
@@ -795,19 +822,62 @@ class TestCertificate:
 
     def test_no_rank_is_taken_twice(self, monkeypatch, capsys):
         # the three chain suites in one process share one walk per profile,
-        # and each rank's rows leave it once, for the cached determinant
-        taken, real = [], chains._Walk.take
-
-        def spy(walk, k):
-            taken.append((walk, k))
-            return real(walk, k)
-
-        monkeypatch.setattr(chains._Walk, "take", spy)
+        # and each rank's determinant is taken once, where that walk stands
+        walks = made_walks(monkeypatch)
+        taken = determinants_taken_at(monkeypatch, walks)
         for suite in ("chains-basis", "chains-snf", "chains-det"):
             assert main(["verify", "--suite", suite, "--M", "4,4,3,3,2"]) == 0
             assert json.loads(capsys.readouterr().out)["ok"] is True
-        assert {walk for walk, _ in taken} == {chains._walk((4, 4, 3, 3, 2))}
-        assert sorted(k for _, k in taken) == list(range(9))
+        assert walks == [chains._walk((4, 4, 3, 3, 2))]
+        assert sorted(taken) == list(range(9))
+
+    @pytest.mark.parametrize(
+        "argv, walks_made, ranks",
+        [
+            (["chains-basis", "--M", "4,4,3,3,2"], 1, list(range(9))),
+            (["chains-snf", "--M", "4,4,3,3,2"], 1, list(range(9))),
+            (["chains-snf", "--M", "4,3,3,2,2", "--from", "2", "--to", "9"], 1, [2, 5]),
+            (["chains-snf", "--M", "4,3,3,2,2", "--from", "5", "--to", "9"], 1, [5]),
+            (["chains-snf", "--M", "6,5,4,3,2,1", "--from", "3", "--to", "10"], 1, [3, 10]),
+            (["chains-det", "--M", "6,5,4,3,2,1"], 0, []),
+        ],
+    )
+    def test_each_chain_run_walks_once(self, monkeypatch, capsys, argv, walks_made, ranks):
+        # one walk per profile, and each determinant in rank order where the
+        # walk stands; chains-det walks nowhere
+        walks = made_walks(monkeypatch)
+        taken = determinants_taken_at(monkeypatch, walks)
+        assert main(["verify", "--suite", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert len(walks) == walks_made
+        assert taken == ranks
+
+    @pytest.mark.parametrize(
+        "M, route",
+        [((4, 3, 3, 2, 2), "working")] + [((3, 3, 2, 2), r) for r in ("working", "raised weight", "tripled determinant")],
+    )
+    def test_calls_in_decreasing_rank_order(self, monkeypatch, M, route):
+        # a rank behind the shared walk is read from a fresh walk, so the
+        # public checks give what they give in rank order, witnesses and
+        # signs of determinants included
+        if route == "raised weight":
+            raise_one_weight(monkeypatch, 4)
+        elif route == "tripled determinant":
+            real = chains.determinant
+            monkeypatch.setattr(chains, "determinant", lambda mat: 3 * real(mat))
+
+        def checks(order):
+            clear_chain_caches()
+            ranks = sorted(range(sum(M) + 1), reverse=order == "down")
+            windows = sorted(snf_windows(M), key=lambda w: w[::-1], reverse=order == "down")
+            bases = {n: base_change_unimodular_check(M, n) for n in ranks}
+            return bases, {w: um_snf_check(M, *w) for w in windows}
+
+        bases, windows = checks("up")
+        walks = made_walks(monkeypatch)
+        assert checks("down") == (bases, windows)
+        assert len(walks) > 1
+        assert all(ok for ok, _ in bases.values()) == (route == "working")
 
     def test_rebinding_a_step_forgets_the_certificate(self, monkeypatch):
         # the caches are keyed by the profile alone, so a helper that rebinds
@@ -817,14 +887,16 @@ class TestCertificate:
         raise_one_weight(monkeypatch, 3)
         assert any(report["failures"] for report in chain_reports(M))
 
-    @pytest.mark.parametrize("order", [(3, 0, 6, 2), (6, 5, 4, 3, 2, 1, 0), (0, 6)])
+    @pytest.mark.parametrize("order", [(0, 2, 3, 6), tuple(range(7)), (6,)])
     def test_walk_hands_out_the_rows_of_construct_B(self, order):
-        # ranks passed and taken at the walk's own rank, after a walk to the
-        # top that took nothing
+        # the rows read at each rank the walk is asked to reach, skipped
+        # ranks included; a rank behind it leaves it where it stands
         M = (3, 2, 1)
-        walk = chains._Walk(M).reach(sum(M))
+        walk = chains._Walk(M)
         for k in order:
-            assert _dense(walk.take(k), profile_rank_size(M, k)) == construct_B(M, k), k
+            assert walk.reach(k).at == k
+            assert _dense(walk.rows, profile_rank_size(M, k)) == construct_B(M, k), k
+        assert walk.reach(0).at == 6
         assert walk.born == [1, 2, 2, 1, 0, 0, 0]
         assert walk.live == [1, 3, 5, 6, 5, 3, 1]
 

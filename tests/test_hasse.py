@@ -566,13 +566,18 @@ class TestStreamedSteps:
             assert tuple(down[::-1]) == build_hasse(n, order, weights)._steps, n
 
     def test_pair_weights_are_code_and_chevalley(self):
+        # one int (code) n + chevalley per triple, which the pair of weights
+        # reads back from, as 1 <= chevalley < n
         for n in range(1, 7):
             pair = _streamed(n, "strong", ("code", "chevalley"))._steps
             code, chevalley = build_hasse(n, "strong", "code"), build_hasse(n, "strong", "chevalley")
             for k in range(len(pair)):
                 assert pair[k] == tuple(
-                    (r, c, (a, b)) for (r, c, a), (_, _, b) in zip(code._steps[k], chevalley._steps[k])
+                    (r, c, a * n + b) for (r, c, a), (_, _, b) in zip(code._steps[k], chevalley._steps[k])
                 ), (n, k)
+                assert [divmod(w, n) for _, _, w in pair[k]] == [
+                    (a, b) for (_, _, a), (_, _, b) in zip(code._steps[k], chevalley._steps[k])
+                ], (n, k)
 
     def test_last_step_read_is_kept(self, monkeypatch):
         real, made = hasse_module._step, []
